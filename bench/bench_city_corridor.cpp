@@ -6,18 +6,19 @@
 // non-zero when any check fails.
 //
 // RST_THREADS fans the CBR sweep cells over a TrialPool (0/unset = auto);
-// every reported number and fingerprint is identical at any thread count.
-// RST_PARTITIONS fans each city's per-receiver medium physics across
-// partition domains (unset/1 = serial); fingerprints are identical at any
-// partition count, and the final determinism section proves it by
-// re-running the sweep serially.
+// every reported number and fingerprint is identical at any thread count,
+// and the final determinism section proves it by re-running the sweep on
+// one thread.
+//
+// Usage: bench_city_corridor [--buildings-scale N]
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "rst/core/config_io.hpp"
 #include "rst/core/experiment.hpp"
 #include "rst/scenario/city.hpp"
 
@@ -55,16 +56,22 @@ int main(int argc, char** argv) {
   // count grows linearly with the scale; scales run 1, 4, 16, ... up to N).
   long buildings_scale = 64;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--buildings-scale") == 0 && i + 1 < argc) {
-      buildings_scale = std::strtol(argv[++i], nullptr, 10);
+    const std::string arg = argv[i];
+    std::int64_t scale = 0;
+    try {
+      if (arg == "--buildings-scale" && i + 1 < argc) scale = core::parse_spec_int(argv[++i], arg);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
     }
+    if (scale < 1) {
+      std::fprintf(stderr, "usage: %s [--buildings-scale N]   (N >= 1)\n", argv[0]);
+      return 2;
+    }
+    buildings_scale = static_cast<long>(scale);
   }
-  if (buildings_scale < 1) buildings_scale = 1;
 
   const unsigned threads = core::experiment_threads_from_env();
-  const unsigned partitions = core::experiment_partitions_from_env(1);
-  std::printf("[threads: %u] [partitions: %u]\n\n", core::resolve_experiment_threads(threads),
-              partitions);
+  std::printf("[threads: %u]\n\n", core::resolve_experiment_threads(threads));
 
   bool ok = true;
   const auto check = [&](const char* what, bool cond) {
@@ -254,11 +261,10 @@ int main(int argc, char** argv) {
     cs.buildings = false;
     cs.max_rsus = 1;
     cs.obu_cam_interval = sim::SimTime::milliseconds(20);
-    cs.partitions = 1;  // force serial: the sweep above adopted RST_PARTITIONS
     const auto single =
         scenario::run_cbr_sweep(cs, {4, 12, 24, 40, 56}, sim::SimTime::seconds(3), 1);
     std::printf("\n=== Determinism ===\n");
-    check("CBR sweep fingerprint identical at 1 thread/1 partition vs env",
+    check("CBR sweep fingerprint identical at 1 thread vs RST_THREADS",
           scenario::cbr_sweep_fingerprint(single) == sweep_fp);
   }
 

@@ -1,30 +1,23 @@
 // Dense-fleet medium scaling: N stations CAM-beaconing at 10 Hz for 10
-// simulated seconds, once through the legacy linear-scan medium, once
+// simulated seconds, once through the legacy linear-scan medium and once
 // through the spatially-indexed medium (grid culling + cached link
-// budgets + O(1) interference accounting), and — when partitions > 1 —
-// once more with the indexed medium's per-receiver physics fanned across
-// a partition-domain worker team. Prints wall-clock per mode and the
-// speedups, plus delivery stats as a sanity check that the spatial run
-// still simulates a loaded channel rather than a silent one. The
-// partitioned run must reproduce the serial spatial run's counters bit
-// for bit; any drift fails the bench.
+// budgets + O(1) interference accounting). Prints wall-clock per mode and
+// the speedup, plus delivery stats as a sanity check that the spatial run
+// still simulates a loaded channel rather than a silent one.
 //
-// Usage: bench_dense_fleet [--partitions P] [N ...]
-//        (default sizes: 64 256 1024; P defaults to RST_PARTITIONS, 1 = off)
+// Usage: bench_dense_fleet [N ...]   (default sizes: 64 256 1024)
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "rst/core/experiment.hpp"
+#include "rst/core/config_io.hpp"
 #include "rst/dot11p/medium.hpp"
 #include "rst/dot11p/radio.hpp"
-#include "rst/sim/partitioned_scheduler.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
 
@@ -42,7 +35,7 @@ struct RunStats {
   std::uint64_t rx_total{0};
 };
 
-RunStats run_fleet(std::size_t n, bool spatial, unsigned partitions) {
+RunStats run_fleet(std::size_t n, bool spatial) {
   sim::Scheduler sched;
   sim::RandomStream rng{987654321, "dense_fleet"};
 
@@ -51,8 +44,7 @@ RunStats run_fleet(std::size_t n, bool spatial, unsigned partitions) {
   // stations while the fleet spans kilometres — the regime the spatial
   // index is built for. Flatter exponents inflate the radius until nearly
   // every link is physically relevant and no index can help. Shadowing
-  // keeps a per-link Gaussian draw in the budget so the partitioned
-  // fan-out has real math to parallelise, not just comparisons.
+  // keeps a per-link Gaussian draw in every admitted link's power.
   dot11p::ChannelModel channel;
   channel.path_loss = std::make_shared<dot11p::LogDistanceModel>(
       dot11p::LogDistanceModel::its_g5(3.2));
@@ -61,14 +53,6 @@ RunStats run_fleet(std::size_t n, bool spatial, unsigned partitions) {
   channel.spatial_index = spatial;
   channel.power_floor_dbm = -95.0;
   dot11p::Medium medium{sched, rng.child("medium"), channel};
-
-  std::unique_ptr<sim::PartitionedScheduler> engine;
-  if (spatial && partitions > 1) {
-    sim::PartitionedScheduler::Config pcfg;
-    pcfg.partitions = partitions;
-    engine = std::make_unique<sim::PartitionedScheduler>(pcfg);
-    medium.set_partition_engine(engine.get());
-  }
 
   // Square lattice at 50 m pitch: the geometry of a saturated urban
   // corridor. Each station hears a neighbourhood; the fleet as a whole is
@@ -113,60 +97,42 @@ RunStats run_fleet(std::size_t n, bool spatial, unsigned partitions) {
   return out;
 }
 
-bool stats_identical(const dot11p::Medium::Stats& a, const dot11p::Medium::Stats& b) {
-  return a.frames_transmitted == b.frames_transmitted && a.deliveries == b.deliveries &&
-         a.dropped_half_duplex == b.dropped_half_duplex &&
-         a.dropped_below_sensitivity == b.dropped_below_sensitivity &&
-         a.dropped_error == b.dropped_error && a.culled_below_floor == b.culled_below_floor &&
-         a.budget_cache_hits == b.budget_cache_hits &&
-         a.budget_cache_misses == b.budget_cache_misses;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned partitions = rst::core::experiment_partitions_from_env(1);
   std::vector<std::size_t> fleet_sizes;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--partitions") == 0 && i + 1 < argc) {
-      partitions = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      continue;
+    std::int64_t n = 0;
+    try {
+      n = rst::core::parse_spec_int(argv[i], "N");
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
     }
-    fleet_sizes.push_back(static_cast<std::size_t>(std::strtoul(argv[i], nullptr, 10)));
+    if (n < 1) {
+      std::fprintf(stderr, "usage: %s [N ...]   (fleet sizes >= 1; default 64 256 1024)\n",
+                   argv[0]);
+      return 2;
+    }
+    fleet_sizes.push_back(static_cast<std::size_t>(n));
   }
   if (fleet_sizes.empty()) fleet_sizes = {64, 256, 1024};
 
-  std::printf("dense-fleet medium scaling: %lld s simulated, %.0f Hz CAM, %zu-byte PSDU",
+  std::printf("dense-fleet medium scaling: %lld s simulated, %.0f Hz CAM, %zu-byte PSDU\n\n",
               static_cast<long long>(kSimSeconds), kBeaconHz, kCamBytes);
-  if (partitions > 1) std::printf("  [partitions: %u]", partitions);
-  std::printf("\n\n");
-  std::printf("%6s  %12s  %12s  %8s", "N", "linear (ms)", "spatial (ms)", "speedup");
-  if (partitions > 1) std::printf("  %14s  %10s", "partition (ms)", "par-speedup");
-  std::printf("  %14s  %14s  %12s\n", "tx frames", "deliveries", "culled");
+  std::printf("%6s  %12s  %12s  %8s  %14s  %14s  %12s\n", "N", "linear (ms)", "spatial (ms)",
+              "speedup", "tx frames", "deliveries", "culled");
 
   for (const std::size_t n : fleet_sizes) {
-    const RunStats linear = run_fleet(n, /*spatial=*/false, 1);
-    const RunStats spatial = run_fleet(n, /*spatial=*/true, 1);
-    const double speedup = linear.wall_ms / spatial.wall_ms;
-    std::printf("%6zu  %12.1f  %12.1f  %7.2fx", n, linear.wall_ms, spatial.wall_ms, speedup);
-    const RunStats* checked = &spatial;
-    RunStats part;
-    if (partitions > 1) {
-      part = run_fleet(n, /*spatial=*/true, partitions);
-      std::printf("  %14.1f  %9.2fx", part.wall_ms, spatial.wall_ms / part.wall_ms);
-      checked = &part;
-      if (!stats_identical(spatial.medium, part.medium) || spatial.rx_total != part.rx_total) {
-        std::printf("\n  !! partitioned run diverged from the serial spatial run\n");
-        return 1;
-      }
-    }
-    std::printf("  %14llu  %14llu  %12llu\n",
-                static_cast<unsigned long long>(checked->medium.frames_transmitted),
-                static_cast<unsigned long long>(checked->medium.deliveries),
-                static_cast<unsigned long long>(checked->medium.culled_below_floor));
-    if (checked->rx_total != checked->medium.deliveries) {
+    const RunStats linear = run_fleet(n, /*spatial=*/false);
+    const RunStats spatial = run_fleet(n, /*spatial=*/true);
+    std::printf("%6zu  %12.1f  %12.1f  %7.2fx  %14llu  %14llu  %12llu\n", n, linear.wall_ms,
+                spatial.wall_ms, linear.wall_ms / spatial.wall_ms,
+                static_cast<unsigned long long>(spatial.medium.frames_transmitted),
+                static_cast<unsigned long long>(spatial.medium.deliveries),
+                static_cast<unsigned long long>(spatial.medium.culled_below_floor));
+    if (spatial.rx_total != spatial.medium.deliveries) {
       std::printf("  !! rx callback count %llu disagrees with medium deliveries\n",
-                  static_cast<unsigned long long>(checked->rx_total));
+                  static_cast<unsigned long long>(spatial.rx_total));
       return 1;
     }
   }

@@ -21,15 +21,18 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
-
 #include <fstream>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "rst/core/config_io.hpp"
 #include "rst/core/experiment.hpp"
 
 namespace {
+
+using rst::core::parse_spec_double;
+using rst::core::parse_spec_int;
 
 void usage(const char* argv0) {
   std::printf(
@@ -49,73 +52,80 @@ int main(int argc, char** argv) {
   bool csv = false;
   std::string trace_out;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--trials") {
-      trials = std::atoi(next());
-    } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--seed") {
-      config.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--poll-ms") {
-      config.message_handler.poll_period = rst::sim::SimTime::milliseconds(std::atol(next()));
-    } else if (arg == "--fps") {
-      config.detection.processing_period =
-          rst::sim::SimTime::from_milliseconds(1000.0 / std::atof(next()));
-    } else if (arg == "--speed") {
-      config.planner.target_speed_mps = std::atof(next());
-    } else if (arg == "--action-point") {
-      config.hazard.action_point_distance_m = std::atof(next());
-    } else if (arg == "--bearer") {
-      const std::string bearer = next();
-      if (bearer == "its-g5") {
-        config.warning_path = rst::core::WarningPath::ItsG5;
-      } else if (bearer == "embb") {
-        config.warning_path = rst::core::WarningPath::CellularEmbb;
-      } else if (bearer == "urllc") {
-        config.warning_path = rst::core::WarningPath::CellularUrllc;
-      } else {
-        usage(argv[0]);
-        return 2;
-      }
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--config" || arg == "--fault-plan") {
-      // A fault plan is just a config file whose keys are fault clauses
-      // (and typically the watchdog knobs), so both flags share the parser.
-      std::ifstream file{next()};
-      if (!file) {
-        std::fprintf(stderr, "cannot open %s file\n", arg.c_str() + 2);
-        return 2;
-      }
-      std::string text{std::istreambuf_iterator<char>{file}, std::istreambuf_iterator<char>{}};
-      try {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          usage(argv[0]);
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--trials") {
+        const std::int64_t n = parse_spec_int(next(), arg);
+        if (n < 1 || n > std::numeric_limits<int>::max()) {
+          throw std::invalid_argument{"--trials must be a positive int"};
+        }
+        trials = static_cast<int>(n);
+      } else if (arg == "--threads") {
+        const std::int64_t t = parse_spec_int(next(), arg);
+        if (t < 0 || t > std::numeric_limits<unsigned>::max()) {
+          throw std::invalid_argument{"--threads must be >= 0 (0 = auto)"};
+        }
+        threads = static_cast<unsigned>(t);
+      } else if (arg == "--seed") {
+        config.seed = static_cast<std::uint64_t>(parse_spec_int(next(), arg));
+      } else if (arg == "--poll-ms") {
+        config.message_handler.poll_period =
+            rst::sim::SimTime::milliseconds(parse_spec_int(next(), arg));
+      } else if (arg == "--fps") {
+        const double fps = parse_spec_double(next(), arg);
+        if (!(fps > 0.0)) throw std::invalid_argument{"--fps must be positive"};
+        config.detection.processing_period = rst::sim::SimTime::from_milliseconds(1000.0 / fps);
+      } else if (arg == "--speed") {
+        config.planner.target_speed_mps = parse_spec_double(next(), arg);
+      } else if (arg == "--action-point") {
+        config.hazard.action_point_distance_m = parse_spec_double(next(), arg);
+      } else if (arg == "--bearer") {
+        const std::string bearer = next();
+        if (bearer == "its-g5") {
+          config.warning_path = rst::core::WarningPath::ItsG5;
+        } else if (bearer == "embb") {
+          config.warning_path = rst::core::WarningPath::CellularEmbb;
+        } else if (bearer == "urllc") {
+          config.warning_path = rst::core::WarningPath::CellularUrllc;
+        } else {
+          throw std::invalid_argument{"--bearer: unknown '" + bearer + "'"};
+        }
+      } else if (arg == "--csv") {
+        csv = true;
+      } else if (arg == "--trace-out") {
+        trace_out = next();
+      } else if (arg == "--config" || arg == "--fault-plan") {
+        // A fault plan is just a config file whose keys are fault clauses
+        // (and typically the watchdog knobs), so both flags share the parser.
+        std::ifstream file{next()};
+        if (!file) {
+          std::fprintf(stderr, "cannot open %s file\n", arg.c_str() + 2);
+          return 2;
+        }
+        std::string text{std::istreambuf_iterator<char>{file}, std::istreambuf_iterator<char>{}};
         const auto n = rst::core::apply_config_overrides(config, text);
         std::printf("applied %zu config override(s)\n", n);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
+      } else if (arg == "--list-config-keys") {
+        for (const auto& [key, help] : rst::core::config_override_keys()) {
+          std::printf("  %-24s %s\n", key.c_str(), help.c_str());
+        }
+        return 0;
+      } else {
+        usage(argv[0]);
+        return arg == "--help" ? 0 : 2;
       }
-    } else if (arg == "--list-config-keys") {
-      for (const auto& [key, help] : rst::core::config_override_keys()) {
-        std::printf("  %-24s %s\n", key.c_str(), help.c_str());
-      }
-      return 0;
-    } else {
-      usage(argv[0]);
-      return arg == "--help" ? 0 : 2;
     }
-  }
-  if (trials < 1) {
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     usage(argv[0]);
     return 2;
   }

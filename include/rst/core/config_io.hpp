@@ -33,6 +33,8 @@ std::size_t for_each_spec_override(
     const std::function<void(const std::string& key, const std::string& value)>& apply);
 
 /// Scalar parsers with uniform "config override '<key>': ..." diagnostics.
+/// The whole value must parse; junk, digit-free and out-of-range text all
+/// throw std::invalid_argument.
 [[nodiscard]] double parse_spec_double(const std::string& value, const std::string& key);
 [[nodiscard]] std::int64_t parse_spec_int(const std::string& value, const std::string& key);
 [[nodiscard]] bool parse_spec_bool(const std::string& value, const std::string& key);

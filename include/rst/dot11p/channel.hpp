@@ -103,8 +103,8 @@ struct Wall {
 /// baseline and for tiny wall sets.
 ///
 /// The index is immutable after construction and queries use per-thread
-/// scratch only, so the medium's domain-parallel phases may evaluate link
-/// budgets through this model concurrently without locks.
+/// scratch only, so media on different threads may share one model and
+/// evaluate link budgets through it concurrently without locks.
 class ObstacleShadowingModel final : public PathLossModel {
  public:
   /// `index_cell_m == 0` derives the grid cell size from the wall geometry
@@ -136,8 +136,8 @@ class ObstacleShadowingModel final : public PathLossModel {
   /// Null when the model runs brute force.
   [[nodiscard]] const geo::ObstacleGrid* index() const { return grid_.get(); }
   /// Queries served through the ray index so far — the engagement proof for
-  /// benches and CI (relaxed counter: queries may come from domain-phase
-  /// workers). Always 0 in brute-force mode.
+  /// benches and CI (relaxed counter: queries may come from several
+  /// threads sharing the model). Always 0 in brute-force mode.
   [[nodiscard]] std::uint64_t index_queries() const {
     return index_queries_.load(std::memory_order_relaxed);
   }

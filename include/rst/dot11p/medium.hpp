@@ -13,7 +13,6 @@
 
 namespace rst::sim {
 class FaultInjector;
-class PartitionedScheduler;
 }
 
 namespace rst::dot11p {
@@ -107,25 +106,6 @@ class Medium {
   /// budget (per-link), so the draw sequence is unchanged by the hook.
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
-  /// Runs the per-receiver physics of every transmission begin/finish as
-  /// spatial-domain phases on the engine's worker team (domain = the
-  /// `geo::SpatialGrid::cell_domain` of the receiver's cell). Requires the
-  /// spatial index; a null engine (or one with a single partition) keeps
-  /// the serial per-link path. Bit-identical to the serial path by
-  /// construction: the parallel phase only computes pure per-link values
-  /// (counter-keyed draws, epoch-validated budgets), and all side effects
-  /// are applied serially in the canonical ascending-slot order.
-  void set_partition_engine(sim::PartitionedScheduler* engine);
-  [[nodiscard]] sim::PartitionedScheduler* partition_engine() const { return engine_; }
-  /// Parallel begin/finish phases dispatched so far (0 in serial mode, or
-  /// when every fan-out stayed below the parallel threshold). Deliberately
-  /// outside Stats so serial and partitioned Stats stay byte-comparable;
-  /// equivalence tests use it to prove the partitioned path really ran.
-  [[nodiscard]] std::uint64_t partitioned_phases() const { return partitioned_phases_; }
-
-  /// Cell size of the culling/partitioning grid (0 until the grid exists).
-  [[nodiscard]] double grid_cell_size_m() const;
-
  private:
   struct Transmission {
     Radio* tx;
@@ -187,9 +167,7 @@ class Medium {
     std::uint32_t depth;
   };
 
-  /// Verdict of one receiver's reception decision, precomputable because
-  /// every input (snapshot powers, interference tallies, tx history,
-  /// counter-keyed PER draw) is fixed when the finish event starts.
+  /// Verdict of one receiver's reception decision at the finish event.
   enum class RxVerdict : std::uint8_t {
     kSkip,  // detached mid-flight
     kBelowSensitivity,
@@ -225,32 +203,18 @@ class Medium {
   /// per-link paths.
   void admit_receiver_per_link(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot);
   /// Stochastic per-link receive power: deterministic mean plus the
-  /// counter-keyed shadowing/fading draws. Pure — safe from any thread.
+  /// counter-keyed shadowing/fading draws.
   [[nodiscard]] double draw_link_power_dbm(double mean_dbm, std::uint64_t tx_mac,
                                            std::uint64_t rx_mac, std::uint64_t seq) const;
   /// Side-effect half of receiver admission (interference seeding and
-  /// tallies, snapshot pushes, carrier sense). Always serial.
+  /// tallies, snapshot pushes, carrier sense).
   void apply_admission(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot, double p);
   /// Reception decision for receiver `i` of `t`; reads shared state but
-  /// never writes it, so domain phases may evaluate receivers in parallel.
+  /// never writes it.
   [[nodiscard]] RxVerdict compute_rx_verdict(const Transmission& t, std::size_t i,
                                              double noise_mw, double& sinr_db) const;
   void apply_rx_verdict(const std::shared_ptr<Transmission>& t, std::size_t i, RxVerdict v,
                         double sinr_db);
-  /// Domain-parallel variants of the per-link begin/finish fan-out; used
-  /// when a partition engine is attached and the fan-out is wide enough to
-  /// amortize a phase dispatch.
-  void begin_candidates_partitioned(const std::shared_ptr<Transmission>& t);
-  void finish_receivers_partitioned(const std::shared_ptr<Transmission>& t, double noise_mw);
-  /// Epoch-validated budget lookup against one domain's cache shard; the
-  /// hit/miss sequence per (tx, rx) pair is identical to the shared-cache
-  /// path because epochs are monotone (see cached_budget_dbm).
-  [[nodiscard]] double cached_budget_dbm_sharded(std::uint32_t tx_slot, std::uint32_t rx_slot,
-                                                 std::uint32_t domain);
-  [[nodiscard]] std::uint32_t slot_domain(std::uint32_t slot_id) const;
-  [[nodiscard]] bool partitioned_active() const {
-    return engine_ != nullptr && grid_ != nullptr && domains_ > 1;
-  }
   [[nodiscard]] std::uint64_t link_key(std::uint64_t tx_mac, std::uint64_t rx_mac,
                                        std::uint64_t seq) const;
   void remove_active(Slot& slot, const Transmission* t, std::uint32_t index);
@@ -286,26 +250,6 @@ class Medium {
   /// Fault attenuation (dB) snapshotted once per transmission start.
   double tx_fault_db_{0.0};
   Stats stats_;
-  /// Partitioned execution (set_partition_engine): domain-sharded budget
-  /// caches plus per-domain stats scratch (merged serially after each
-  /// phase) and per-candidate result arrays. Begin and finish keep
-  /// separate scratch so a delivery that immediately transmits (finish
-  /// apply reentering begin) cannot clobber in-use state.
-  sim::PartitionedScheduler* engine_{nullptr};
-  std::uint32_t domains_{0};
-  std::uint64_t partitioned_phases_{0};
-  std::vector<std::unordered_map<std::uint64_t, CachedBudget>> budget_shards_;
-  struct DomainScratch {
-    std::uint64_t cache_hits{0};
-    std::uint64_t cache_misses{0};
-  };
-  std::vector<DomainScratch> domain_scratch_;
-  std::vector<std::uint32_t> cand_domain_;
-  std::vector<double> cand_power_dbm_;
-  std::vector<std::uint8_t> cand_admit_;
-  std::vector<std::uint32_t> finish_domain_;
-  std::vector<RxVerdict> finish_verdict_;
-  std::vector<double> finish_sinr_db_;
   std::uint64_t next_mac_{0x020000000001ULL};  // locally administered
 };
 

@@ -13,10 +13,6 @@
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
 
-namespace rst::sim {
-class PartitionedScheduler;
-}  // namespace rst::sim
-
 namespace rst::scenario {
 
 /// Deterministic description of a city-scale ITS-G5 workload: a Manhattan
@@ -88,17 +84,9 @@ struct CitySpec {
   /// for equivalence testing and tiny maps.
   bool obstacle_index{true};
   double power_floor_dbm{-110.0};
-  /// Culling/partition grid cell size in metres; 0 derives one hearing
-  /// radius from the power floor. One knob for both the spatial-index
-  /// geometry and the cell -> partition-domain mapping.
+  /// Culling grid cell size in metres; 0 derives one hearing radius from
+  /// the power floor.
   double grid_cell_m{0.0};
-
-  // --- Partitioned execution (PR 7) ---
-  /// Spatial partition domains for the medium's parallel phases. 0 adopts
-  /// the RST_PARTITIONS environment variable (unset = serial), 1 forces a
-  /// serial run; larger values fan per-receiver physics across a worker
-  /// team. Results are bit-identical to serial at any partition count.
-  int partitions{0};
 
   geo::GeoPosition origin{41.1780, -8.6080};
 
@@ -175,12 +163,6 @@ class CityScenario {
   [[nodiscard]] const RoadNetwork& network() const { return net_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] dot11p::Medium& medium() { return *medium_; }
-  /// Engine driving the medium's domain-parallel phases; null when the run
-  /// is serial (resolved_partitions() <= 1 or no spatial index).
-  [[nodiscard]] sim::PartitionedScheduler* partition_engine() { return engine_.get(); }
-  /// Partition count in effect after resolving `spec.partitions` (0 = the
-  /// RST_PARTITIONS environment variable, absent meaning serial).
-  [[nodiscard]] int resolved_partitions() const;
   [[nodiscard]] const geo::LocalFrame& frame() const { return frame_; }
   /// Null when the spec has no buildings.
   [[nodiscard]] const dot11p::ObstacleShadowingModel* obstacles() const { return obstacles_; }
@@ -209,7 +191,6 @@ class CityScenario {
   sim::RandomStream rng_;
   geo::LocalFrame frame_;
   sim::Scheduler sched_;
-  std::unique_ptr<sim::PartitionedScheduler> engine_;
   std::unique_ptr<dot11p::Medium> medium_;
   std::unique_ptr<middleware::HttpLan> lan_;
   const dot11p::ObstacleShadowingModel* obstacles_{nullptr};

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,18 +55,10 @@ struct PoolAllocator {
   }
 };
 
-class EventQueue;
-
 }  // namespace detail
 
 /// Handle to a scheduled event; allows cancellation. Copyable; all copies
 /// refer to the same pending event. A default-constructed handle is inert.
-///
-/// The flags are relaxed atomics so a handle may be cancelled from another
-/// thread (another partition of a PartitionedScheduler) without a data
-/// race. Cross-thread cancellation is only *deterministic* when ordered by
-/// the partition engine's window barriers: a cancel racing the event's own
-/// execution window may or may not land before the event fires.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -79,97 +70,13 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  friend class PartitionedScheduler;
-  friend class detail::EventQueue;
   struct State {
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> fired{false};
+    bool cancelled{false};
+    bool fired{false};
   };
   explicit EventHandle(std::shared_ptr<State> s) : state_{std::move(s)} {}
   std::shared_ptr<State> state_;
 };
-
-namespace detail {
-
-/// One deterministic (time, seq)-ordered event queue: the storage half of
-/// the serial Scheduler, split out so a partitioned engine can own one
-/// queue per partition while the serial scheduler's behavior stays exactly
-/// as it was. Events at equal timestamps pop in push order (FIFO via the
-/// monotone per-queue sequence — the `seq` of the deterministic
-/// (time, partition, seq) merge rule). Not thread-safe: a queue is owned
-/// by exactly one executor at a time.
-///
-/// Hot-path design (unchanged from the pre-split Scheduler): callbacks are
-/// stored in a small-buffer-optimized move-only wrapper, handle state comes
-/// from a recycling slab pool, heap entries are trivially-copyable 24-byte
-/// PODs, and cancelled entries are purged eagerly whenever they surface at
-/// the front.
-class EventQueue {
- public:
-  using Callback = SmallFunction;
-
-  EventQueue();
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-  ~EventQueue();
-
-  /// Allocates handle state from the recycling pool; the pool is shared
-  /// with the control block so handles may outlive the queue.
-  [[nodiscard]] std::shared_ptr<EventHandle::State> make_state();
-
-  /// Pushes an entry; `state` may be null (fire-and-forget path).
-  void push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state);
-
-  /// Discards cancelled entries at the front of the heap.
-  void purge_cancelled_front();
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  /// Timestamp of the front entry; callers purge first so the front is live.
-  [[nodiscard]] SimTime front_time() const { return heap_.front().when; }
-
-  /// Pops the front entry after purging: marks it fired and moves its
-  /// callback out into `cb`, its timestamp into `when`. Returns false when
-  /// the queue is empty (after purging).
-  bool pop(SimTime& when, Callback& cb);
-
-  /// Cancelled entries discarded from the front so far.
-  [[nodiscard]] std::uint64_t purged() const { return purged_; }
-
- private:
-  /// Callback + handle state live out-of-line in recycled slots so the
-  /// heap entries stay trivially copyable: sifting moves 24-byte PODs
-  /// instead of invoking a callback-move per swap.
-  struct Slot {
-    Callback cb;
-    std::shared_ptr<EventHandle::State> state;  // null on the post_* path
-    Slot* next_free{nullptr};
-  };
-  struct Entry {
-    SimTime when;
-    std::uint64_t seq;
-    Slot* slot;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  static constexpr std::size_t kSlotSlab = 128;
-
-  Slot* acquire_slot(Callback&& cb, std::shared_ptr<EventHandle::State>&& state);
-  void release_slot(Slot* s) noexcept;
-
-  std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
-  std::uint64_t next_seq_{0};
-  std::uint64_t purged_{0};
-  std::vector<std::unique_ptr<Slot[]>> slot_slabs_;
-  Slot* free_slots_{nullptr};
-  std::shared_ptr<EventStatePool> pool_;
-};
-
-}  // namespace detail
 
 /// Deterministic discrete-event scheduler.
 ///
@@ -184,10 +91,6 @@ class EventQueue {
 /// Cancelled entries are purged eagerly whenever they surface at the top
 /// of the heap, so cancel-heavy workloads (EDCA backoff, DCC gates, CBF
 /// timers) do not accumulate dead entries ahead of live ones.
-///
-/// The queue itself lives in `detail::EventQueue` (shared with the
-/// partitioned engine); this class adds the clock, the executed-event
-/// accounting and the run loops.
 class Scheduler {
  public:
   using Callback = SmallFunction;
@@ -220,15 +123,49 @@ class Scheduler {
   /// the queue is empty.
   bool step();
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
   /// Cancelled entries discarded from the top of the heap so far.
-  [[nodiscard]] std::uint64_t purged_events() const { return queue_.purged(); }
+  [[nodiscard]] std::uint64_t purged_events() const { return purged_; }
 
  private:
-  void check_not_past(SimTime when) const;
+  /// Callback + handle state live out-of-line in recycled slots so the
+  /// heap entries stay trivially copyable: sifting moves 24-byte PODs
+  /// instead of invoking a callback-move per swap.
+  struct Slot {
+    Callback cb;
+    std::shared_ptr<EventHandle::State> state;  // null on the post_* path
+    Slot* next_free{nullptr};
+  };
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    Slot* slot;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+  static constexpr std::size_t kSlotSlab = 128;
 
-  detail::EventQueue queue_;
+  void check_not_past(SimTime when) const;
+  /// Pushes an entry; `state` may be null (fire-and-forget path).
+  void push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state);
+  /// Discards cancelled entries at the front of the heap.
+  void purge_cancelled_front();
+  Slot* acquire_slot(Callback&& cb, std::shared_ptr<EventHandle::State>&& state);
+  void release_slot(Slot* s) noexcept;
+
+  std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
+  std::uint64_t next_seq_{0};
+  std::uint64_t purged_{0};
+  std::vector<std::unique_ptr<Slot[]>> slot_slabs_;
+  Slot* free_slots_{nullptr};
+  /// Shared with every handle's control block so handles may outlive the
+  /// scheduler.
+  std::shared_ptr<detail::EventStatePool> pool_;
   SimTime now_{SimTime::zero()};
   std::uint64_t executed_{0};
 };

@@ -12,22 +12,29 @@
 
 namespace rst::core {
 
+// No digits, trailing junk and out-of-range magnitudes all end in the same
+// std::invalid_argument naming the key: std::stod/stoll's own exceptions
+// (std::invalid_argument, std::out_of_range) carry no key and would escape
+// callers that only catch std::invalid_argument.
+
 double parse_spec_double(const std::string& value, const std::string& key) {
-  std::size_t consumed = 0;
-  const double v = std::stod(value, &consumed);
-  if (consumed != value.size()) {
-    throw std::invalid_argument{"config override '" + key + "': bad number '" + value + "'"};
+  try {
+    std::size_t consumed = 0;
+    const double v = std::stod(value, &consumed);
+    if (consumed == value.size()) return v;
+  } catch (const std::logic_error&) {
   }
-  return v;
+  throw std::invalid_argument{"config override '" + key + "': bad number '" + value + "'"};
 }
 
 std::int64_t parse_spec_int(const std::string& value, const std::string& key) {
-  std::size_t consumed = 0;
-  const long long v = std::stoll(value, &consumed, 10);
-  if (consumed != value.size()) {
-    throw std::invalid_argument{"config override '" + key + "': bad integer '" + value + "'"};
+  try {
+    std::size_t consumed = 0;
+    const long long v = std::stoll(value, &consumed, 10);
+    if (consumed == value.size()) return v;
+  } catch (const std::logic_error&) {
   }
-  return v;
+  throw std::invalid_argument{"config override '" + key + "': bad integer '" + value + "'"};
 }
 
 bool parse_spec_bool(const std::string& value, const std::string& key) {
@@ -170,12 +177,7 @@ const std::map<std::string, Entry>& registry() {
        {[](TestbedConfig& c, const std::string& v) {
           c.medium_grid_cell_m = parse_double(v, "medium_grid_cell_m");
         },
-        "culling/partition grid cell size (0 = derive from power floor)"}},
-      {"medium_partitions",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.medium_partitions = static_cast<int>(parse_int(v, "medium_partitions"));
-        },
-        "medium partition domains (0 = RST_PARTITIONS env, 1 = serial)"}},
+        "culling grid cell size (0 = derive from power floor)"}},
       {"warning_bearer",
        {[](TestbedConfig& c, const std::string& v) {
           if (v == "its-g5") c.warning_path = WarningPath::ItsG5;

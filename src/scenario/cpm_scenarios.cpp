@@ -80,8 +80,7 @@ std::uint64_t BlindIntersectionReport::fingerprint() const {
 // approach to the camera stays ~2.0 m, outside the 1.52 m Action Point, so
 // the classic DENM chain never fires — only CPM fusion can warn the OBU.
 
-OccludedPedestrianReport run_occluded_pedestrian(std::uint64_t seed, bool cpm_enable,
-                                                 int partitions) {
+OccludedPedestrianReport run_occluded_pedestrian(std::uint64_t seed, bool cpm_enable) {
   core::TestbedConfig cfg;
   cfg.seed = seed;
   cfg.track_start = {0, 0};
@@ -95,7 +94,6 @@ OccludedPedestrianReport run_occluded_pedestrian(std::uint64_t seed, bool cpm_en
   cfg.walls.push_back({wall_a, wall_b, 12.0});
   cfg.medium_per_link_streams = true;
   cfg.medium_spatial_index = true;
-  cfg.medium_partitions = partitions;
   cfg.cpm_enable = cpm_enable;
   cfg.cpm_interval = sim::SimTime::milliseconds(100);
 
@@ -234,9 +232,10 @@ BlindIntersectionReport run_blind_intersection(std::uint64_t seed, bool cpm_enab
 
   BlindIntersectionReport report;
   report.cpm_enabled = cpm_enable;
+  // Outlives the run loop below: the fused callback holds it by reference.
+  const roadside::CollisionPredictor predictor{
+      {.horizon_s = 5.0, .conflict_distance_m = 2.0, .max_pair_distance_m = 60.0}};
   if (cpm_enable) {
-    const roadside::CollisionPredictor predictor{
-        {.horizon_s = 5.0, .conflict_distance_m = 2.0, .max_pair_distance_m = 60.0}};
     b.cpm()->set_fused_callback(
         [&](const its::PerceivedObject& object, const its::GnDeliveryMeta&) {
           if (report.threat_flagged) return;

@@ -52,16 +52,18 @@ void EventStatePool::deallocate(void* p, std::size_t n) noexcept {
   free_ = node;
 }
 
-EventQueue::EventQueue() : pool_{std::make_shared<EventStatePool>()} {}
+}  // namespace detail
 
-EventQueue::~EventQueue() = default;
-
-std::shared_ptr<EventHandle::State> EventQueue::make_state() {
-  return std::allocate_shared<EventHandle::State>(PoolAllocator<EventHandle::State>{pool_});
+void EventHandle::cancel() {
+  if (state_) state_->cancelled = true;
 }
 
-EventQueue::Slot* EventQueue::acquire_slot(Callback&& cb,
-                                           std::shared_ptr<EventHandle::State>&& state) {
+bool EventHandle::pending() const { return state_ && !state_->cancelled && !state_->fired; }
+
+Scheduler::Scheduler() : pool_{std::make_shared<detail::EventStatePool>()} {}
+
+Scheduler::Slot* Scheduler::acquire_slot(Callback&& cb,
+                                         std::shared_ptr<EventHandle::State>&& state) {
   if (!free_slots_) {
     auto slab = std::make_unique<Slot[]>(kSlotSlab);
     for (std::size_t i = 0; i < kSlotSlab; ++i) {
@@ -77,24 +79,28 @@ EventQueue::Slot* EventQueue::acquire_slot(Callback&& cb,
   return s;
 }
 
-void EventQueue::release_slot(Slot* s) noexcept {
+void Scheduler::release_slot(Slot* s) noexcept {
   s->cb = Callback{};
   s->state.reset();
   s->next_free = free_slots_;
   free_slots_ = s;
 }
 
-void EventQueue::push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state) {
+void Scheduler::check_not_past(SimTime when) const {
+  if (when < now_) throw std::invalid_argument{"Scheduler::schedule_at: time in the past"};
+}
+
+void Scheduler::push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state) {
   Slot* slot = acquire_slot(std::move(cb), std::move(state));
   heap_.push_back(Entry{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   purge_cancelled_front();  // keep dead entries from lingering ahead of live ones
 }
 
-void EventQueue::purge_cancelled_front() {
+void Scheduler::purge_cancelled_front() {
   while (!heap_.empty()) {
     Slot* s = heap_.front().slot;
-    if (!s->state || !s->state->cancelled.load(std::memory_order_relaxed)) break;
+    if (!s->state || !s->state->cancelled) break;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     release_slot(s);
@@ -102,43 +108,11 @@ void EventQueue::purge_cancelled_front() {
   }
 }
 
-bool EventQueue::pop(SimTime& when, Callback& cb) {
-  purge_cancelled_front();
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  when = entry.when;
-  Slot* s = entry.slot;
-  if (s->state) s->state->fired.store(true, std::memory_order_relaxed);
-  // Move the callback out and recycle the slot before invoking, so a
-  // callback that reschedules can reuse it immediately.
-  cb = std::move(s->cb);
-  release_slot(s);
-  return true;
-}
-
-}  // namespace detail
-
-void EventHandle::cancel() {
-  if (state_) state_->cancelled.store(true, std::memory_order_relaxed);
-}
-
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled.load(std::memory_order_relaxed) &&
-         !state_->fired.load(std::memory_order_relaxed);
-}
-
-Scheduler::Scheduler() = default;
-
-void Scheduler::check_not_past(SimTime when) const {
-  if (when < now_) throw std::invalid_argument{"Scheduler::schedule_at: time in the past"};
-}
-
 EventHandle Scheduler::schedule_at(SimTime when, Callback cb) {
-  auto state = queue_.make_state();
+  auto state = std::allocate_shared<EventHandle::State>(
+      detail::PoolAllocator<EventHandle::State>{pool_});
   check_not_past(when);
-  queue_.push(when, std::move(cb), state);
+  push(when, std::move(cb), state);
   return EventHandle{std::move(state)};
 }
 
@@ -148,19 +122,27 @@ EventHandle Scheduler::schedule_in(SimTime delay, Callback cb) {
 
 void Scheduler::post_at(SimTime when, Callback cb) {
   check_not_past(when);
-  queue_.push(when, std::move(cb), nullptr);
+  push(when, std::move(cb), nullptr);
 }
 
 void Scheduler::post_in(SimTime delay, Callback cb) {
   check_not_past(now_ + delay);
-  queue_.push(now_ + delay, std::move(cb), nullptr);
+  push(now_ + delay, std::move(cb), nullptr);
 }
 
 bool Scheduler::step() {
-  SimTime when;
-  Callback cb;
-  if (!queue_.pop(when, cb)) return false;
-  now_ = when;
+  purge_cancelled_front();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry entry = heap_.back();
+  heap_.pop_back();
+  Slot* s = entry.slot;
+  if (s->state) s->state->fired = true;
+  // Move the callback out and recycle the slot before invoking, so a
+  // callback that reschedules can reuse it immediately.
+  Callback cb = std::move(s->cb);
+  release_slot(s);
+  now_ = entry.when;
   ++executed_;
   cb();
   return true;
@@ -175,8 +157,8 @@ std::size_t Scheduler::run(std::size_t limit) {
 std::size_t Scheduler::run_until(SimTime deadline) {
   std::size_t n = 0;
   for (;;) {
-    queue_.purge_cancelled_front();
-    if (queue_.empty() || queue_.front_time() > deadline) break;
+    purge_cancelled_front();
+    if (heap_.empty() || heap_.front().when > deadline) break;
     step();  // the front is live here, so step() pops it without rescanning
     ++n;
   }

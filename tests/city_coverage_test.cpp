@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "rst/scenario/city.hpp"
@@ -135,6 +136,35 @@ TEST(CityCoverage, FingerprintIsReproducible) {
   other.path_loss_exponent = 3.5;
   CityScenario c{other};
   EXPECT_NE(fp_a, scenario::measure_coverage(c, 0, 10.0).fingerprint());
+}
+
+TEST(CityCoverage, CitySpecFormatParseRoundTrips) {
+  CitySpec spec;
+  spec.blocks_x = 6;
+  spec.blocks_y = 2;
+  spec.block_m = 120.0;
+  spec.path_loss_exponent = 3.5;
+  spec.grid_cell_m = 42.5;
+  spec.seed = 0xDEADBEEFCAFEull;
+  spec.shadowing_sigma_db = 3.25;
+  spec.rsu_cam_interval = sim::SimTime::milliseconds(80);
+  spec.enable_kaf = true;
+
+  const CitySpec back = scenario::parse_city_spec(scenario::format_city_spec(spec));
+  EXPECT_EQ(back.seed, spec.seed);
+  EXPECT_EQ(back.blocks_x, spec.blocks_x);
+  EXPECT_EQ(back.block_m, spec.block_m);
+  EXPECT_EQ(back.grid_cell_m, spec.grid_cell_m);
+  EXPECT_EQ(back.shadowing_sigma_db, spec.shadowing_sigma_db);
+  EXPECT_EQ(back.rsu_cam_interval, spec.rsu_cam_interval);
+  EXPECT_EQ(back.enable_kaf, spec.enable_kaf);
+  EXPECT_EQ(back.path_loss_exponent, spec.path_loss_exponent);
+  // Idempotence: formatting the round-tripped spec reproduces the text.
+  EXPECT_EQ(scenario::format_city_spec(back), scenario::format_city_spec(spec));
+
+  // The medium has one serial path: a spec still carrying the retired
+  // partition key must fail loudly instead of running silently.
+  EXPECT_THROW((void)scenario::parse_city_spec("partitions = 4\n"), std::invalid_argument);
 }
 
 }  // namespace

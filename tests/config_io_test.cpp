@@ -59,32 +59,54 @@ TEST(ConfigIo, UnknownKeyAndBadValuesThrow) {
   EXPECT_THROW((void)apply_config_overrides(config, "warning_bearer = 6g\n"),
                std::invalid_argument);
   EXPECT_THROW((void)apply_config_overrides(config, "just a line\n"), std::invalid_argument);
+
+  // Out-of-range magnitudes and digit-free values fail with the same
+  // diagnostic as trailing junk, never with a bare std::sto* exception.
+  const auto message = [&](const std::string& text) {
+    try {
+      (void)apply_config_overrides(config, text);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no exception"};
+  };
+  EXPECT_EQ(message("seed = 99999999999999999999\n"),
+            "config override 'seed': bad integer '99999999999999999999'");
+  EXPECT_EQ(message("detection_fps = 1e999\n"),
+            "config override 'detection_fps': bad number '1e999'");
+  EXPECT_EQ(message("poll_period_ms = -\n"), "config override 'poll_period_ms': bad integer '-'");
+  EXPECT_EQ(message("target_speed_mps = fast\n"),
+            "config override 'target_speed_mps': bad number 'fast'");
 }
 
 TEST(ConfigIo, MediumGeometryAndPartitionKnobsApplyAndValidate) {
   TestbedConfig config;
   const auto n = apply_config_overrides(config,
                                         "medium_spatial_index = true\n"
-                                        "medium_grid_cell_m = 75.5\n"
-                                        "medium_partitions = 4\n");
-  EXPECT_EQ(n, 3u);
+                                        "medium_grid_cell_m = 75.5\n");
+  EXPECT_EQ(n, 2u);
   EXPECT_TRUE(config.medium_spatial_index);
   EXPECT_DOUBLE_EQ(config.medium_grid_cell_m, 75.5);
-  EXPECT_EQ(config.medium_partitions, 4);
   EXPECT_NO_THROW(config.validate());
 
-  // 0 is the "derive from the power floor" / "adopt the environment"
-  // sentinel for both knobs and must stay valid.
-  (void)apply_config_overrides(config, "medium_grid_cell_m = 0\nmedium_partitions = 0\n");
+  // 0 is the "derive from the power floor" sentinel and must stay valid.
+  (void)apply_config_overrides(config, "medium_grid_cell_m = 0\n");
   EXPECT_NO_THROW(config.validate());
 
   EXPECT_THROW((void)apply_config_overrides(config, "medium_grid_cell_m = nope\n"),
                std::invalid_argument);
   (void)apply_config_overrides(config, "medium_grid_cell_m = -1\n");
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.medium_grid_cell_m = 0.0;
-  (void)apply_config_overrides(config, "medium_partitions = -2\n");
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+
+  // The medium runs one serial path: a stale partition key must fail
+  // loudly, naming the key, instead of being ignored.
+  const std::string stale_key = "medium_partitions";
+  try {
+    (void)apply_config_overrides(config, stale_key + " = 4\n");
+    ADD_FAILURE() << "stale key " << stale_key << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("'" + stale_key + "'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ConfigIo, ZeroRepetitionDisables) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "rst/its/dcc/reactive_dcc.hpp"
@@ -47,6 +48,12 @@ struct DccCase {
   double cbr;
   its::dcc::DccState expected_state;
 };
+
+// Without this, gtest prints a DccCase as its raw bytes, padding included,
+// and the ctest names built from that printout changed from build to build.
+void PrintTo(const DccCase& c, std::ostream* os) {
+  *os << its::dcc::to_string(c.expected_state) << " at cbr " << c.cbr;
+}
 
 class DccGateProperty : public ::testing::TestWithParam<DccCase> {};
 

@@ -9,8 +9,8 @@
 //     random wall soups and a battery of adversarial rays (collinear with a
 //     wall, endpoint-touching, axis-aligned along a cell boundary,
 //     zero-length), across cell sizes including the derived default.
-//  3. End-to-end: the four PR 6 city experiment fingerprints and a
-//     partitioned city run are bit-identical with the index on and off,
+//  3. End-to-end: the four PR 6 city experiment fingerprints and a full
+//     city run are bit-identical with the index on and off,
 //     and the index engagement counter proves the fast path actually ran.
 
 #include <gtest/gtest.h>
@@ -305,11 +305,8 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Medium counters + scheduler state folded into one hash, as in
-/// partition_equivalence_test.
-std::uint64_t run_city_fingerprint(scenario::CitySpec spec, int partitions,
-                                   std::uint64_t* index_queries) {
-  spec.partitions = partitions;
+/// Medium counters + scheduler state folded into one hash.
+std::uint64_t run_city_fingerprint(const scenario::CitySpec& spec, std::uint64_t* index_queries) {
   scenario::CityScenario city{spec};
   city.start();
   city.scheduler().run_until(sim::SimTime::seconds(3));
@@ -328,21 +325,17 @@ std::uint64_t run_city_fingerprint(scenario::CitySpec spec, int partitions,
   return h;
 }
 
-TEST(ObstacleIndex, PartitionedCityRunIdenticalAndEngaged) {
-  // Concurrent parallel_phase workers query the index lock-free; the run
-  // must stay bit-identical to serial and to the brute-force scan.
+TEST(ObstacleIndex, CityRunIdenticalToBruteForceAndEngaged) {
+  // A full city run through the ray index must stay bit-identical to the
+  // brute-force wall scan, and must really have queried the index.
   scenario::CitySpec spec = small_city(true);
   spec.vehicles = 12;
-  std::uint64_t queries_serial = 0;
-  std::uint64_t queries_partitioned = 0;
-  const std::uint64_t serial = run_city_fingerprint(spec, 1, &queries_serial);
-  const std::uint64_t partitioned = run_city_fingerprint(spec, 4, &queries_partitioned);
-  EXPECT_EQ(serial, partitioned);
-  EXPECT_GT(queries_serial, 0u);
-  EXPECT_GT(queries_partitioned, 0u);
+  std::uint64_t queries = 0;
+  const std::uint64_t indexed = run_city_fingerprint(spec, &queries);
+  EXPECT_GT(queries, 0u);
   spec.obstacle_index = false;
-  const std::uint64_t brute = run_city_fingerprint(spec, 1, nullptr);
-  EXPECT_EQ(serial, brute);
+  const std::uint64_t brute = run_city_fingerprint(spec, nullptr);
+  EXPECT_EQ(indexed, brute);
 }
 
 TEST(ObstacleIndex, LegacyNlosMemoServesStaticPairsAndInvalidatesOnMotion) {

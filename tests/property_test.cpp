@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "rst/core/experiment.hpp"
 #include "rst/dot11p/phy_params.hpp"
 #include "rst/geo/geo_area.hpp"
@@ -133,6 +135,13 @@ TEST_P(GeoAreaProperty, CenterInsideBorderMonotone) {
     const geo::Vec2 dir = geo::vector_from_heading(r.uniform(0, 2 * M_PI));
     EXPECT_FALSE(area.contains(area.center + dir * (area.bounding_radius() + 0.01)));
   }
+}
+
+// Without this, gtest prints an AreaCase as its raw bytes, padding included,
+// and the ctest names built from that printout changed from build to build.
+void PrintTo(const AreaCase& c, std::ostream* os) {
+  static constexpr const char* kShapes[] = {"Circle", "Rectangle", "Ellipse"};
+  *os << kShapes[static_cast<int>(c.shape)] << " at azimuth " << c.azimuth;
 }
 
 INSTANTIATE_TEST_SUITE_P(
