@@ -4,10 +4,11 @@
 // distance tighten.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rst/core/experiment.hpp"
 
-int main() {
+int main() try {
   const unsigned threads = rst::core::experiment_threads_from_env();
   const long periods_ms[] = {100, 250, 500, 1000};  // 10, 4, 2, 1 FPS
   constexpr int kRuns = 25;
@@ -55,4 +56,8 @@ int main() {
   check("higher FPS shrinks the detection margin", margin_at_10fps < margin_at_4fps);
   std::printf("  [info] 1 FPS missed %zu of %d stops\n", failures_at_1fps, kRuns);
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -5,10 +5,11 @@
 // integration choice costs.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rst/core/experiment.hpp"
 
-int main() {
+int main() try {
   const unsigned threads = rst::core::experiment_threads_from_env();
   const long periods_ms[] = {5, 10, 20, 50, 100};
   constexpr int kRuns = 25;
@@ -43,4 +44,8 @@ int main() {
   check("polling dominates: 100 ms poll costs >5x the 5 ms poll", mean_at_100 > 5.0 * mean_at_5);
   check("5 ms polling brings step 4->5 under 12 ms", mean_at_5 < 12.0);
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -6,10 +6,11 @@
 // operational envelope.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rst/core/experiment.hpp"
 
-int main() {
+int main() try {
   const unsigned threads = rst::core::experiment_threads_from_env();
   constexpr int kRuns = 20;
   const double speeds[] = {0.8, 1.2, 1.6, 2.0, 2.4};
@@ -59,4 +60,8 @@ int main() {
   check("fast approach (2.4 m/s) erodes or breaks the margin",
         margin_at_24 < margin_at_12 || overruns_at_24 > 0);
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -51,7 +51,7 @@ double raster_ms(const scenario::CitySpec& spec, int reps, std::uint64_t* finger
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --buildings-scale N: top of the obstacle-index scaling sweep (the wall
   // count grows linearly with the scale; scales run 1, 4, 16, ... up to N).
   long buildings_scale = 64;
@@ -269,4 +269,8 @@ int main(int argc, char** argv) {
   }
 
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

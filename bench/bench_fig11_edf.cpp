@@ -5,6 +5,7 @@
 // This bench prints the 5-sample EDF and a 200-run EDF.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rst/core/experiment.hpp"
 #include "rst/sim/stats.hpp"
@@ -22,7 +23,7 @@ void print_edf(const rst::sim::Edf& edf) {
 
 }  // namespace
 
-int main() {
+int main() try {
   // RST_THREADS fans the trial sweeps over a worker pool (0/unset = auto);
   // every reported number is identical at any thread count.
   const unsigned threads = rst::core::experiment_threads_from_env();
@@ -63,4 +64,8 @@ int main() {
   check("spread covers tens of ms (poll-phase driven)",
         edf.quantile(0.95) - edf.quantile(0.05) > 20.0);
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -5,10 +5,11 @@
 // averages ~58 ms and never exceeds 100 ms.
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rst/core/experiment.hpp"
 
-int main() {
+int main() try {
   // RST_THREADS fans the trial sweeps over a worker pool (0/unset = auto);
   // every reported number is identical at any thread count.
   const unsigned threads = rst::core::experiment_threads_from_env();
@@ -56,4 +57,8 @@ int main() {
   check("no trial exceeded 100 ms", ext.total_ms.max() < 100.0);
   check("all 50 trials stopped via DENM", ext.failures == 0);
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

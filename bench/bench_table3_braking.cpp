@@ -4,10 +4,11 @@
 // (paper: 0.0022), and under one vehicle length (~0.53 m).
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "rst/core/experiment.hpp"
 
-int main() {
+int main() try {
   // RST_THREADS fans the trial sweeps over a worker pool (0/unset = auto);
   // every reported number is identical at any thread count.
   const unsigned threads = rst::core::experiment_threads_from_env();
@@ -41,4 +42,8 @@ int main() {
   check("variance small (< 0.01)", d.population_variance() < 0.01);
   check("every run stopped", ext.failures == 0);
   return ok ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed RST_THREADS stops the bench with a message instead of running it.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

@@ -15,10 +15,12 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
+#include "rst/core/config_io.hpp"
 #include "rst/server/campaign.hpp"
 #include "rst/server/protocol.hpp"
 
@@ -59,32 +61,35 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool artifact_only = false;
   bool expect_all_hits = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--port") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      port = std::atoi(v);
-    } else if (arg == "--spec") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      spec_path = v;
-    } else if (arg == "--trials") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      trials = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--artifact-only") {
-      artifact_only = true;
-    } else if (arg == "--expect-all-hits") {
-      expect_all_hits = true;
-    } else {
-      return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw std::invalid_argument{arg + " needs a value"};
+        return argv[++i];
+      };
+      const auto number = [&](std::int64_t lo, std::int64_t hi) {
+        return rst::core::parse_spec_int_in(value(), arg, lo, hi);
+      };
+      if (arg == "--port") {
+        port = static_cast<int>(number(1, 65535));
+      } else if (arg == "--spec") {
+        spec_path = value();
+      } else if (arg == "--trials") {
+        trials = static_cast<int>(number(1, std::numeric_limits<int>::max()));
+      } else if (arg == "--seed") {
+        seed = static_cast<std::uint64_t>(number(0, std::numeric_limits<std::int64_t>::max()));
+      } else if (arg == "--artifact-only") {
+        artifact_only = true;
+      } else if (arg == "--expect-all-hits") {
+        expect_all_hits = true;
+      } else {
+        return usage(argv[0]);
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage(argv[0]);
   }
 
   rst::server::CampaignRequest request;

@@ -18,10 +18,13 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
+#include "rst/core/config_io.hpp"
+#include "rst/core/experiment.hpp"
 #include "rst/server/campaign_engine.hpp"
 #include "rst/server/protocol.hpp"
 
@@ -98,34 +101,35 @@ int main(int argc, char** argv) {
   std::string store_path;
   bool drop_oldest = false;
   long max_conns = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--port") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      port = std::atoi(v);
-    } else if (arg == "--store") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      store_path = v;
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      threads = static_cast<unsigned>(std::atoi(v));
-    } else if (arg == "--queue") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      queue = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--drop-oldest") {
-      drop_oldest = true;
-    } else if (arg == "--max-conns") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      max_conns = std::atol(v);
-    } else {
-      return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw std::invalid_argument{arg + " needs a value"};
+        return argv[++i];
+      };
+      const auto number = [&](std::int64_t lo, std::int64_t hi) {
+        return rst::core::parse_spec_int_in(value(), arg, lo, hi);
+      };
+      if (arg == "--port") {
+        port = static_cast<int>(number(0, 65535));
+      } else if (arg == "--store") {
+        store_path = value();
+      } else if (arg == "--threads") {
+        threads = rst::core::parse_thread_count(value(), arg);
+      } else if (arg == "--queue") {
+        queue = static_cast<std::size_t>(number(1, std::numeric_limits<int>::max()));
+      } else if (arg == "--drop-oldest") {
+        drop_oldest = true;
+      } else if (arg == "--max-conns") {
+        max_conns = static_cast<long>(number(0, std::numeric_limits<int>::max()));
+      } else {
+        return usage(argv[0]);
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage(argv[0]);
   }
 
   rst::server::CampaignEngineConfig config;

@@ -4,14 +4,27 @@
 //
 // Build & run:  ./examples/quickstart [seed]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 
+#include "rst/core/config_io.hpp"
 #include "rst/core/testbed.hpp"
 
 int main(int argc, char** argv) {
   rst::core::TestbedConfig config;
-  config.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
+  config.seed = 1;
+  try {
+    if (argc > 2) throw std::invalid_argument{"too many arguments"};
+    if (argc == 2) {
+      config.seed = static_cast<std::uint64_t>(rst::core::parse_spec_int_in(
+          argv[1], "seed", 0, std::numeric_limits<std::int64_t>::max()));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\nusage: %s [seed]   (seed >= 0; default 1)\n", e.what(), argv[0]);
+    return 2;
+  }
 
   rst::core::TestbedScenario scenario{config};
   scenario.trace().set_echo(true);  // watch the chain unfold

@@ -33,6 +33,7 @@ namespace {
 
 using rst::core::parse_spec_double;
 using rst::core::parse_spec_int;
+using rst::core::parse_spec_int_in;
 
 void usage(const char* argv0) {
   std::printf(
@@ -46,13 +47,14 @@ void usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   int trials = 10;
-  unsigned threads = rst::core::experiment_threads_from_env();
+  unsigned threads = 0;
   rst::core::TestbedConfig config;
   config.seed = 1;
   bool csv = false;
   std::string trace_out;
 
   try {
+    threads = rst::core::experiment_threads_from_env();
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const auto next = [&]() -> const char* {
@@ -63,17 +65,10 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--trials") {
-        const std::int64_t n = parse_spec_int(next(), arg);
-        if (n < 1 || n > std::numeric_limits<int>::max()) {
-          throw std::invalid_argument{"--trials must be a positive int"};
-        }
-        trials = static_cast<int>(n);
+        trials = static_cast<int>(
+            parse_spec_int_in(next(), arg, 1, std::numeric_limits<int>::max()));
       } else if (arg == "--threads") {
-        const std::int64_t t = parse_spec_int(next(), arg);
-        if (t < 0 || t > std::numeric_limits<unsigned>::max()) {
-          throw std::invalid_argument{"--threads must be >= 0 (0 = auto)"};
-        }
-        threads = static_cast<unsigned>(t);
+        threads = rst::core::parse_thread_count(next(), arg);
       } else if (arg == "--seed") {
         config.seed = static_cast<std::uint64_t>(parse_spec_int(next(), arg));
       } else if (arg == "--poll-ms") {

@@ -37,6 +37,9 @@ std::size_t for_each_spec_override(
 /// throw std::invalid_argument.
 [[nodiscard]] double parse_spec_double(const std::string& value, const std::string& key);
 [[nodiscard]] std::int64_t parse_spec_int(const std::string& value, const std::string& key);
+/// parse_spec_int plus a range check: values outside [lo, hi] throw too.
+[[nodiscard]] std::int64_t parse_spec_int_in(const std::string& value, const std::string& key,
+                                             std::int64_t lo, std::int64_t hi);
 [[nodiscard]] bool parse_spec_bool(const std::string& value, const std::string& key);
 
 /// %.17g rendering — the shortest printf format that round-trips every

@@ -48,9 +48,15 @@ struct ExperimentSummary {
 /// Resolves the thread-count knob: 0 -> hardware_concurrency (at least 1).
 [[nodiscard]] unsigned resolve_experiment_threads(unsigned threads);
 
+/// Parses a thread count strictly (0 = auto). Throws std::invalid_argument
+/// naming `key` on anything but an integer in [0, 1024]: far above any core
+/// count, far below what thread stacks could exhaust memory with.
+[[nodiscard]] unsigned parse_thread_count(const std::string& value, const std::string& key);
+
 /// Thread-count knob for benches and examples: reads the RST_THREADS
-/// environment variable (0 = auto); returns `fallback` when unset or
-/// unparsable.
+/// environment variable (0 = auto) through parse_thread_count; returns
+/// `fallback` when unset or empty and throws std::invalid_argument naming
+/// RST_THREADS when it is set to anything else.
 [[nodiscard]] unsigned experiment_threads_from_env(unsigned fallback = 0);
 
 /// Renders a Table II-style report (paper rows vs measured) to a string.

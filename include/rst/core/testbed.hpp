@@ -104,14 +104,11 @@ struct TestbedConfig {
   bool obstacle_index{true};
 
   // --- Medium scaling (dense fleets; see README "Scaling the medium") ---
-  /// Counter-based per-link stochastic streams; delivery outcomes become
-  /// independent of attach order and fleet size.
-  bool medium_per_link_streams{false};
-  /// Spatial-grid receiver culling (implies per-link streams). Outcomes are
-  /// identical to per-link without the grid — culling only skips links whose
-  /// deterministic budget is already below `medium_power_floor_dbm`.
+  /// Spatial-grid receiver culling. Outcomes are identical without the
+  /// grid — culling only skips links whose deterministic budget is already
+  /// below `medium_power_floor_dbm`.
   bool medium_spatial_index{false};
-  /// Link budget (dBm) below which a link is out of range in per-link mode.
+  /// Link budget (dBm) below which a link is out of range.
   double medium_power_floor_dbm{-110.0};
   /// Culling grid cell size in metres; 0 derives one hearing radius from
   /// the power floor.

@@ -122,15 +122,6 @@ class ObstacleShadowingModel final : public PathLossModel {
   /// Walls crossed by the segment tx-rx (the NLOS "depth" of a link).
   [[nodiscard]] std::size_t walls_crossed(geo::Vec2 tx, geo::Vec2 rx) const;
 
-  /// Total loss and NLOS depth in one wall pass, with the identical
-  /// accumulation order as `loss_db` — the memoizable unit of work behind
-  /// the medium's epoch-validated NLOS memo.
-  struct LossDepth {
-    double loss_db{0.0};
-    std::uint32_t depth{0};
-  };
-  [[nodiscard]] LossDepth loss_and_depth(geo::Vec2 tx, geo::Vec2 rx) const;
-
   [[nodiscard]] const std::vector<Wall>& walls() const { return walls_; }
   [[nodiscard]] bool index_enabled() const { return grid_ != nullptr; }
   /// Null when the model runs brute force.
@@ -172,7 +163,8 @@ enum class FadingModel : std::uint8_t {
 
 /// Full channel = deterministic path loss + log-normal shadowing sigma +
 /// optional small-scale fading. The stochastic draws are made per
-/// transmission per receiver by the Medium.
+/// transmission per receiver by the Medium, from counter-based streams
+/// keyed on (tx MAC, rx MAC, tx frame count).
 struct ChannelModel {
   std::shared_ptr<const PathLossModel> path_loss;
   double shadowing_sigma_db{0.0};
@@ -180,27 +172,16 @@ struct ChannelModel {
   /// Nakagami shape parameter (ignored unless fading == Nakagami).
   double nakagami_m{3.0};
 
-  // --- Dense-fleet scaling knobs (README "Scaling the medium") ---
-  //
-  // Both knobs are opt-in; with both off the Medium behaves bit-identically
-  // to the original full-fan-out implementation.
+  // --- Dense-fleet scaling (README "Scaling the medium") ---
 
-  /// Draw shadowing/fading/PER from counter-based streams keyed on
-  /// (tx MAC, rx MAC, tx sequence) instead of the shared medium-order
-  /// streams, and treat links whose deterministic link budget is below
-  /// `power_floor_dbm` as out of range (no draw, no interference, counted
-  /// as dropped_below_sensitivity). Delivery outcomes become independent of
-  /// receiver iteration order — the precondition for spatial culling.
-  /// Implied by spatial_index.
-  bool per_link_streams{false};
   /// Cull receivers through a uniform spatial hash grid instead of the full
-  /// radio fan-out. Requires per_link_streams semantics (auto-enabled) and
-  /// must not change any delivery outcome relative to per_link_streams
-  /// alone: the grid radius is derived by inverting
+  /// radio fan-out. A pure performance switch: it must not change any
+  /// delivery outcome, because the grid radius is derived by inverting
   /// PathLossModel::min_loss_db at power_floor_dbm.
   bool spatial_index{false};
   /// Links below this deterministic receive power (dBm, path loss and
-  /// antenna gains only) are never considered. Keep a healthy margin below
+  /// antenna gains only) are out of range: no draw, no interference, counted
+  /// as dropped_below_sensitivity. Keep a healthy margin below
   /// rx_sensitivity_dbm so post-shadowing/fading upside cannot matter:
   /// default is 15 dB under the default -95 dBm sensitivity (> 5 sigma of
   /// typical shadowing).

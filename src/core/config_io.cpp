@@ -37,6 +37,16 @@ std::int64_t parse_spec_int(const std::string& value, const std::string& key) {
   throw std::invalid_argument{"config override '" + key + "': bad integer '" + value + "'"};
 }
 
+std::int64_t parse_spec_int_in(const std::string& value, const std::string& key, std::int64_t lo,
+                               std::int64_t hi) {
+  const std::int64_t v = parse_spec_int(value, key);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument{"config override '" + key + "': " + value + " is outside [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "]"};
+  }
+  return v;
+}
+
 bool parse_spec_bool(const std::string& value, const std::string& key) {
   if (value == "true" || value == "1" || value == "on") return true;
   if (value == "false" || value == "0" || value == "off") return false;
@@ -153,16 +163,11 @@ const std::map<std::string, Entry>& registry() {
               SimTime::milliseconds(parse_int(v, "cpm_redundancy_window_ms"));
         },
         "skip objects a peer announced within this window"}},
-      {"medium_per_link_streams",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.medium_per_link_streams = parse_bool(v, "medium_per_link_streams");
-        },
-        "counter-based per-link medium streams"}},
       {"medium_spatial_index",
        {[](TestbedConfig& c, const std::string& v) {
           c.medium_spatial_index = parse_bool(v, "medium_spatial_index");
         },
-        "spatial-grid receiver culling (implies per-link streams)"}},
+        "spatial-grid receiver culling (outcomes unchanged)"}},
       {"obstacle_index",
        {[](TestbedConfig& c, const std::string& v) {
           c.obstacle_index = parse_bool(v, "obstacle_index");
@@ -172,7 +177,7 @@ const std::map<std::string, Entry>& registry() {
        {[](TestbedConfig& c, const std::string& v) {
           c.medium_power_floor_dbm = parse_double(v, "medium_power_floor_dbm");
         },
-        "per-link out-of-range link-budget floor"}},
+        "out-of-range link-budget floor (dBm)"}},
       {"medium_grid_cell_m",
        {[](TestbedConfig& c, const std::string& v) {
           c.medium_grid_cell_m = parse_double(v, "medium_grid_cell_m");

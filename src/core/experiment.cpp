@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "rst/core/config_io.hpp"
 #include "rst/sim/trial_pool.hpp"
 
 namespace rst::core {
@@ -31,13 +32,15 @@ unsigned resolve_experiment_threads(unsigned threads) {
   return hw == 0 ? 1 : hw;
 }
 
+unsigned parse_thread_count(const std::string& value, const std::string& key) {
+  constexpr std::int64_t kMaxThreads = 1024;
+  return static_cast<unsigned>(parse_spec_int_in(value, key, 0, kMaxThreads));
+}
+
 unsigned experiment_threads_from_env(unsigned fallback) {
   const char* raw = std::getenv("RST_THREADS");
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<unsigned>(value);
+  return parse_thread_count(raw, "RST_THREADS");
 }
 
 ExperimentSummary run_emergency_brake_experiment(const TestbedConfig& base_config, int n_trials,

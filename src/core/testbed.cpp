@@ -81,7 +81,6 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   dot11p::ChannelModel channel;
   channel.path_loss = std::shared_ptr<const dot11p::PathLossModel>{make_path_loss(config_)};
   channel.shadowing_sigma_db = config_.shadowing_sigma_db;
-  channel.per_link_streams = config_.medium_per_link_streams;
   channel.spatial_index = config_.medium_spatial_index;
   channel.power_floor_dbm = config_.medium_power_floor_dbm;
   channel.cell_size_m = config_.medium_grid_cell_m;

@@ -142,15 +142,4 @@ double ObstacleShadowingModel::loss_db(geo::Vec2 tx, geo::Vec2 rx) const {
   return loss;
 }
 
-ObstacleShadowingModel::LossDepth ObstacleShadowingModel::loss_and_depth(geo::Vec2 tx,
-                                                                         geo::Vec2 rx) const {
-  LossDepth out;
-  out.loss_db = base_->loss_db(tx, rx);
-  for_each_crossing(tx, rx, [&](std::size_t i) {
-    out.loss_db += walls_[i].obstruction_loss_db;
-    ++out.depth;
-  });
-  return out;
-}
-
 }  // namespace rst::dot11p

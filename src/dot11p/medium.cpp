@@ -26,19 +26,11 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
 
 Medium::Medium(sim::Scheduler& sched, sim::RandomStream rng, ChannelModel channel)
     : sched_{sched},
-      shadow_rng_{rng.child("shadowing")},
-      per_rng_{rng.child("per")},
       link_rng_{rng.child("link")},
       channel_{std::move(channel)},
-      per_link_{channel_.per_link_streams || channel_.spatial_index},
       last_reindex_{sched.now()},
       reindex_period_{channel_.reindex_period > sim::SimTime::zero() ? channel_.reindex_period
-                                                                     : kDefaultReindexPeriod} {
-  channel_.per_link_streams = per_link_;  // spatial_index implies per-link draws
-  // Enables the legacy-path NLOS memo; the per-link path already memoizes
-  // the full loss (walls included) in its epoch-validated budget cache.
-  obstacle_model_ = dynamic_cast<const ObstacleShadowingModel*>(channel_.path_loss.get());
-}
+                                                                     : kDefaultReindexPeriod} {}
 
 Medium::~Medium() = default;
 
@@ -59,7 +51,6 @@ void Medium::ensure_grid(const RadioConfig& first_cfg) {
 }
 
 void Medium::attach(Radio* radio) {
-  radios_.push_back(radio);
   std::uint32_t slot_id;
   if (!free_slots_.empty()) {
     slot_id = free_slots_.back();
@@ -74,6 +65,7 @@ void Medium::attach(Radio* radio) {
   // Epochs stay monotone across slot reuse so budget-cache entries written
   // by a previous occupant of this slot can never validate again.
   ++slot.epoch;
+  slot.tx_frames = 0;
   slot.interference_mw = 0.0;
   slot.cull_radius_m = -1.0;
   slot.active.clear();
@@ -93,7 +85,6 @@ void Medium::attach(Radio* radio) {
 }
 
 void Medium::detach(Radio* radio) {
-  std::erase(radios_, radio);
   const std::uint32_t slot_id = radio->medium_slot();
   if (slot_id >= slots_.size() || slots_[slot_id].radio != radio) return;  // never attached here
   Slot& slot = slots_[slot_id];
@@ -155,12 +146,6 @@ double Medium::slot_cull_radius_m(Slot& slot) {
   return slot.cull_radius_m;
 }
 
-double Medium::cull_radius_m(const Radio& tx) const {
-  const double budget = tx.config().tx_power_dbm + tx.config().antenna_gain_dbi +
-                        max_antenna_gain_dbi_ - channel_.power_floor_dbm;
-  return invert_range_m(budget);
-}
-
 geo::Vec2 Medium::refresh_slot(std::uint32_t slot_id) {
   Slot& slot = slots_[slot_id];
   const geo::Vec2 now_pos = slot.radio->position();
@@ -199,33 +184,6 @@ double Medium::cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot) {
   return entry.mean_dbm;
 }
 
-double Medium::legacy_mean_dbm(Radio* tx, std::uint32_t tx_slot, Radio* rx,
-                               std::uint32_t rx_slot) {
-  if (obstacle_model_ == nullptr) return mean_rx_power_dbm(*tx, *rx);
-  // refresh_slot is grid-agnostic: with no spatial grid it only re-records
-  // the position and bumps the epoch, which is exactly the invalidation
-  // signal the memo needs.
-  const geo::Vec2 tx_pos = refresh_slot(tx_slot);
-  const geo::Vec2 rx_pos = refresh_slot(rx_slot);
-  const std::uint64_t key = (static_cast<std::uint64_t>(tx_slot) << 32) | rx_slot;
-  auto [it, inserted] = nlos_cache_.try_emplace(key);
-  CachedNlos& entry = it->second;
-  const Slot& ts = slots_[tx_slot];
-  const Slot& rs = slots_[rx_slot];
-  if (!inserted && entry.tx_epoch == ts.epoch && entry.rx_epoch == rs.epoch) {
-    ++stats_.nlos_memo_hits;
-  } else {
-    ++stats_.nlos_memo_misses;
-    const ObstacleShadowingModel::LossDepth ld = obstacle_model_->loss_and_depth(tx_pos, rx_pos);
-    entry.tx_epoch = ts.epoch;
-    entry.rx_epoch = rs.epoch;
-    entry.loss_db = ld.loss_db;
-    entry.depth = ld.depth;
-  }
-  return tx->config().tx_power_dbm + tx->config().antenna_gain_dbi +
-         rx->config().antenna_gain_dbi - entry.loss_db;
-}
-
 std::uint64_t Medium::link_key(std::uint64_t tx_mac, std::uint64_t rx_mac,
                                std::uint64_t seq) const {
   return hash_combine(hash_combine(hash_combine(0, tx_mac), rx_mac), seq);
@@ -248,68 +206,23 @@ void Medium::release_transmission(const std::shared_ptr<Transmission>& t) {
 }
 
 void Medium::begin_transmission(Radio* tx, Frame frame, std::size_t psdu_bytes) {
-  std::shared_ptr<Transmission> t = per_link_ ? acquire_transmission()
-                                              : std::make_shared<Transmission>();
+  std::shared_ptr<Transmission> t = acquire_transmission();
   t->tx = tx;
   t->tx_slot = tx->medium_slot();
+  t->tx_mac = tx->mac_address();
+  t->seq = ++slots_[t->tx_slot].tx_frames;
   t->frame = std::move(frame);
   t->psdu_bytes = psdu_bytes;
   t->mcs = tx->config().mcs;
-  t->seq = tx->stats().tx_frames;  // already counts this frame
   t->start = sched_.now();
   t->end = sched_.now() + frame_airtime(psdu_bytes, tx->config().mcs);
   tx_fault_db_ = faults_ ? faults_->radio_attenuation_db("medium") : 0.0;
 
-  if (per_link_) {
-    begin_transmission_per_link(t);
-  } else {
-    begin_transmission_legacy(t);
-  }
-  slots_[t->tx_slot].own.push_back(t.get());
-
-  ++stats_.frames_transmitted;
-  sched_.post_at(t->end, [this, t] { finish_transmission(t); });
-}
-
-void Medium::begin_transmission_legacy(const std::shared_ptr<Transmission>& t) {
-  // Prune transmissions that can no longer overlap anything new.
-  std::erase_if(transmissions_, [&](const auto& other) { return other->end <= sched_.now(); });
-
-  Radio* tx = t->tx;
-  t->receivers.reserve(radios_.size() > 0 ? radios_.size() - 1 : 0);
-  t->rx_power_dbm.reserve(t->receivers.capacity());
-
-  for (Radio* rx : radios_) {
-    if (rx == tx) continue;
-    double p = legacy_mean_dbm(tx, t->tx_slot, rx, rx->medium_slot());
-    if (channel_.shadowing_sigma_db > 0) {
-      p += shadow_rng_.normal(0.0, channel_.shadowing_sigma_db);
-    }
-    if (channel_.fading == FadingModel::Nakagami) {
-      // Unit-mean gamma power gain with shape m.
-      const double gain = shadow_rng_.gamma(channel_.nakagami_m, 1.0 / channel_.nakagami_m);
-      p += mw_to_dbm(std::max(gain, 1e-9));
-    }
-    p -= tx_fault_db_;  // after the draws: the fault never shifts the stream
-    const auto index = static_cast<std::uint32_t>(t->receivers.size());
-    t->receivers.push_back(rx);
-    t->rx_power_dbm.push_back(p);
-    slots_[rx->medium_slot()].active.push_back(ActiveRx{t.get(), index});
-    if (p >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(+1);
-  }
-
-  transmissions_.push_back(t);
-}
-
-void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t) {
   maybe_reindex();
   const geo::Vec2 tx_pos = refresh_slot(t->tx_slot);
-
-  double radius = std::numeric_limits<double>::infinity();
-  if (grid_) {
-    radius = slot_cull_radius_m(slots_[t->tx_slot]);
-  }
-  if (grid_ && std::isfinite(radius)) {
+  const double radius =
+      grid_ ? slot_cull_radius_m(slots_[t->tx_slot]) : std::numeric_limits<double>::infinity();
+  if (std::isfinite(radius)) {
     // Recorded positions can be up to one reindex period stale; pad the
     // query so a station moving at the speed bound cannot slip out of the
     // visited cells while still being audible.
@@ -321,9 +234,7 @@ void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t)
     // Canonical order: ascending slot id, matching the full fan-out path,
     // so culling cannot reorder deliveries within one finish event.
     std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-    for (const std::uint32_t rx_slot : scratch_candidates_) {
-      admit_receiver_per_link(t, rx_slot);
-    }
+    for (const std::uint32_t rx_slot : scratch_candidates_) admit_receiver(t, rx_slot);
     // Radios outside the visited cells are below the power floor by
     // construction; fold them into the below-sensitivity drop count in one
     // step so MediumStats stay identical to the unculled path.
@@ -334,46 +245,40 @@ void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t)
   } else {
     for (std::uint32_t rx_slot = 0; rx_slot < slots_.size(); ++rx_slot) {
       if (slots_[rx_slot].radio == nullptr || rx_slot == t->tx_slot) continue;
-      admit_receiver_per_link(t, rx_slot);
+      admit_receiver(t, rx_slot);
     }
   }
+  slots_[t->tx_slot].own.push_back(t.get());
+
+  ++stats_.frames_transmitted;
+  sched_.post_at(t->end, [this, t] { finish_transmission(t); });
 }
 
-double Medium::draw_link_power_dbm(double mean_dbm, std::uint64_t tx_mac, std::uint64_t rx_mac,
-                                   std::uint64_t seq) const {
-  double p = mean_dbm;
-  if (channel_.shadowing_sigma_db > 0 || channel_.fading == FadingModel::Nakagami) {
-    sim::CounterStream draws = link_rng_.counter_child(link_key(tx_mac, rx_mac, seq));
-    if (channel_.shadowing_sigma_db > 0) {
-      p += draws.normal(0.0, channel_.shadowing_sigma_db);
-    }
-    if (channel_.fading == FadingModel::Nakagami) {
-      const double gain = draws.gamma(channel_.nakagami_m, 1.0 / channel_.nakagami_m);
-      p += mw_to_dbm(std::max(gain, 1e-9));
-    }
-  }
-  return p;
-}
-
-void Medium::admit_receiver_per_link(const std::shared_ptr<Transmission>& t,
-                                     std::uint32_t rx_slot) {
+void Medium::admit_receiver(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot) {
   refresh_slot(rx_slot);
-  // Fault attenuation folds into the deterministic budget (the per-link
-  // draws are counter-keyed, so floor-culling faulted links is safe).
+  // Fault attenuation folds into the deterministic budget (the draws are
+  // counter-keyed, so floor-culling faulted links is safe).
   const double mean = cached_budget_dbm(t->tx_slot, rx_slot) - tx_fault_db_;
   if (mean < channel_.power_floor_dbm) {
     ++stats_.dropped_below_sensitivity;
     ++stats_.culled_below_floor;
     return;
   }
-  const double p = draw_link_power_dbm(mean, t->frame.src_mac,
-                                       slots_[rx_slot].radio->mac_address(), t->seq);
-  apply_admission(t, rx_slot, p);
-}
-
-void Medium::apply_admission(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot,
-                             double p) {
   Slot& rx = slots_[rx_slot];
+  double p = mean;
+  if (channel_.shadowing_sigma_db > 0 || channel_.fading == FadingModel::Nakagami) {
+    sim::CounterStream draws =
+        link_rng_.counter_child(link_key(t->tx_mac, rx.radio->mac_address(), t->seq));
+    if (channel_.shadowing_sigma_db > 0) {
+      p += draws.normal(0.0, channel_.shadowing_sigma_db);
+    }
+    if (channel_.fading == FadingModel::Nakagami) {
+      // Unit-mean gamma power gain with shape m.
+      const double gain = draws.gamma(channel_.nakagami_m, 1.0 / channel_.nakagami_m);
+      p += mw_to_dbm(std::max(gain, 1e-9));
+    }
+  }
+
   const auto index = static_cast<std::uint32_t>(t->receivers.size());
   const double p_mw = dbm_to_mw(p);
   // Seed our interference tally with the receiver's running sum and add our
@@ -400,21 +305,6 @@ void Medium::apply_admission(const std::shared_ptr<Transmission>& t, std::uint32
   if (p >= rx.radio->config().cs_threshold_dbm) rx.radio->on_cs_busy_delta(+1);
 }
 
-double Medium::interference_mw(const Transmission& t, Radio* rx) const {
-  double sum = 0.0;
-  for (const auto& other : transmissions_) {
-    if (other.get() == &t) continue;
-    if (other->start >= t.end || other->end <= t.start) continue;  // no overlap
-    for (std::size_t i = 0; i < other->receivers.size(); ++i) {
-      if (other->receivers[i] == rx) {
-        sum += dbm_to_mw(other->rx_power_dbm[i]);
-        break;
-      }
-    }
-  }
-  return sum;
-}
-
 void Medium::remove_active(Slot& slot, const Transmission* t, std::uint32_t index) {
   for (ActiveRx& a : slot.active) {
     if (a.t == t && a.index == index) {
@@ -427,99 +317,46 @@ void Medium::remove_active(Slot& slot, const Transmission* t, std::uint32_t inde
 
 void Medium::finish_transmission(const std::shared_ptr<Transmission>& t) {
   if (t->tx != nullptr) {
-    Slot& tx_slot = slots_[t->tx_slot];
-    std::erase(tx_slot.own, t.get());
+    std::erase(slots_[t->tx_slot].own, t.get());
     t->tx->on_tx_complete();
   }
-  if (per_link_) {
-    finish_transmission_per_link(t);
-  } else {
-    finish_transmission_legacy(t);
-  }
-}
-
-void Medium::finish_transmission_legacy(const std::shared_ptr<Transmission>& t) {
   const double noise_mw = dbm_to_mw(noise_floor_dbm(0.0));
   for (std::size_t i = 0; i < t->receivers.size(); ++i) {
     Radio* rx = t->receivers[i];
     if (rx == nullptr) continue;  // detached mid-flight
-    remove_active(slots_[rx->medium_slot()], t.get(), static_cast<std::uint32_t>(i));
+    // The verdict is settled before carrier sense is released below:
+    // on_cs_busy_delta(-1) can start this receiver's next transmission.
     const double power_dbm = t->rx_power_dbm[i];
+    const bool audible = power_dbm >= rx->config().rx_sensitivity_dbm;
+    const bool half_duplex = audible && rx->was_transmitting_during(t->start, t->end);
+    double sinr_db = 0.0;
+    bool error = false;
+    if (audible && !half_duplex) {
+      const double rx_noise_mw = noise_mw * db_to_ratio(rx->config().noise_figure_db);
+      // O(1): the tally already holds the sum of every overlapping
+      // transmission's power at this receiver (own power excluded).
+      const double sinr_mw = dbm_to_mw(power_dbm) / (rx_noise_mw + t->interference_mw[i]);
+      sinr_db = mw_to_dbm(sinr_mw);
+      const double per = packet_error_rate(sinr_db, t->psdu_bytes, t->mcs);
+      sim::CounterStream per_draw = link_rng_.counter_child(
+          link_key(t->tx_mac, rx->mac_address(), t->seq) ^ kPerDrawSalt);
+      error = per_draw.bernoulli(per);
+    }
+
+    Slot& rx_slot = slots_[t->rx_slots[i]];
+    remove_active(rx_slot, t.get(), static_cast<std::uint32_t>(i));
+    rx_slot.interference_mw -= dbm_to_mw(power_dbm);
     if (power_dbm >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(-1);
-
-    if (power_dbm < rx->config().rx_sensitivity_dbm) {
+    if (!audible) {
       ++stats_.dropped_below_sensitivity;
-      continue;
-    }
-    if (rx->was_transmitting_during(t->start, t->end)) {
+    } else if (half_duplex) {
       ++stats_.dropped_half_duplex;
-      continue;
-    }
-    const double rx_noise_mw = noise_mw * db_to_ratio(rx->config().noise_figure_db);
-    const double sinr_mw = dbm_to_mw(power_dbm) / (rx_noise_mw + interference_mw(*t, rx));
-    const double sinr_db = mw_to_dbm(sinr_mw);
-    const double per = packet_error_rate(sinr_db, t->psdu_bytes, t->mcs);
-    if (per_rng_.bernoulli(per)) {
+    } else if (error) {
       ++stats_.dropped_error;
-      continue;
-    }
-    ++stats_.deliveries;
-    rx->deliver(t->frame, RxInfo{power_dbm, sinr_db, sched_.now(), t->frame.src_mac});
-  }
-}
-
-Medium::RxVerdict Medium::compute_rx_verdict(const Transmission& t, std::size_t i,
-                                             double noise_mw, double& sinr_db) const {
-  Radio* rx = t.receivers[i];
-  if (rx == nullptr) return RxVerdict::kSkip;  // detached mid-flight
-  const double power_dbm = t.rx_power_dbm[i];
-  if (power_dbm < rx->config().rx_sensitivity_dbm) return RxVerdict::kBelowSensitivity;
-  if (rx->was_transmitting_during(t.start, t.end)) return RxVerdict::kHalfDuplex;
-  const double rx_noise_mw = noise_mw * db_to_ratio(rx->config().noise_figure_db);
-  // O(1): the tally already holds the sum of every overlapping
-  // transmission's power at this receiver (own power excluded).
-  const double sinr_mw = dbm_to_mw(power_dbm) / (rx_noise_mw + t.interference_mw[i]);
-  sinr_db = mw_to_dbm(sinr_mw);
-  const double per = packet_error_rate(sinr_db, t.psdu_bytes, t.mcs);
-  sim::CounterStream per_draw = link_rng_.counter_child(
-      link_key(t.frame.src_mac, rx->mac_address(), t.seq) ^ kPerDrawSalt);
-  return per_draw.bernoulli(per) ? RxVerdict::kError : RxVerdict::kDeliver;
-}
-
-void Medium::apply_rx_verdict(const std::shared_ptr<Transmission>& t, std::size_t i, RxVerdict v,
-                              double sinr_db) {
-  Radio* rx = t->receivers[i];
-  if (rx == nullptr || v == RxVerdict::kSkip) return;  // detached mid-flight
-  Slot& rx_slot = slots_[t->rx_slots[i]];
-  const double power_dbm = t->rx_power_dbm[i];
-  remove_active(rx_slot, t.get(), static_cast<std::uint32_t>(i));
-  rx_slot.interference_mw -= dbm_to_mw(power_dbm);
-  if (power_dbm >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(-1);
-  switch (v) {
-    case RxVerdict::kBelowSensitivity:
-      ++stats_.dropped_below_sensitivity;
-      break;
-    case RxVerdict::kHalfDuplex:
-      ++stats_.dropped_half_duplex;
-      break;
-    case RxVerdict::kError:
-      ++stats_.dropped_error;
-      break;
-    case RxVerdict::kDeliver:
+    } else {
       ++stats_.deliveries;
       rx->deliver(t->frame, RxInfo{power_dbm, sinr_db, sched_.now(), t->frame.src_mac});
-      break;
-    case RxVerdict::kSkip:
-      break;  // unreachable: handled above
-  }
-}
-
-void Medium::finish_transmission_per_link(const std::shared_ptr<Transmission>& t) {
-  const double noise_mw = dbm_to_mw(noise_floor_dbm(0.0));
-  for (std::size_t i = 0; i < t->receivers.size(); ++i) {
-    double sinr_db = 0.0;
-    const RxVerdict v = compute_rx_verdict(*t, i, noise_mw, sinr_db);
-    apply_rx_verdict(t, i, v, sinr_db);
+    }
   }
   release_transmission(t);
 }

@@ -423,7 +423,6 @@ CityScenario::CityScenario(CitySpec spec)
     channel.path_loss = std::move(obstacles);
   }
   channel.shadowing_sigma_db = spec_.shadowing_sigma_db;
-  channel.per_link_streams = spec_.spatial_index;
   channel.spatial_index = spec_.spatial_index;
   channel.power_floor_dbm = spec_.power_floor_dbm;
   channel.cell_size_m = spec_.grid_cell_m;

@@ -92,7 +92,6 @@ OccludedPedestrianReport run_occluded_pedestrian(std::uint64_t seed, bool cpm_en
   const geo::Vec2 wall_a{0.8, 2.0};
   const geo::Vec2 wall_b{0.8, 11.0};
   cfg.walls.push_back({wall_a, wall_b, 12.0});
-  cfg.medium_per_link_streams = true;
   cfg.medium_spatial_index = true;
   cfg.cpm_enable = cpm_enable;
   cfg.cpm_interval = sim::SimTime::milliseconds(100);

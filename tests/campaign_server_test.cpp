@@ -362,6 +362,36 @@ TEST(CampaignEngine, CacheHitsComeFromTheSegmentFileAfterReopen) {
   std::remove(path.c_str());
 }
 
+TEST(CampaignEngine, RecordsStoredUnderAnOlderCodeVersionAreNotServed) {
+  // A near-sensitivity trial whose outcome changed with the medium's draw
+  // order: under code version rst-campaign/1 this seed lost its DENM.
+  CampaignRequest request;
+  request.spec = "fault = radio-attenuation:medium:0:30000:62\n";
+  request.trials = 1;
+  request.base_seed = 319;
+  // The rst-campaign/1 content address, spelled out: FNV-1a over the
+  // canonical spec, then the seed's 8 little-endian bytes, then the version.
+  std::string seed_bytes;
+  for (int i = 0; i < 8; ++i) {
+    seed_bytes += static_cast<char>((request.base_seed >> (8 * i)) & 0xffu);
+  }
+  const std::uint64_t stale_key =
+      fnv1a("rst-campaign/1", fnv1a(seed_bytes, fnv1a(core::canonicalize_spec(request.spec))));
+  core::TrialResult lost;
+  lost.timed_out = true;
+  const std::string planted = serialize_trial_record(request.base_seed, lost);
+
+  CampaignEngine engine{{}};
+  engine.store().put(stale_key, planted);
+  const CampaignOutcome out = engine.execute(request);
+  ASSERT_EQ(out.status, CampaignOutcome::Status::Ok) << out.error;
+  EXPECT_EQ(out.cache_hits, 0u);
+  EXPECT_EQ(out.executed, 1u);
+  EXPECT_EQ(out.artifact.find(planted), std::string::npos);
+  // The current medium delivers this trial's DENM.
+  EXPECT_NE(out.artifact.find(" stopped=1 "), std::string::npos) << out.artifact;
+}
+
 TEST(CampaignEngine, BadSpecIsAnErrorNotACrash) {
   CampaignEngine engine{{}};
   CampaignRequest bad = small_campaign();

@@ -98,14 +98,17 @@ TEST(ConfigIo, MediumGeometryAndPartitionKnobsApplyAndValidate) {
   (void)apply_config_overrides(config, "medium_grid_cell_m = -1\n");
   EXPECT_THROW(config.validate(), std::invalid_argument);
 
-  // The medium runs one serial path: a stale partition key must fail
-  // loudly, naming the key, instead of being ignored.
-  const std::string stale_key = "medium_partitions";
-  try {
-    (void)apply_config_overrides(config, stale_key + " = 4\n");
-    ADD_FAILURE() << "stale key " << stale_key << " accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("'" + stale_key + "'"), std::string::npos) << e.what();
+  // The medium runs one serial path with one channel model: a stale
+  // partition or per-link key must fail loudly, naming the key, instead of
+  // being ignored.
+  for (const std::string stale_key : {"medium_partitions", "medium_per_link_streams"}) {
+    try {
+      (void)apply_config_overrides(config, stale_key + " = 4\n");
+      ADD_FAILURE() << "stale key " << stale_key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + stale_key + "'"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <string>
+#include <tuple>
+
 #include "rst/dot11p/channel.hpp"
+#include "rst/dot11p/medium.hpp"
 #include "rst/dot11p/phy_params.hpp"
+#include "rst/dot11p/radio.hpp"
 
 namespace rst::dot11p {
 namespace {
@@ -156,6 +163,89 @@ TEST(Channel, MultipleWallsAccumulate) {
                                 {.a = {6, -5}, .b = {6, 5}, .obstruction_loss_db = 15.0}}};
   EXPECT_NEAR(model.loss_db({0, 0}, {10, 0}), base_loss + 25.0, 1e-9);
 }
+
+// A lone link near the sensitivity edge, run end to end through the medium,
+// must deliver the fraction of frames the channel model predicts in closed
+// form: E[1{P >= sens} (1 - PER(P - N0 - NF))] with P = m + sigma Z, Z ~ N(0,1).
+// This pins the stochastic draws' distribution (shadowing and PER), not a
+// particular byte stream, so it holds across any change of draw order. The
+// frames reach the medium either through the MAC (Radio::send) or straight
+// through Medium::begin_transmission: the medium owns the draw key, so both
+// must draw afresh for every frame.
+constexpr int kAnalyticFrames = 4000;
+constexpr std::size_t kAnalyticPsdu = 300;
+constexpr double kAnalyticSigmaDb = 3.0;
+
+double analytic_delivery_ratio(double mean_dbm, const RadioConfig& rx) {
+  // Midpoint rule over +-8 sigma: the quadrature error is orders of
+  // magnitude below the binomial noise of 4000 frames.
+  constexpr int kSteps = 16000;
+  constexpr double kSpan = 8.0;
+  const double dz = 2.0 * kSpan / kSteps;
+  double sum = 0.0;
+  for (int i = 0; i < kSteps; ++i) {
+    const double z = -kSpan + (i + 0.5) * dz;
+    const double p = mean_dbm + kAnalyticSigmaDb * z;
+    if (p < rx.rx_sensitivity_dbm) continue;
+    const double sinr_db = p - noise_floor_dbm(0.0) - rx.noise_figure_db;
+    sum += std::exp(-0.5 * z * z) * (1.0 - packet_error_rate(sinr_db, kAnalyticPsdu, rx.mcs));
+  }
+  return sum * dz / std::sqrt(2.0 * M_PI);
+}
+
+enum class Drive { kRadioSend, kDirect };
+
+class AnalyticDelivery : public ::testing::TestWithParam<std::tuple<Drive, double>> {};
+
+TEST_P(AnalyticDelivery, DeliveryRatioMatchesClosedForm) {
+  const auto [drive, distance_m] = GetParam();
+  sim::Scheduler sched;
+  sim::RandomStream rng{static_cast<std::uint64_t>(distance_m), "analytic_delivery"};
+  ChannelModel channel;
+  channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.1));
+  channel.shadowing_sigma_db = kAnalyticSigmaDb;
+  Medium medium{sched, rng.child("medium"), channel};
+  Radio tx{medium, RadioConfig{}, [] { return geo::Vec2{0.0, 0.0}; }, rng.child("tx"), "tx"};
+  Radio rx{medium, RadioConfig{}, [d = distance_m] { return geo::Vec2{d, 0.0}; },
+           rng.child("rx"), "rx"};
+  int delivered = 0;
+  rx.set_receive_callback([&delivered](const Frame&, const RxInfo&) { ++delivered; });
+
+  // 1 ms apart: each 300-byte frame is off the air long before the next.
+  for (int i = 0; i < kAnalyticFrames; ++i) {
+    sched.post_at(1_ms * (i + 1), [&tx, &medium, drive = drive] {
+      Frame f;
+      f.ac = AccessCategory::BestEffort;
+      if (drive == Drive::kRadioSend) {
+        f.payload.assign(kAnalyticPsdu - kMacOverheadBytes, 0xA5);
+        tx.send(std::move(f));
+      } else {
+        medium.begin_transmission(&tx, std::move(f), kAnalyticPsdu);
+      }
+    });
+  }
+  sched.run();
+  ASSERT_EQ(medium.stats().frames_transmitted, static_cast<std::uint64_t>(kAnalyticFrames));
+
+  const double expected = analytic_delivery_ratio(medium.mean_rx_power_dbm(tx, rx), rx.config());
+  const double observed = static_cast<double>(delivered) / kAnalyticFrames;
+  const double se = std::sqrt(expected * (1.0 - expected) / kAnalyticFrames);
+  ASSERT_GT(se, 0.0) << "distance too far from the sensitivity edge to test anything";
+  EXPECT_LE(std::abs(observed - expected), 4.0 * se)
+      << "observed " << observed << " expected " << expected << " z "
+      << (observed - expected) / se;
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeDistances, AnalyticDelivery,
+                         ::testing::Combine(::testing::Values(Drive::kRadioSend, Drive::kDirect),
+                                            ::testing::Values(2500.0, 3000.0, 3500.0, 4000.0,
+                                                              4500.0)),
+                         [](const auto& info) {
+                           const bool send = std::get<0>(info.param) == Drive::kRadioSend;
+                           const int metres = static_cast<int>(std::get<1>(info.param));
+                           return std::string{send ? "RadioSend_" : "Direct_"} +
+                                  std::to_string(metres) + "m";
+                         });
 
 }  // namespace
 }  // namespace rst::dot11p

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "rst/core/experiment.hpp"
 
@@ -121,9 +123,23 @@ TEST(ExperimentDeterminism, ThreadKnobHelpers) {
   EXPECT_EQ(core::experiment_threads_from_env(3), 3u);
   ::setenv("RST_THREADS", "8", 1);
   EXPECT_EQ(core::experiment_threads_from_env(3), 8u);
-  ::setenv("RST_THREADS", "junk", 1);
+  ::setenv("RST_THREADS", "", 1);
   EXPECT_EQ(core::experiment_threads_from_env(2), 2u);
+  // Anything else that is not a thread count fails loudly, naming the
+  // variable, instead of silently meaning auto or wrapping to 2^32 - 1.
+  for (const char* bad : {"junk", "-1", "8x", "1025", "99999999999"}) {
+    ::setenv("RST_THREADS", bad, 1);
+    try {
+      (void)core::experiment_threads_from_env(2);
+      ADD_FAILURE() << "RST_THREADS=" << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("RST_THREADS"), std::string::npos) << e.what();
+    }
+  }
   ::unsetenv("RST_THREADS");
+  EXPECT_EQ(core::parse_thread_count("0", "--threads"), 0u);
+  EXPECT_EQ(core::parse_thread_count("1024", "--threads"), 1024u);
+  EXPECT_THROW((void)core::parse_thread_count("-1", "--threads"), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Property: with per-link streams, enabling the spatial index must not
-// change any observable outcome. The grid may only skip links whose
+// Property: enabling the spatial index must not change any observable
+// outcome. The grid may only skip links whose
 // deterministic budget is already below the power floor — links the
 // full fan-out drops anyway — so delivery logs (including the exact RSSI
 // and SINR bits) and medium statistics must match between the two modes
@@ -95,7 +95,6 @@ RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial) {
   channel.path_loss =
       std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent));
   channel.shadowing_sigma_db = topo.shadowing_sigma_db;
-  channel.per_link_streams = true;
   channel.spatial_index = spatial;
   channel.power_floor_dbm = topo.power_floor_dbm;
   Medium medium{sched, rng.child("medium"), channel};
@@ -175,7 +174,6 @@ TEST_P(MediumDetach, MidFlightDetachSettlesCarrierSenseAndKeepsDelivering) {
   ChannelModel channel;
   channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
   channel.shadowing_sigma_db = 0.0;
-  channel.per_link_streams = GetParam();
   channel.spatial_index = GetParam();
   Medium medium{sched, rng.child("medium"), channel};
 
@@ -216,7 +214,6 @@ TEST_P(MediumDetach, TransmitterDetachMidFlightStillPropagates) {
   ChannelModel channel;
   channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
   channel.shadowing_sigma_db = 0.0;
-  channel.per_link_streams = GetParam();
   channel.spatial_index = GetParam();
   Medium medium{sched, rng.child("medium"), channel};
 
@@ -242,7 +239,8 @@ TEST_P(MediumDetach, TransmitterDetachMidFlightStillPropagates) {
   EXPECT_EQ(medium.stats().deliveries, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(LegacyAndSpatial, MediumDetach, ::testing::Bool());
+// The parameter toggles the spatial grid: full fan-out (false) and culled.
+INSTANTIATE_TEST_SUITE_P(FanOutAndGrid, MediumDetach, ::testing::Bool());
 
 }  // namespace
 }  // namespace rst::dot11p
