@@ -19,21 +19,29 @@
 // (plus any other override keys, e.g. watchdog = true); see
 // examples/degraded_run.conf.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "rst/core/config_io.hpp"
 #include "rst/core/experiment.hpp"
 
 namespace {
 
-using rst::core::parse_spec_double;
 using rst::core::parse_spec_int;
 using rst::core::parse_spec_int_in;
+
+/// Flags that set one config key each, through that key's table row.
+constexpr std::pair<std::string_view, std::string_view> kKeyFlags[] = {
+    {"--poll-ms", "poll_period_ms"}, {"--fps", "detection_fps"}, {"--speed", "target_speed_mps"},
+    {"--action-point", "action_point_m"}, {"--bearer", "warning_bearer"}};
 
 void usage(const char* argv0) {
   std::printf(
@@ -64,35 +72,17 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      if (arg == "--trials") {
+      const auto* flag = std::find_if(std::begin(kKeyFlags), std::end(kKeyFlags),
+                                      [&](const auto& f) { return f.first == arg; });
+      if (flag != std::end(kKeyFlags)) {
+        rst::core::config_fields().set(config, flag->second, next());
+      } else if (arg == "--trials") {
         trials = static_cast<int>(
             parse_spec_int_in(next(), arg, 1, std::numeric_limits<int>::max()));
       } else if (arg == "--threads") {
         threads = rst::core::parse_thread_count(next(), arg);
       } else if (arg == "--seed") {
         config.seed = static_cast<std::uint64_t>(parse_spec_int(next(), arg));
-      } else if (arg == "--poll-ms") {
-        config.message_handler.poll_period =
-            rst::sim::SimTime::milliseconds(parse_spec_int(next(), arg));
-      } else if (arg == "--fps") {
-        const double fps = parse_spec_double(next(), arg);
-        if (!(fps > 0.0)) throw std::invalid_argument{"--fps must be positive"};
-        config.detection.processing_period = rst::sim::SimTime::from_milliseconds(1000.0 / fps);
-      } else if (arg == "--speed") {
-        config.planner.target_speed_mps = parse_spec_double(next(), arg);
-      } else if (arg == "--action-point") {
-        config.hazard.action_point_distance_m = parse_spec_double(next(), arg);
-      } else if (arg == "--bearer") {
-        const std::string bearer = next();
-        if (bearer == "its-g5") {
-          config.warning_path = rst::core::WarningPath::ItsG5;
-        } else if (bearer == "embb") {
-          config.warning_path = rst::core::WarningPath::CellularEmbb;
-        } else if (bearer == "urllc") {
-          config.warning_path = rst::core::WarningPath::CellularUrllc;
-        } else {
-          throw std::invalid_argument{"--bearer: unknown '" + bearer + "'"};
-        }
       } else if (arg == "--csv") {
         csv = true;
       } else if (arg == "--trace-out") {

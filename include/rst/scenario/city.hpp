@@ -99,10 +99,9 @@ struct CitySpec {
 };
 
 /// Parses a city spec from `key = value` lines (same syntax, comment and
-/// error conventions as the testbed config format). Unknown keys throw.
+/// error conventions as the testbed config format). Unknown keys and
+/// out-of-bound values throw naming the key; the result is validated.
 [[nodiscard]] CitySpec parse_city_spec(const std::string& text);
-/// The keys parse_city_spec understands, with one-line help.
-[[nodiscard]] std::vector<std::pair<std::string, std::string>> city_spec_keys();
 /// Renders a spec as `key = value` lines; parse_city_spec(format_city_spec(s))
 /// reproduces every parseable field of `s` exactly (CAM intervals print in
 /// whole milliseconds — the only granularity the parser accepts — and

@@ -29,6 +29,9 @@ class SimTime {
   [[nodiscard]] static constexpr SimTime from_milliseconds(double ms) { return from_seconds(ms * 1e-3); }
   [[nodiscard]] static constexpr SimTime zero() { return SimTime{0}; }
   [[nodiscard]] static constexpr SimTime max() { return SimTime{std::numeric_limits<std::int64_t>::max()}; }
+  /// Largest |ms| that milliseconds() and from_milliseconds() convert
+  /// without overflowing the nanosecond count.
+  static constexpr std::int64_t kMaxMilliseconds = std::numeric_limits<std::int64_t>::max() / 1'000'000;
 
   [[nodiscard]] constexpr std::int64_t count_ns() const { return ns_; }
   [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns_) * 1e-9; }

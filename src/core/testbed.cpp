@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rst/core/config_io.hpp"
+
 namespace rst::core {
 
 namespace {
@@ -16,36 +18,15 @@ std::unique_ptr<dot11p::PathLossModel> make_path_loss(const TestbedConfig& cfg) 
 }  // namespace
 
 void TestbedConfig::validate() const {
+  config_fields().check(*this);
   const auto positive = [](double v, const char* field) {
     if (!(v > 0)) throw std::invalid_argument{std::string{"TestbedConfig: "} + field +
                                               " must be positive"};
   };
-  positive(planner.target_speed_mps, "planner.target_speed_mps");
-  positive(hazard.action_point_distance_m, "hazard.action_point_distance_m");
   positive(vehicle_params.mass_kg, "vehicle_params.mass_kg");
   positive(vehicle_params.wheelbase_m, "vehicle_params.wheelbase_m");
   positive(vehicle_params.max_motor_force_n, "vehicle_params.max_motor_force_n");
   positive(vehicle_params.power_cut_decel_mps2, "vehicle_params.power_cut_decel_mps2");
-  if (message_handler.poll_period <= sim::SimTime::zero()) {
-    throw std::invalid_argument{"TestbedConfig: message_handler.poll_period must be positive"};
-  }
-  if (detection.processing_period <= sim::SimTime::zero()) {
-    throw std::invalid_argument{"TestbedConfig: detection.processing_period must be positive"};
-  }
-  if (shadowing_sigma_db < 0) {
-    throw std::invalid_argument{"TestbedConfig: shadowing_sigma_db must be non-negative"};
-  }
-  if (path_loss_exponent < 1.0) {
-    throw std::invalid_argument{"TestbedConfig: path_loss_exponent below free-space is unphysical"};
-  }
-  if (!std::isfinite(medium_power_floor_dbm) || medium_power_floor_dbm > 0.0) {
-    throw std::invalid_argument{
-        "TestbedConfig: medium_power_floor_dbm must be a finite negative level"};
-  }
-  if (!std::isfinite(medium_grid_cell_m) || medium_grid_cell_m < 0.0) {
-    throw std::invalid_argument{
-        "TestbedConfig: medium_grid_cell_m must be >= 0 (0 derives from the power floor)"};
-  }
   if (cpm_enable) {
     if (cpm_interval <= sim::SimTime::zero()) {
       throw std::invalid_argument{"TestbedConfig: cpm_interval must be positive"};

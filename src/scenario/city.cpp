@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 #include "rst/core/config_io.hpp"
@@ -12,35 +10,56 @@ namespace rst::scenario {
 
 // --- CitySpec ---------------------------------------------------------------
 
+namespace {
+
+using core::at_least;
+using core::kPositive;
+using S = CitySpec;
+using K = core::FieldKind;
+
+constexpr core::Field<S> kCityFields[] = {
+    {"seed", K::Int, [](S& s) { return &s.seed; }},
+    {"blocks_x", K::Int, [](S& s) { return &s.blocks_x; }, at_least(1)},
+    {"blocks_y", K::Int, [](S& s) { return &s.blocks_y; }, at_least(1)},
+    {"block_m", K::Double, [](S& s) { return &s.block_m; }, kPositive},
+    {"street_m", K::Double, [](S& s) { return &s.street_m; }, kPositive},
+    {"corridor_row", K::Int, [](S& s) { return &s.corridor_row; }},
+    {"buildings", K::Bool, [](S& s) { return &s.buildings; }},
+    {"building_loss_db", K::Double, [](S& s) { return &s.building_loss_db; }, at_least(0)},
+    {"building_setback_m", K::Double, [](S& s) { return &s.building_setback_m; }},
+    {"rsu_every", K::Int, [](S& s) { return &s.rsu_every; }, at_least(1)},
+    {"max_rsus", K::Int, [](S& s) { return &s.max_rsus; }, at_least(0)},
+    {"rsu_corridor_only", K::Bool, [](S& s) { return &s.rsu_corridor_only; }},
+    {"rsu_cam_interval_ms", K::Ms, [](S& s) { return &s.rsu_cam_interval; }, kPositive},
+    // Vehicle station ids stay below CityScenario::kRsuIdBase.
+    {"vehicles", K::Int, [](S& s) { return &s.vehicles; }, {0, 799}},
+    {"vehicle_speed_mps", K::Double, [](S& s) { return &s.vehicle_speed_mps; }, kPositive},
+    {"vehicle_speed_jitter_mps", K::Double, [](S& s) { return &s.vehicle_speed_jitter_mps; },
+     at_least(0)},
+    {"obu_cam_interval_ms", K::Ms, [](S& s) { return &s.obu_cam_interval; }, kPositive},
+    {"enable_dcc", K::Bool, [](S& s) { return &s.enable_dcc; }},
+    {"enable_kaf", K::Bool, [](S& s) { return &s.enable_kaf; }},
+    {"cpm_enable", K::Bool, [](S& s) { return &s.cpm_enable; }},
+    {"cpm_interval_ms", K::Ms, [](S& s) { return &s.cpm_interval; }},
+    {"cpm_object_lifetime_ms", K::Ms, [](S& s) { return &s.cpm_object_lifetime; }},
+    {"cpm_redundancy_window_ms", K::Ms, [](S& s) { return &s.cpm_redundancy_window; }},
+    {"path_loss_exponent", K::Double, [](S& s) { return &s.path_loss_exponent; }, at_least(1)},
+    {"shadowing_sigma_db", K::Double, [](S& s) { return &s.shadowing_sigma_db; }, at_least(0)},
+    {"tx_power_dbm", K::Double, [](S& s) { return &s.tx_power_dbm; }},
+    {"spatial_index", K::Bool, [](S& s) { return &s.spatial_index; }},
+    {"obstacle_index", K::Bool, [](S& s) { return &s.obstacle_index; }},
+    {"power_floor_dbm", K::Double, [](S& s) { return &s.power_floor_dbm; }, {.hi = 0}},
+    {"grid_cell_m", K::Double, [](S& s) { return &s.grid_cell_m; }, at_least(0)},
+};
+
+constexpr core::FieldTable<S> kCityTable{"CitySpec", kCityFields};
+
+}  // namespace
+
 void CitySpec::validate() const {
-  const auto positive = [](double v, const char* field) {
-    if (!(v > 0)) {
-      throw std::invalid_argument{std::string{"CitySpec: "} + field + " must be positive"};
-    }
-  };
-  if (blocks_x < 1 || blocks_y < 1) {
-    throw std::invalid_argument{"CitySpec: blocks_x/blocks_y must be at least 1"};
-  }
-  positive(block_m, "block_m");
-  positive(street_m, "street_m");
+  kCityTable.check(*this);
   if (street_m >= block_m) {
     throw std::invalid_argument{"CitySpec: street_m must be narrower than block_m"};
-  }
-  if (building_loss_db < 0) {
-    throw std::invalid_argument{"CitySpec: building_loss_db must be non-negative"};
-  }
-  if (rsu_every < 1) throw std::invalid_argument{"CitySpec: rsu_every must be at least 1"};
-  if (max_rsus < 0) throw std::invalid_argument{"CitySpec: max_rsus must be non-negative"};
-  if (vehicles < 0) throw std::invalid_argument{"CitySpec: vehicles must be non-negative"};
-  if (vehicles >= 800) {
-    throw std::invalid_argument{"CitySpec: vehicles must stay below the RSU station-id base"};
-  }
-  positive(vehicle_speed_mps, "vehicle_speed_mps");
-  if (vehicle_speed_jitter_mps < 0) {
-    throw std::invalid_argument{"CitySpec: vehicle_speed_jitter_mps must be non-negative"};
-  }
-  if (rsu_cam_interval <= sim::SimTime::zero() || obu_cam_interval <= sim::SimTime::zero()) {
-    throw std::invalid_argument{"CitySpec: CAM intervals must be positive"};
   }
   if (cpm_enable) {
     if (cpm_interval <= sim::SimTime::zero() || cpm_object_lifetime <= sim::SimTime::zero()) {
@@ -50,20 +69,7 @@ void CitySpec::validate() const {
       throw std::invalid_argument{"CitySpec: cpm_redundancy_window_ms must be non-negative"};
     }
   }
-  if (path_loss_exponent < 1.0) {
-    throw std::invalid_argument{"CitySpec: path_loss_exponent below free-space is unphysical"};
-  }
-  if (shadowing_sigma_db < 0) {
-    throw std::invalid_argument{"CitySpec: shadowing_sigma_db must be non-negative"};
-  }
-  if (!std::isfinite(power_floor_dbm) || power_floor_dbm > 0.0) {
-    throw std::invalid_argument{"CitySpec: power_floor_dbm must be a finite negative level"};
-  }
-  if (!std::isfinite(grid_cell_m) || grid_cell_m < 0.0) {
-    throw std::invalid_argument{"CitySpec: grid_cell_m must be a finite non-negative size"};
-  }
-  const int rows = blocks_y + 1;
-  if (corridor_row >= rows) {
+  if (corridor_row > blocks_y) {
     throw std::invalid_argument{"CitySpec: corridor_row beyond the street grid"};
   }
 }
@@ -72,162 +78,17 @@ int CitySpec::resolved_corridor_row() const {
   return corridor_row >= 0 ? corridor_row : (blocks_y + 1) / 2;
 }
 
-namespace {
-
-using core::parse_spec_bool;
-using core::parse_spec_double;
-using core::parse_spec_int;
-
-}  // namespace
-
 CitySpec parse_city_spec(const std::string& text) {
   CitySpec spec;
-  core::for_each_spec_override(text, [&](const std::string& key, const std::string& value) {
-    if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parse_spec_int(value, key));
-    } else if (key == "blocks_x") {
-      spec.blocks_x = static_cast<int>(parse_spec_int(value, key));
-    } else if (key == "blocks_y") {
-      spec.blocks_y = static_cast<int>(parse_spec_int(value, key));
-    } else if (key == "block_m") {
-      spec.block_m = parse_spec_double(value, key);
-    } else if (key == "street_m") {
-      spec.street_m = parse_spec_double(value, key);
-    } else if (key == "corridor_row") {
-      spec.corridor_row = static_cast<int>(parse_spec_int(value, key));
-    } else if (key == "buildings") {
-      spec.buildings = parse_spec_bool(value, key);
-    } else if (key == "building_loss_db") {
-      spec.building_loss_db = parse_spec_double(value, key);
-    } else if (key == "building_setback_m") {
-      spec.building_setback_m = parse_spec_double(value, key);
-    } else if (key == "rsu_every") {
-      spec.rsu_every = static_cast<int>(parse_spec_int(value, key));
-    } else if (key == "max_rsus") {
-      spec.max_rsus = static_cast<int>(parse_spec_int(value, key));
-    } else if (key == "rsu_corridor_only") {
-      spec.rsu_corridor_only = parse_spec_bool(value, key);
-    } else if (key == "rsu_cam_interval_ms") {
-      spec.rsu_cam_interval = sim::SimTime::milliseconds(parse_spec_int(value, key));
-    } else if (key == "vehicles") {
-      spec.vehicles = static_cast<int>(parse_spec_int(value, key));
-    } else if (key == "vehicle_speed_mps") {
-      spec.vehicle_speed_mps = parse_spec_double(value, key);
-    } else if (key == "vehicle_speed_jitter_mps") {
-      spec.vehicle_speed_jitter_mps = parse_spec_double(value, key);
-    } else if (key == "obu_cam_interval_ms") {
-      spec.obu_cam_interval = sim::SimTime::milliseconds(parse_spec_int(value, key));
-    } else if (key == "enable_dcc") {
-      spec.enable_dcc = parse_spec_bool(value, key);
-    } else if (key == "enable_kaf") {
-      spec.enable_kaf = parse_spec_bool(value, key);
-    } else if (key == "cpm_enable") {
-      spec.cpm_enable = parse_spec_bool(value, key);
-    } else if (key == "cpm_interval_ms") {
-      spec.cpm_interval = sim::SimTime::milliseconds(parse_spec_int(value, key));
-    } else if (key == "cpm_object_lifetime_ms") {
-      spec.cpm_object_lifetime = sim::SimTime::milliseconds(parse_spec_int(value, key));
-    } else if (key == "cpm_redundancy_window_ms") {
-      spec.cpm_redundancy_window = sim::SimTime::milliseconds(parse_spec_int(value, key));
-    } else if (key == "path_loss_exponent") {
-      spec.path_loss_exponent = parse_spec_double(value, key);
-    } else if (key == "shadowing_sigma_db") {
-      spec.shadowing_sigma_db = parse_spec_double(value, key);
-    } else if (key == "tx_power_dbm") {
-      spec.tx_power_dbm = parse_spec_double(value, key);
-    } else if (key == "spatial_index") {
-      spec.spatial_index = parse_spec_bool(value, key);
-    } else if (key == "obstacle_index") {
-      spec.obstacle_index = parse_spec_bool(value, key);
-    } else if (key == "power_floor_dbm") {
-      spec.power_floor_dbm = parse_spec_double(value, key);
-    } else if (key == "grid_cell_m") {
-      spec.grid_cell_m = parse_spec_double(value, key);
-    } else {
-      throw std::invalid_argument{"city spec: unknown key '" + key + "'"};
-    }
-  });
+  kCityTable.parse(spec, text);
   spec.validate();
   return spec;
 }
 
-std::vector<std::pair<std::string, std::string>> city_spec_keys() {
-  return {
-      {"seed", "root random seed"},
-      {"blocks_x", "grid blocks east-west"},
-      {"blocks_y", "grid blocks north-south"},
-      {"block_m", "block edge length"},
-      {"street_m", "street width"},
-      {"corridor_row", "arterial east-west street index (-1 = middle)"},
-      {"buildings", "emit buildings as NLOS walls"},
-      {"building_loss_db", "obstruction loss per wall crossing"},
-      {"building_setback_m", "facade setback from the street edge"},
-      {"rsu_every", "RSU at every Nth intersection"},
-      {"max_rsus", "cap on placed RSUs (0 = no cap)"},
-      {"rsu_corridor_only", "place RSUs only along the corridor"},
-      {"rsu_cam_interval_ms", "fixed RSU beacon period"},
-      {"vehicles", "generated vehicle flows"},
-      {"vehicle_speed_mps", "mean flow speed"},
-      {"vehicle_speed_jitter_mps", "uniform speed jitter"},
-      {"obu_cam_interval_ms", "fixed vehicle CAM period"},
-      {"enable_dcc", "reactive DCC gate on every station"},
-      {"enable_kaf", "DEN keep-alive forwarding on vehicles"},
-      {"cpm_enable", "collective perception service on every station"},
-      {"cpm_interval_ms", "CPM generation period"},
-      {"cpm_object_lifetime_ms", "LDM perceived-object lifetime under CPM"},
-      {"cpm_redundancy_window_ms", "skip objects a peer announced within this window"},
-      {"path_loss_exponent", "log-distance channel exponent"},
-      {"shadowing_sigma_db", "log-normal shadowing sigma"},
-      {"tx_power_dbm", "station transmit power"},
-      {"spatial_index", "grid receiver culling (PR 3 medium)"},
-      {"obstacle_index", "ray-index building walls (off = brute-force scan)"},
-      {"power_floor_dbm", "per-link out-of-range floor"},
-      {"grid_cell_m", "culling grid cell size (0 = derive)"},
-  };
-}
-
 std::string format_city_spec(const CitySpec& spec) {
-  std::ostringstream out;
-  const auto put = [&](const char* key, const std::string& value) {
-    out << key << " = " << value << "\n";
-  };
-  const auto num = [&](const char* key, double v) { put(key, core::format_spec_double(v)); };
-  const auto integer = [&](const char* key, long long v) { put(key, std::to_string(v)); };
-  const auto boolean = [&](const char* key, bool v) { put(key, v ? "true" : "false"); };
-
-  // Seeds above INT64_MAX print as their two's-complement negative so the
-  // parser's stoll -> uint64 cast lands back on the same bit pattern.
-  integer("seed", static_cast<long long>(spec.seed));
-  integer("blocks_x", spec.blocks_x);
-  integer("blocks_y", spec.blocks_y);
-  num("block_m", spec.block_m);
-  num("street_m", spec.street_m);
-  integer("corridor_row", spec.corridor_row);
-  boolean("buildings", spec.buildings);
-  num("building_loss_db", spec.building_loss_db);
-  num("building_setback_m", spec.building_setback_m);
-  integer("rsu_every", spec.rsu_every);
-  integer("max_rsus", spec.max_rsus);
-  boolean("rsu_corridor_only", spec.rsu_corridor_only);
-  integer("rsu_cam_interval_ms", spec.rsu_cam_interval.count_ns() / 1'000'000);
-  integer("vehicles", spec.vehicles);
-  num("vehicle_speed_mps", spec.vehicle_speed_mps);
-  num("vehicle_speed_jitter_mps", spec.vehicle_speed_jitter_mps);
-  integer("obu_cam_interval_ms", spec.obu_cam_interval.count_ns() / 1'000'000);
-  boolean("enable_dcc", spec.enable_dcc);
-  boolean("enable_kaf", spec.enable_kaf);
-  boolean("cpm_enable", spec.cpm_enable);
-  integer("cpm_interval_ms", spec.cpm_interval.count_ns() / 1'000'000);
-  integer("cpm_object_lifetime_ms", spec.cpm_object_lifetime.count_ns() / 1'000'000);
-  integer("cpm_redundancy_window_ms", spec.cpm_redundancy_window.count_ns() / 1'000'000);
-  num("path_loss_exponent", spec.path_loss_exponent);
-  num("shadowing_sigma_db", spec.shadowing_sigma_db);
-  num("tx_power_dbm", spec.tx_power_dbm);
-  boolean("spatial_index", spec.spatial_index);
-  boolean("obstacle_index", spec.obstacle_index);
-  num("power_floor_dbm", spec.power_floor_dbm);
-  num("grid_cell_m", spec.grid_cell_m);
-  return out.str();
+  std::string out;
+  kCityTable.format(spec, out, " = ", "\n");
+  return out;
 }
 
 // --- Flows ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #include "rst/server/campaign.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "rst/core/config_io.hpp"
@@ -45,49 +45,45 @@ std::uint64_t campaign_id(const std::string& canonical_spec, int trials,
   return fnv1a(kCodeVersion, h);
 }
 
-std::string serialize_trial_record(std::uint64_t seed, const core::TrialResult& r) {
-  std::string out;
-  char buf[64];
-  const auto token = [&](const char* key, const std::string& value) {
-    if (!out.empty()) out += ' ';
-    out += key;
-    out += '=';
-    out += value;
-  };
-  const auto integer = [&](const char* key, std::int64_t v) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    token(key, buf);
-  };
-  const auto real = [&](const char* key, double v) { token(key, core::format_spec_double(v)); };
-
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(seed));
-  token("seed", buf);
-  integer("stopped", r.stopped_by_denm ? 1 : 0);
-  integer("timeout", r.timed_out ? 1 : 0);
-  integer("t_cross_ns", r.t_cross_actual.count_ns());
-  integer("t_det_ns", r.t_detection.count_ns());
-  integer("t_rsu_ns", r.t_rsu_send.count_ns());
-  integer("t_obu_ns", r.t_obu_receive.count_ns());
-  integer("t_cut_ns", r.t_power_cut.count_ns());
-  integer("t_halt_ns", r.t_halt.count_ns());
-  real("det_rsu_ms", r.meas_detection_to_rsu_ms);
-  real("rsu_obu_ms", r.meas_rsu_to_obu_ms);
-  real("obu_act_ms", r.meas_obu_to_actuator_ms);
-  real("total_ms", r.meas_total_ms);
-  real("brake_m", r.braking_distance_m);
-  real("stop_cam_m", r.stop_distance_to_camera_m);
-  real("det_dist_m", r.detection_distance_m);
-  real("det_speed_mps", r.speed_at_detection_mps);
-  return out;
-}
-
 namespace {
 
-[[noreturn]] void bad_record(const std::string& line, const char* why) {
-  throw std::invalid_argument{std::string{"trial record: "} + why + " in '" + line + "'"};
+using K = core::FieldKind;
+using T = TrialRecord;
+
+constexpr core::Field<T> kRecordFields[] = {
+    {"seed", K::Int, [](T& t) { return &t.seed; }},
+    {"stopped", K::Flag, [](T& t) { return &t.result.stopped_by_denm; }},
+    {"timeout", K::Flag, [](T& t) { return &t.result.timed_out; }},
+    {"t_cross_ns", K::Ns, [](T& t) { return &t.result.t_cross_actual; }},
+    {"t_det_ns", K::Ns, [](T& t) { return &t.result.t_detection; }},
+    {"t_rsu_ns", K::Ns, [](T& t) { return &t.result.t_rsu_send; }},
+    {"t_obu_ns", K::Ns, [](T& t) { return &t.result.t_obu_receive; }},
+    {"t_cut_ns", K::Ns, [](T& t) { return &t.result.t_power_cut; }},
+    {"t_halt_ns", K::Ns, [](T& t) { return &t.result.t_halt; }},
+    {"det_rsu_ms", K::Double, [](T& t) { return &t.result.meas_detection_to_rsu_ms; }},
+    {"rsu_obu_ms", K::Double, [](T& t) { return &t.result.meas_rsu_to_obu_ms; }},
+    {"obu_act_ms", K::Double, [](T& t) { return &t.result.meas_obu_to_actuator_ms; }},
+    {"total_ms", K::Double, [](T& t) { return &t.result.meas_total_ms; }},
+    {"brake_m", K::Double, [](T& t) { return &t.result.braking_distance_m; }},
+    {"stop_cam_m", K::Double, [](T& t) { return &t.result.stop_distance_to_camera_m; }},
+    {"det_dist_m", K::Double, [](T& t) { return &t.result.detection_distance_m; }},
+    {"det_speed_mps", K::Double, [](T& t) { return &t.result.speed_at_detection_mps; }},
+};
+
+constexpr core::FieldTable<T> kRecordTable{"TrialRecord", kRecordFields};
+
+[[noreturn]] void bad_record(const std::string& line, const std::string& why) {
+  throw std::invalid_argument{"trial record: " + why + " in '" + line + "'"};
 }
 
 }  // namespace
+
+std::string serialize_trial_record(std::uint64_t seed, const core::TrialResult& result) {
+  std::string out;
+  kRecordTable.format(TrialRecord{seed, result}, out, "=", " ");
+  out.pop_back();  // the last field's separator
+  return out;
+}
 
 TrialRecord parse_trial_record(const std::string& line) {
   TrialRecord rec;
@@ -96,85 +92,20 @@ TrialRecord parse_trial_record(const std::string& line) {
   // count would wave through with a silent default-zero measurement) fail
   // loud instead of decoding.
   std::uint32_t seen = 0;
-  constexpr int kFieldCount = 17;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const auto space = line.find(' ', pos);
-    const std::string tok =
-        line.substr(pos, space == std::string::npos ? std::string::npos : space - pos);
-    pos = space == std::string::npos ? line.size() : space + 1;
-    if (tok.empty()) continue;
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) bad_record(line, "token without '='");
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    char* end = nullptr;
-    const auto as_i64 = [&]() -> std::int64_t {
-      const long long v = std::strtoll(value.c_str(), &end, 10);
-      if (end != value.c_str() + value.size() || value.empty()) bad_record(line, "bad integer");
-      return v;
-    };
-    const auto as_double = [&]() -> double {
-      const double v = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() + value.size() || value.empty()) bad_record(line, "bad number");
-      return v;
-    };
-    using sim::SimTime;
-    core::TrialResult& r = rec.result;
-    static constexpr const char* kFields[kFieldCount] = {
-        "seed",      "stopped",    "timeout",    "t_cross_ns", "t_det_ns",  "t_rsu_ns",
-        "t_obu_ns",  "t_cut_ns",   "t_halt_ns",  "det_rsu_ms", "rsu_obu_ms", "obu_act_ms",
-        "total_ms",  "brake_m",    "stop_cam_m", "det_dist_m", "det_speed_mps"};
-    int field = -1;
-    for (int i = 0; i < kFieldCount; ++i) {
-      if (key == kFields[i]) {
-        field = i;
-        break;
-      }
-    }
-    if (field < 0) bad_record(line, "unknown field");
-    const std::uint32_t bit = 1u << field;
-    if (seen & bit) bad_record(line, "duplicate field");
-    seen |= bit;
-    if (key == "seed") {
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (end != value.c_str() + value.size() || value.empty()) bad_record(line, "bad seed");
-      rec.seed = v;
-    } else if (key == "stopped") {
-      r.stopped_by_denm = as_i64() != 0;
-    } else if (key == "timeout") {
-      r.timed_out = as_i64() != 0;
-    } else if (key == "t_cross_ns") {
-      r.t_cross_actual = SimTime::nanoseconds(as_i64());
-    } else if (key == "t_det_ns") {
-      r.t_detection = SimTime::nanoseconds(as_i64());
-    } else if (key == "t_rsu_ns") {
-      r.t_rsu_send = SimTime::nanoseconds(as_i64());
-    } else if (key == "t_obu_ns") {
-      r.t_obu_receive = SimTime::nanoseconds(as_i64());
-    } else if (key == "t_cut_ns") {
-      r.t_power_cut = SimTime::nanoseconds(as_i64());
-    } else if (key == "t_halt_ns") {
-      r.t_halt = SimTime::nanoseconds(as_i64());
-    } else if (key == "det_rsu_ms") {
-      r.meas_detection_to_rsu_ms = as_double();
-    } else if (key == "rsu_obu_ms") {
-      r.meas_rsu_to_obu_ms = as_double();
-    } else if (key == "obu_act_ms") {
-      r.meas_obu_to_actuator_ms = as_double();
-    } else if (key == "total_ms") {
-      r.meas_total_ms = as_double();
-    } else if (key == "brake_m") {
-      r.braking_distance_m = as_double();
-    } else if (key == "stop_cam_m") {
-      r.stop_distance_to_camera_m = as_double();
-    } else if (key == "det_dist_m") {
-      r.detection_distance_m = as_double();
-    } else if (key == "det_speed_mps") {
-      r.speed_at_detection_mps = as_double();
-    }
+  std::string lines = line;  // one `key=value` token per line: the spec splitter's syntax
+  std::replace(lines.begin(), lines.end(), ' ', '\n');
+  try {
+    core::for_each_spec_override(lines, [&](const std::string& key, const std::string& value) {
+      const auto* row = kRecordTable.find(key);
+      const std::uint32_t bit = row ? 1u << (row - kRecordTable.rows.data()) : 0;
+      if (bit == 0 || (seen & bit)) throw std::invalid_argument{"unknown or repeated " + key};
+      seen |= bit;
+      kRecordTable.set(rec, key, value);
+    });
+  } catch (const std::invalid_argument& e) {
+    bad_record(line, e.what());
   }
-  if (seen != (std::uint32_t{1} << kFieldCount) - 1) bad_record(line, "missing field");
+  if (seen != (std::uint32_t{1} << std::size(kRecordFields)) - 1) bad_record(line, "missing field");
   return rec;
 }
 

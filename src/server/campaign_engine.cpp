@@ -23,11 +23,14 @@ CampaignEngine::CampaignEngine(CampaignEngineConfig config)
 
 namespace {
 
-/// Validation shared by submit-time rejection messages and run_campaign.
+/// Validation shared by submit-time rejection messages and run_campaign:
+/// the spec parsed within its rows' bounds and validated, and its canonical
+/// text.
 struct Validated {
   bool ok{false};
   std::string error{};
   std::string canonical{};
+  core::TestbedConfig config{};
 };
 
 /// Best-effort id for admission-time traces: the canonical campaign id when
@@ -45,9 +48,8 @@ std::uint64_t submission_id(const CampaignRequest& request) {
 Validated validate_request(const CampaignRequest& request, int max_trials) {
   Validated v;
   try {
-    v.canonical = core::canonicalize_spec(request.spec);
-    core::TestbedConfig scratch;
-    (void)core::apply_config_overrides(scratch, v.canonical);
+    v.canonical = core::canonicalize_spec(request.spec, &v.config);
+    v.config.validate();
     if (request.trials < 1) throw std::invalid_argument{"campaign: trials must be >= 1"};
     if (request.trials > max_trials) {
       throw std::invalid_argument{"campaign: trials exceeds max_trials"};
@@ -133,9 +135,6 @@ CampaignOutcome CampaignEngine::run_campaign(const CampaignRequest& request,
   out.canonical_spec = v.canonical;
   out.id = campaign_id(v.canonical, request.trials, request.base_seed);
 
-  core::TestbedConfig base;
-  (void)core::apply_config_overrides(base, v.canonical);
-
   const std::size_t n = static_cast<std::size_t>(request.trials);
   std::vector<std::uint64_t> keys(n);
   std::vector<std::string> records(n);
@@ -177,7 +176,7 @@ CampaignOutcome CampaignEngine::run_campaign(const CampaignRequest& request,
   if (!misses.empty()) {
     const auto run_miss = [&](std::size_t j) {
       const std::size_t i = misses[j];
-      core::TestbedConfig config = base;
+      core::TestbedConfig config = v.config;
       config.seed = request.base_seed + static_cast<std::uint64_t>(i);
       core::TestbedScenario scenario{config};
       std::string record = serialize_trial_record(config.seed, scenario.run_emergency_brake_trial());

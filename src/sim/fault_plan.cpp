@@ -1,6 +1,7 @@
 #include "rst/sim/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -62,11 +63,20 @@ FaultClause parse_fault_clause(const std::string& text) {
     }
     return v;
   };
+  const auto time = [&](const std::string& value, const char* what) {
+    // Beyond kMaxMilliseconds the nanosecond conversion overflows.
+    const double ms = number(value, what);
+    if (!(std::abs(ms) <= SimTime::kMaxMilliseconds)) {
+      throw std::invalid_argument{std::string{"fault clause: "} + what + " out of range '" + value +
+                                  "'"};
+    }
+    return SimTime::from_milliseconds(ms);
+  };
   FaultClause clause;
   clause.kind = *kind;
   clause.target = fields[1] == "*" ? std::string{} : fields[1];
-  clause.start = SimTime::from_milliseconds(number(fields[2], "start"));
-  clause.end = SimTime::from_milliseconds(number(fields[3], "end"));
+  clause.start = time(fields[2], "start");
+  clause.end = time(fields[3], "end");
   clause.severity = number(fields[4], "severity");
   if (clause.end < clause.start) {
     throw std::invalid_argument{"fault clause: window ends before it starts in '" + text + "'"};

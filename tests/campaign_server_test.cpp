@@ -392,14 +392,51 @@ TEST(CampaignEngine, RecordsStoredUnderAnOlderCodeVersionAreNotServed) {
   EXPECT_NE(out.artifact.find(" stopped=1 "), std::string::npos) << out.artifact;
 }
 
+/// Specs that must fail before any trial runs, with the key each names: an
+/// unknown key, out-of-bound values, and a cross-field validate() rule.
+const std::pair<const char*, const char*> kBadSpecs[] = {
+    {"no_such_knob = 1\n", "no_such_knob"},
+    {"poll_period_ms = 0\n", "poll_period_ms"},
+    {"medium_grid_cell_m = -1\n", "medium_grid_cell_m"},
+    {"cpm_enable = true\ncpm_interval_ms = 0\n", "cpm_interval"},
+};
+
 TEST(CampaignEngine, BadSpecIsAnErrorNotACrash) {
+  for (const unsigned threads : {1u, 4u}) {
+    for (const auto& [spec, key] : kBadSpecs) {
+      CampaignEngineConfig config;
+      config.threads = threads;
+      CampaignEngine engine{config};
+      CampaignRequest bad = small_campaign();
+      bad.spec = spec;
+      const CampaignOutcome out = engine.execute(bad);
+      EXPECT_EQ(out.status, CampaignOutcome::Status::Error) << spec;
+      EXPECT_NE(out.error.find(key), std::string::npos) << out.error;
+      EXPECT_EQ(engine.trials_executed(), 0u);
+      EXPECT_EQ(engine.store().count(), 0u);
+    }
+  }
+}
+
+TEST(CampaignEngine, SpellingsOfOneConfigShareTrials) {
+  // Six spellings of two configs (CPM on, and the default): only the two
+  // configs' trials run and are stored.
   CampaignEngine engine{{}};
-  CampaignRequest bad = small_campaign();
-  bad.spec = "no_such_knob = 1\n";
-  const CampaignOutcome out = engine.execute(bad);
-  EXPECT_EQ(out.status, CampaignOutcome::Status::Error);
-  EXPECT_NE(out.error.find("no_such_knob"), std::string::npos);
-  EXPECT_EQ(engine.trials_executed(), 0u);
+  const auto campaign = [](const char* spec) {
+    CampaignRequest request;
+    request.spec = spec;
+    request.trials = 8;
+    request.base_seed = 1;
+    return request;
+  };
+  for (const char* spec : {"cpm_enable = true\n", "cpm_enable = on\n", "cpm_enable = 1\n", "",
+                           "poll_period_ms = 50\n", "seed = 99\n"}) {
+    ASSERT_EQ(engine.execute(campaign(spec)).status, CampaignOutcome::Status::Ok) << spec;
+  }
+  EXPECT_EQ(engine.trials_executed(), 16u);
+  EXPECT_EQ(engine.store().count(), 16u);
+  EXPECT_EQ(engine.execute(campaign("# once more\ncpm_enable=1\npoll_period_ms = 5e1\n")).executed,
+            0u);
 }
 
 TEST(CampaignEngine, BoundedQueueRejectsOverload) {
@@ -537,6 +574,21 @@ TEST(LineSession, BadSpecYieldsError) {
       session.handle_text("CAMPAIGN trials=2 seed=1\nnot_a_knob = 3\nEND\n");
   EXPECT_EQ(response.rfind("ERROR ", 0), 0u);
   EXPECT_NE(response.find("DONE\n"), std::string::npos);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const auto& [spec, key] : kBadSpecs) {
+      CampaignEngineConfig config;
+      config.threads = threads;
+      CampaignEngine bad_engine{config};
+      LineSession bad_session{bad_engine};
+      const std::string text =
+          bad_session.handle_text(std::string{"CAMPAIGN trials=2 seed=1\n"} + spec + "END\n");
+      EXPECT_EQ(text.rfind("ERROR ", 0), 0u) << text;
+      EXPECT_NE(text.find(key), std::string::npos) << text;
+      EXPECT_NE(text.find("DONE\n"), std::string::npos);
+      EXPECT_EQ(bad_engine.trials_executed(), 0u);
+      EXPECT_EQ(bad_engine.store().count(), 0u);
+    }
+  }
 }
 
 TEST(LineSession, QuitEndsTheSession) {

@@ -95,7 +95,15 @@ TEST(ConfigIo, MediumGeometryAndPartitionKnobsApplyAndValidate) {
 
   EXPECT_THROW((void)apply_config_overrides(config, "medium_grid_cell_m = nope\n"),
                std::invalid_argument);
-  (void)apply_config_overrides(config, "medium_grid_cell_m = -1\n");
+  // A negative cell size breaks the row's bound: parsing rejects it, naming
+  // the key, and validate() rejects the same value set in code.
+  try {
+    (void)apply_config_overrides(config, "medium_grid_cell_m = -1\n");
+    ADD_FAILURE() << "medium_grid_cell_m = -1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("'medium_grid_cell_m'"), std::string::npos) << e.what();
+  }
+  config.medium_grid_cell_m = -1;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 
   // The medium runs one serial path with one channel model: a stale
