@@ -43,7 +43,7 @@ Outcome run_mode(roadside::HazardTriggerMode mode, std::uint64_t seed, bool gnss
   const auto r = scenario.run_emergency_brake_trial(20_s);
   Outcome out;
   out.stopped = scenario.dynamics().power_cut() && scenario.dynamics().stopped();
-  const auto* trig = scenario.trace().find("hazard_service", "", sim::SimTime::zero());
+  const auto* trig = scenario.trace().find_event(sim::Stage::HazardDecision);
   out.trigger_time_s = trig ? trig->when.to_seconds() : -1.0;
   out.stop_distance_to_conflict_m = geo::distance(scenario.dynamics().position(), {0, 8.0});
   out.min_separation_m = scenario.min_separation_m();

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
       if (!artifact_only) std::printf("%s\n", line.c_str());
       continue;
     }
-    if (line.rfind("REJECTED", 0) == 0 || line.rfind("ERROR", 0) == 0) {
+    if (line.rfind("ERROR", 0) == 0) {
       failed = true;
       std::fprintf(stderr, "%s\n", line.c_str());
       continue;

@@ -1,10 +1,12 @@
 // Campaign server: thin POSIX TCP front-end over rst::server::LineSession.
 //
-// Accepts one connection at a time (the engine itself is single-threaded on
-// the transport side; parallelism lives in its TrialPool worker fleet) and
-// speaks the line-delimited protocol documented in rst/server/protocol.hpp.
+// Serves one connection at a time and runs each campaign to completion
+// before reading the next request: there is no admission queue, so a second
+// client waits in the listen backlog until the first one disconnects.
+// Parallelism lives in the engine's TrialPool worker fleet. Speaks the
+// line-delimited protocol documented in rst/server/protocol.hpp.
 //
-//   campaign_server --port 4750 --store results.seg --threads 0 --queue 8
+//   campaign_server --port 4750 --store results.seg --threads 0
 //
 // --port 0 picks an ephemeral port; the bound port is printed as
 // `LISTENING <port>` on stdout so scripts (and the CI smoke test) can
@@ -32,14 +34,12 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port N] [--store PATH] [--threads N] [--queue N]\n"
-               "          [--drop-oldest] [--max-conns N]\n"
+               "usage: %s [--port N] [--store PATH] [--threads N] [--max-conns N]\n"
                "  --port N       TCP port to listen on (0 = ephemeral; default 4750)\n"
                "  --store PATH   result-store segment file (default: in-memory only)\n"
                "  --threads N    trial workers (0 = hardware concurrency; default 0)\n"
-               "  --queue N      admission queue capacity (default 8)\n"
-               "  --drop-oldest  shed the oldest queued campaign instead of rejecting\n"
-               "  --max-conns N  exit after serving N connections (0 = forever)\n",
+               "  --max-conns N  exit after serving N connections (0 = forever)\n"
+               "Connections are served one at a time, each campaign to completion.\n",
                argv0);
   return 2;
 }
@@ -97,9 +97,7 @@ void serve(int fd, rst::server::CampaignEngine& engine) {
 int main(int argc, char** argv) {
   int port = 4750;
   unsigned threads = 0;
-  std::size_t queue = 8;
   std::string store_path;
-  bool drop_oldest = false;
   long max_conns = 0;
   try {
     for (int i = 1; i < argc; ++i) {
@@ -117,10 +115,6 @@ int main(int argc, char** argv) {
         store_path = value();
       } else if (arg == "--threads") {
         threads = rst::core::parse_thread_count(value(), arg);
-      } else if (arg == "--queue") {
-        queue = static_cast<std::size_t>(number(1, std::numeric_limits<int>::max()));
-      } else if (arg == "--drop-oldest") {
-        drop_oldest = true;
       } else if (arg == "--max-conns") {
         max_conns = static_cast<long>(number(0, std::numeric_limits<int>::max()));
       } else {
@@ -134,10 +128,6 @@ int main(int argc, char** argv) {
 
   rst::server::CampaignEngineConfig config;
   config.threads = threads;
-  config.queue_capacity = queue;
-  config.overflow = drop_oldest
-                        ? rst::server::CampaignEngineConfig::OverflowPolicy::DropOldest
-                        : rst::server::CampaignEngineConfig::OverflowPolicy::Reject;
   config.store_path = store_path;
   rst::server::CampaignEngine engine{config};
 

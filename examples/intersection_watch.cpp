@@ -51,8 +51,8 @@ int main() {
     }
   }
 
-  const auto* predicted = scenario.trace().find("hazard_service", "collision predicted");
-  const auto* stopped = scenario.trace().find("control", "power cut commanded");
+  const auto* predicted = scenario.trace().find_event(rst::sim::Stage::HazardDecision);
+  const auto* stopped = scenario.trace().find_event(rst::sim::Stage::PowerCutCommand);
   if (predicted && stopped) {
     std::printf("collision predicted at %s; protagonist power cut at %s\n",
                 predicted->when.to_string().c_str(), stopped->when.to_string().c_str());

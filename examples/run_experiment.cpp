@@ -143,6 +143,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     out << scenario.trace().to_chrome_trace_json();
+    if (!out.flush()) {
+      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+      return 1;
+    }
     std::printf("wrote %zu stage event(s) to %s\n", scenario.trace().events().size(),
                 trace_out.c_str());
   }

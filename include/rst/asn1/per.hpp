@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "rst/asn1/bitbuffer.hpp"
@@ -11,10 +9,10 @@ namespace rst::asn1 {
 
 /// Unaligned-PER style encoder (ITU-T X.691 subset).
 ///
-/// Implements the encodings the ETSI ITS CAM/DENM schemas need:
-/// constrained whole numbers, extensible constrained integers, enumerateds,
-/// booleans, optional-presence bitmaps (caller-driven), length determinants,
-/// OCTET/IA5 strings and SEQUENCE OF with constrained counts.
+/// Implements the encodings the ETSI ITS CAM/DENM/CPM schemas use:
+/// constrained whole numbers, enumerateds, booleans, optional-presence
+/// bitmaps (caller-driven), length determinants, OCTET strings and SEQUENCE
+/// OF with constrained counts.
 class PerEncoder {
  public:
   PerEncoder() = default;
@@ -27,14 +25,6 @@ class PerEncoder {
   /// Constrained whole number in [lo, hi] (X.691 §10.5, unaligned).
   void constrained(std::int64_t v, std::int64_t lo, std::int64_t hi);
 
-  /// Extensible constrained integer ("(lo..hi, ...)"): one extension bit,
-  /// then either the root encoding or an unconstrained value.
-  void constrained_ext(std::int64_t v, std::int64_t lo, std::int64_t hi);
-
-  /// Semi-constrained / unconstrained integer with length determinant
-  /// (X.691 §10.8/§12.2.6): minimal octets, two's complement.
-  void unconstrained(std::int64_t v);
-
   /// Enumerated with `count` root values (no extension marker).
   void enumerated(std::uint32_t index, std::uint32_t count);
 
@@ -43,9 +33,6 @@ class PerEncoder {
   void length(std::size_t n);
 
   void octet_string(const std::vector<std::uint8_t>& v);
-  /// Fixed-size OCTET STRING (no length determinant on the wire).
-  void fixed_octet_string(const std::uint8_t* data, std::size_t n);
-  void ia5_string(const std::string& s);
 
   void bits(std::uint64_t value, unsigned nbits) { w_.write_bits(value, nbits); }
 
@@ -75,13 +62,9 @@ class PerDecoder {
 
   [[nodiscard]] bool boolean() { return r_.read_bit(); }
   [[nodiscard]] std::int64_t constrained(std::int64_t lo, std::int64_t hi);
-  [[nodiscard]] std::int64_t constrained_ext(std::int64_t lo, std::int64_t hi);
-  [[nodiscard]] std::int64_t unconstrained();
   [[nodiscard]] std::uint32_t enumerated(std::uint32_t count);
   [[nodiscard]] std::size_t length();
   [[nodiscard]] std::vector<std::uint8_t> octet_string();
-  void fixed_octet_string(std::uint8_t* out, std::size_t n);
-  [[nodiscard]] std::string ia5_string();
   [[nodiscard]] std::uint64_t bits(unsigned nbits) { return r_.read_bits(nbits); }
 
   [[nodiscard]] std::size_t bits_remaining() const { return r_.bits_remaining(); }

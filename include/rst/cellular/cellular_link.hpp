@@ -65,7 +65,6 @@ class CellularNetwork {
   CellularNetwork(sim::Scheduler& sched, sim::RandomStream rng, CellularConfig config = {});
 
   CellularEndpoint& create_endpoint(const std::string& name);
-  [[nodiscard]] CellularEndpoint* endpoint(const std::string& name);
 
   /// Sends `payload` from `from` to `to`; drops silently on loss or when
   /// `to` is unknown / has no receive callback (see Stats::undeliverable).

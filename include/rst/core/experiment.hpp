@@ -24,7 +24,6 @@ struct ExperimentSummary {
   sim::MetricsRegistry metrics{};
 
   [[nodiscard]] std::vector<double> total_samples_ms() const;
-  [[nodiscard]] std::vector<double> braking_samples_m() const;
 };
 
 /// Runs `n` independent emergency-braking trials (fresh testbed per trial,

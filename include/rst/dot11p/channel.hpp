@@ -96,7 +96,7 @@ struct Wall {
 /// walks only the grid cells along the tx-rx ray, deduplicates the walls it
 /// finds there and applies the same bounding-box reject and exact
 /// `segments_intersect` test, in the same ascending-wall order, as the
-/// brute-force scan — so `loss_db`/`is_nlos`/`walls_crossed` are
+/// brute-force scan — so `loss_db` and `walls_crossed` are
 /// bit-identical to the O(walls) path at O(cells-along-ray) cost
 /// (obstacle_index_test proves it on random soups and adversarial rays).
 /// `use_index = false` keeps the brute-force scan, as the equivalence
@@ -115,9 +115,6 @@ class ObstacleShadowingModel final : public PathLossModel {
   [[nodiscard]] double loss_db(geo::Vec2 tx, geo::Vec2 rx) const override;
   /// Walls only ever add loss, so the base model's bound stays valid.
   [[nodiscard]] double min_loss_db(double distance_m) const override;
-
-  /// True when the segment tx-rx crosses at least one wall.
-  [[nodiscard]] bool is_nlos(geo::Vec2 tx, geo::Vec2 rx) const;
 
   /// Walls crossed by the segment tx-rx (the NLOS "depth" of a link).
   [[nodiscard]] std::size_t walls_crossed(geo::Vec2 tx, geo::Vec2 rx) const;

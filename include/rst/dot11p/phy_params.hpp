@@ -23,8 +23,6 @@ enum class Mcs : std::uint8_t {
 
 /// Data bits carried per 8 us OFDM symbol for each MCS.
 [[nodiscard]] unsigned data_bits_per_symbol(Mcs mcs);
-/// Nominal data rate in Mbit/s.
-[[nodiscard]] double data_rate_mbps(Mcs mcs);
 
 /// 802.11p @ 10 MHz timing (all values double those of 20 MHz 802.11a).
 inline constexpr sim::SimTime kSymbolDuration = sim::SimTime::microseconds(8);

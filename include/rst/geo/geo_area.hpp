@@ -39,8 +39,6 @@ struct GeoArea {
   /// EN 302 931 geometric function at point p.
   [[nodiscard]] double geometric_function(Vec2 p) const;
   [[nodiscard]] bool contains(Vec2 p) const { return geometric_function(p) >= 0.0; }
-  /// Loose bounding radius used by forwarding heuristics.
-  [[nodiscard]] double bounding_radius() const;
 };
 
 }  // namespace rst::geo

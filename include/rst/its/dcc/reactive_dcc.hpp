@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "rst/dot11p/frame.hpp"
 #include "rst/dot11p/radio.hpp"
@@ -16,8 +15,6 @@ namespace rst::its::dcc {
 /// measured channel load selects the state; each state prescribes a
 /// minimum gap between own transmissions (T_off / packet rate limit).
 enum class DccState : std::uint8_t { Relaxed = 0, Active1 = 1, Active2 = 2, Active3 = 3, Restrictive = 4 };
-
-[[nodiscard]] const char* to_string(DccState s);
 
 /// State table entry: CBR threshold to *enter* the state (from below) and
 /// the minimum inter-transmission gap enforced while in it.
@@ -48,8 +45,9 @@ class ReactiveDcc {
  public:
   using Config = ReactiveDccConfig;
 
+  /// State changes are traced as Stage::DccState events from `station_id`.
   ReactiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe, Config config = {},
-              sim::Trace* trace = nullptr, std::string name = "dcc");
+              sim::Trace* trace = nullptr, std::uint32_t station_id = 0);
   ~ReactiveDcc();
   ReactiveDcc(const ReactiveDcc&) = delete;
   ReactiveDcc& operator=(const ReactiveDcc&) = delete;
@@ -82,6 +80,8 @@ class ReactiveDcc {
   };
 
   void try_dequeue();
+  /// Counts a state change and traces the new state.
+  void trace_state_change();
   [[nodiscard]] static std::size_t profile_of(dot11p::AccessCategory ac) {
     return static_cast<std::size_t>(ac);  // DP0..DP3 <-> AC_VO..AC_BK
   }
@@ -90,7 +90,7 @@ class ReactiveDcc {
   dot11p::Radio& radio_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
+  std::uint32_t station_id_;
 
   DccState state_{DccState::Relaxed};
   int below_windows_{0};

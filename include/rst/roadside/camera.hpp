@@ -62,7 +62,6 @@ class RoadsideCamera {
   RoadsideCamera(sim::Scheduler& sched, Config config);
 
   void add_object(CameraObject object);
-  void remove_object(std::uint32_t id);
   /// Walls block the optical line of sight (as they do for radio/LiDAR).
   void set_walls(std::vector<dot11p::Wall> walls) { walls_ = std::move(walls); }
 

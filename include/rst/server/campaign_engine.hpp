@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "rst/server/campaign.hpp"
@@ -20,13 +18,6 @@ namespace rst::server {
 /// at engine construction and reused across campaigns.
 struct CampaignEngineConfig {
   unsigned threads{1};
-  /// Bounded admission queue capacity; submissions beyond it are shed.
-  std::size_t queue_capacity{8};
-  /// What happens to a submission when the queue is full: reject the new
-  /// arrival with a distinct status, or shed the oldest queued campaign to
-  /// admit it (the PR 4 drop-oldest inbox style).
-  enum class OverflowPolicy : std::uint8_t { Reject, DropOldest };
-  OverflowPolicy overflow{OverflowPolicy::Reject};
   /// Result-store segment path; empty keeps the store in memory only.
   std::string store_path{};
   /// Upper bound on trials per campaign (spec-abuse guard).
@@ -40,7 +31,7 @@ struct CampaignEngineConfig {
 /// stored record bytes verbatim; tables are re-aggregated from parsed
 /// records through the same seed-ordered pass either way).
 struct CampaignOutcome {
-  enum class Status : std::uint8_t { Ok, Rejected, Error };
+  enum class Status : std::uint8_t { Ok, Error };
   Status status{Status::Ok};
   std::string error{};         ///< parse/validation diagnostic when Error
   std::uint64_t id{0};         ///< campaign_id(canonical spec, trials, seed)
@@ -55,35 +46,25 @@ struct CampaignOutcome {
 /// addresses every (spec, seed) trial into the ResultStore, schedules the
 /// misses across a TrialPool worker fleet, and streams results + summaries
 /// incrementally in seed order. All public entry points run on the caller's
-/// thread (transports serialize on it); only the trial fan-out is parallel.
+/// thread: transports serve one request at a time, with no queue, and only
+/// the trial fan-out is parallel.
 class CampaignEngine {
  public:
   using LineSink = std::function<void(const std::string& line)>;
 
   explicit CampaignEngine(CampaignEngineConfig config = {});
 
-  /// Bounded admission. Admitted submissions wait in FIFO order for
-  /// run_one(); under overload the configured OverflowPolicy applies and
-  /// the shed campaign is counted + traced.
-  enum class Admission : std::uint8_t { Admitted, Rejected };
-  Admission submit(CampaignRequest request);
-
-  /// Runs the oldest admitted campaign. Artifact lines stream through
-  /// `sink` as trials complete — a trial's line is emitted as soon as it
-  /// and every earlier trial are resolved, so the stream is identical at
-  /// any worker count. Returns nullopt when the queue is empty.
-  std::optional<CampaignOutcome> run_one(const LineSink& sink = {});
-
-  /// submit() + run_one() in one call — the synchronous transport path.
-  /// The overflow policy applies as in submit(): under Reject a full queue
-  /// returns Status::Rejected without running; under DropOldest the stalest
-  /// queued campaign is shed and this submission runs.
-  CampaignOutcome execute(CampaignRequest request, const LineSink& sink = {});
+  /// Validates `request`, then runs it. A spec that fails to parse or
+  /// validate returns Status::Error without running; a valid campaign is
+  /// counted and traced as admitted. Artifact lines stream through `sink` as
+  /// trials complete — a trial's line is emitted as soon as it and every
+  /// earlier trial are resolved, so the stream is identical at any worker
+  /// count.
+  CampaignOutcome execute(const CampaignRequest& request, const LineSink& sink = {});
 
   /// Compacts the result store and traces the pass. Returns bytes reclaimed.
   std::uint64_t compact_store();
 
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t trials_executed() const { return trials_executed_; }
   [[nodiscard]] ResultStore& store() { return store_; }
   [[nodiscard]] sim::MetricsRegistry& metrics() { return metrics_; }
@@ -91,16 +72,12 @@ class CampaignEngine {
   [[nodiscard]] const CampaignEngineConfig& config() const { return config_; }
 
  private:
-  CampaignOutcome run_campaign(const CampaignRequest& request, const LineSink& sink);
-  /// Drop-oldest overflow: counts, traces, and pops the stalest queued campaign.
-  void shed_oldest();
   /// Engine-lifetime logical clock for trace records (the engine has no
   /// simulation time; a monotone tick keeps the trace order meaningful).
   sim::SimTime tick() { return sim::SimTime::nanoseconds(static_cast<std::int64_t>(ticks_++)); }
 
   CampaignEngineConfig config_;
   ResultStore store_;
-  std::deque<CampaignRequest> queue_;
   std::unique_ptr<sim::TrialPool> pool_;  ///< null when resolved threads == 1
   sim::MetricsRegistry metrics_;
   sim::Trace trace_;

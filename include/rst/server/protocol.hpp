@@ -14,7 +14,10 @@ namespace rst::server {
 ///
 /// Client → server:
 ///   PING                          liveness probe
-///   STATS                         one-line engine counters snapshot
+///   STATS                         one-line engine counters snapshot:
+///                                 STATS admitted=<n> cache_hits=<n>
+///                                 cache_misses=<n> executed=<n>
+///                                 store_records=<n>
 ///   COMPACT                       compact the result store
 ///   CAMPAIGN trials=<n> seed=<s>  open a submission; subsequent lines are
 ///     <spec lines…>               the config_io `key = value` spec
@@ -27,9 +30,11 @@ namespace rst::server {
 ///   ENDARTIFACT
 ///   STATS hits=<h> misses=<m> executed=<e>
 ///   DONE
-/// or `REJECTED overloaded` / `ERROR <message>` followed by DONE. The
-/// artifact block between OK and ENDARTIFACT is the byte-stable portion:
-/// identical across worker counts and cold vs cache-hit runs.
+/// or `ERROR <message>` followed by DONE when the header or the spec is
+/// invalid. A session's requests run one at a time, in order; there is no
+/// queue and no overload response. The artifact block between OK and
+/// ENDARTIFACT is the byte-stable portion: identical across worker counts
+/// and cold vs cache-hit runs.
 class LineSession {
  public:
   using LineSink = std::function<void(const std::string& line)>;

@@ -35,7 +35,6 @@ class ResultStore {
   /// Appends (key, value) to the segment and updates the index.
   void put(std::uint64_t key, const std::string& value);
 
-  [[nodiscard]] bool contains(std::uint64_t key) const;
   /// Live (latest-per-key) record count.
   [[nodiscard]] std::size_t count() const { return index_.size(); }
   /// Total record bytes ever appended to the current segment (incl. dead).

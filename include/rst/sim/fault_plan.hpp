@@ -83,8 +83,6 @@ struct FaultPlan {
 [[nodiscard]] FaultClause parse_fault_clause(const std::string& text);
 /// Inverse of parse_fault_clause (exact round trip for sub-day windows).
 [[nodiscard]] std::string format_fault_clause(const FaultClause& clause);
-/// Renders a plan as `fault = <clause>` config-override lines.
-[[nodiscard]] std::string format_fault_plan(const FaultPlan& plan);
 
 /// Evaluates a FaultPlan against simulation time for the components'
 /// injection points. Constructed only when a plan is installed, so the

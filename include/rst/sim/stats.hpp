@@ -12,7 +12,6 @@ namespace rst::sim {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return mean_; }

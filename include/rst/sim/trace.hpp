@@ -1,8 +1,7 @@
 #pragma once
 
-#include <cstdio>
+#include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rst/sim/time.hpp"
@@ -10,34 +9,19 @@
 
 namespace rst::sim {
 
-/// A single trace record: what happened, where, when.
-struct TraceRecord {
-  SimTime when;
-  std::string component;
-  std::string message;
-};
-
 /// In-memory event trace shared by all testbed components.
 ///
 /// The paper instruments the physical testbed with NTP-synchronised
 /// timestamps at each stage (Fig. 4 steps); the Trace plays the same role
 /// here and is what the experiment harness mines for interval measurements.
 ///
-/// Two recording paths exist:
-///  * `record_event` / `span_begin` / `span_end` — typed POD events into a
-///    pre-sized ring buffer. One allocation the first time an event is
-///    recorded (the buffer), zero thereafter; when the buffer is full new
-///    events are counted in `events_dropped()` and discarded, so the
-///    earliest (pipeline-critical) stages are always retained.
-///  * `record` — the legacy string path, kept as a compatibility layer.
-///
-/// String queries (`find`/`find_all`/`records`/`to_csv`) see BOTH paths:
-/// typed events are rendered into their legacy component/message form
-/// lazily, on query only, so the hot recording path never touches strings.
+/// Every record is a typed POD event (`record_event` / `span_begin` /
+/// `span_end`) written into a pre-sized ring buffer: one allocation the
+/// first time an event is recorded (the buffer), zero thereafter. When the
+/// buffer is full new events are counted in `events_dropped()` and
+/// discarded, so the earliest (pipeline-critical) stages are always kept.
 class Trace {
  public:
-  // --- Typed zero-allocation path ---
-
   /// Records a typed instant event. Allocation-free at steady state.
   void record_event(SimTime when, Stage stage, std::uint32_t station = 0, std::uint64_t a = 0,
                     double value = 0.0, std::uint16_t detail = 0) {
@@ -63,67 +47,32 @@ class Trace {
   /// As above, additionally filtered on the emitting station.
   [[nodiscard]] const TraceEvent* find_event(Stage stage, SimTime from,
                                              std::uint32_t station) const;
-  /// All events of `stage`, in recording order.
-  [[nodiscard]] std::vector<const TraceEvent*> find_all_events(Stage stage) const;
 
   /// Events discarded because the ring buffer was full.
   [[nodiscard]] std::uint64_t events_dropped() const { return events_dropped_; }
   /// Resizes the typed buffer capacity. Only effective before the first
   /// recorded event (the buffer is allocated once, on first use).
   void set_event_capacity(std::size_t capacity) { event_capacity_ = capacity; }
-  [[nodiscard]] std::size_t event_capacity() const { return event_capacity_; }
 
   /// Chrome trace_event-format JSON (the "JSON Object Format" with a
-  /// traceEvents array): open in Perfetto or chrome://tracing. Typed
-  /// instants become "i" events, span begin/end pairs become async
-  /// "b"/"e" events matched by id, legacy string records become instants
-  /// carrying the message in args. Timestamps are microseconds.
+  /// traceEvents array): open in Perfetto or chrome://tracing. Instants
+  /// become "i" events and span begin/end pairs become async "b"/"e" events
+  /// matched by id. Timestamps are microseconds.
   [[nodiscard]] std::string to_chrome_trace_json() const;
 
-  // --- Legacy string path (compatibility layer) ---
-
-  void record(SimTime when, std::string_view component, std::string_view message);
-
-  /// All records — legacy strings plus typed events rendered to their
-  /// legacy component/message form — in recording order. Materialised
-  /// lazily; the reference is invalidated by the next recording.
-  [[nodiscard]] const std::vector<TraceRecord>& records() const;
   void clear();
 
-  /// Echo records to stderr as they arrive (useful in examples).
+  /// Echo each event to stderr as it is recorded (useful in examples): one
+  /// line of time, stage name, phase (i/b/e), station, a, value and detail.
   void set_echo(bool on) { echo_ = on; }
-
-  /// First record whose component and message both contain the given
-  /// substrings, searching records at or after `from`; nullptr if none.
-  [[nodiscard]] const TraceRecord* find(std::string_view component_substr,
-                                        std::string_view message_substr,
-                                        SimTime from = SimTime::zero()) const;
-
-  /// All records matching the filter (see find()).
-  [[nodiscard]] std::vector<const TraceRecord*> find_all(std::string_view component_substr,
-                                                         std::string_view message_substr) const;
-
-  /// CSV rendering (time_ms,component,message) for offline analysis;
-  /// quotes and commas in messages are escaped per RFC 4180.
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   void push_event(SimTime when, Stage stage, Phase phase, std::uint32_t station, std::uint64_t a,
                   double value, std::uint16_t detail);
-  /// Rebuilds the merged legacy view (strings + rendered typed events,
-  /// ordered by global recording sequence) if stale.
-  const std::vector<TraceRecord>& merged() const;
 
   std::vector<TraceEvent> events_;
   std::size_t event_capacity_{16384};
   std::uint64_t events_dropped_{0};
-  std::uint32_t next_seq_{0};
-
-  std::vector<TraceRecord> records_;
-  std::vector<std::uint32_t> record_seqs_;  // recording seq of each string record
-
-  mutable std::vector<TraceRecord> merged_;
-  mutable bool merged_dirty_{false};
   bool echo_{false};
 };
 

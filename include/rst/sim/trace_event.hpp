@@ -34,13 +34,13 @@ enum class Stage : std::uint8_t {
   FaultWindow,        ///< fault-plan clause window (span: activation→recovery)
   WatchdogDegraded,   ///< liveness watchdog lost infrastructure contact
   WatchdogRecovered,  ///< liveness watchdog saw polling resume
-  CampaignAdmitted,   ///< campaign server admitted a submission (value = queue depth)
-  CampaignRejected,   ///< campaign server shed a submission (detail: kCampaignRejected*)
+  CampaignAdmitted,   ///< campaign server admitted a valid campaign (a = campaign id)
   CampaignTrial,      ///< one campaign trial resolved (a = content key, detail: hit/miss)
   StoreCompaction,    ///< result-store compaction pass (value = bytes reclaimed)
   CpmTx,              ///< CP service transmitted a CPM (value = object count)
   CpmRx,              ///< CP service received a CPM (a = source station)
   CpmFusion,          ///< remote percept fused into the local LDM (a = object id)
+  DccState,           ///< reactive DCC changed state (a = the new DccState)
 };
 
 /// Chrome trace-event phase of a typed record: a point event or one end of
@@ -57,9 +57,6 @@ inline constexpr std::uint16_t kTriggerIssued = 0;
 inline constexpr std::uint16_t kTriggerFailed = 1;
 /// `TraceEvent::detail` bit for Stage::DenmTx / Stage::DenmRx.
 inline constexpr std::uint16_t kDenmTermination = 1;
-/// `TraceEvent::detail` values for Stage::CampaignRejected.
-inline constexpr std::uint16_t kCampaignRejectedQueueFull = 0;
-inline constexpr std::uint16_t kCampaignRejectedDropOldest = 1;
 /// `TraceEvent::detail` values for Stage::CampaignTrial.
 inline constexpr std::uint16_t kCampaignTrialMiss = 0;
 inline constexpr std::uint16_t kCampaignTrialHit = 1;
@@ -72,14 +69,13 @@ struct TraceEvent {
   SimTime when{};
   std::uint64_t a{0};      ///< packed ActionID / object id / frame number / …
   double value{0.0};       ///< distance (m) / t_cpa (s) / count / …
-  std::uint32_t seq{0};    ///< global recording order (filled by Trace)
   std::uint32_t station{0};///< emitting station id (0 when not station-bound)
   std::uint16_t detail{0}; ///< stage-specific discriminator / flags
   Stage stage{Stage::CameraFrame};
   Phase phase{Phase::Instant};
 };
 
-/// Stable display name of a stage (also the Chrome trace event name).
+/// Stable display name of a stage: the echo and Chrome trace event name.
 [[nodiscard]] std::string_view stage_name(Stage stage);
 
 /// Packs an ActionID into TraceEvent::a: (originating_station << 16) | seq.

@@ -20,33 +20,6 @@ void PerEncoder::constrained(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   w_.write_bits(static_cast<std::uint64_t>(v - lo), bits_for_range(range));
 }
 
-void PerEncoder::constrained_ext(std::int64_t v, std::int64_t lo, std::int64_t hi) {
-  if (v >= lo && v <= hi) {
-    w_.write_bit(false);
-    constrained(v, lo, hi);
-  } else {
-    w_.write_bit(true);
-    unconstrained(v);
-  }
-}
-
-void PerEncoder::unconstrained(std::int64_t v) {
-  // Minimal two's-complement octets.
-  std::uint8_t buf[9];
-  unsigned n = 0;
-  std::int64_t x = v;
-  // Collect octets little-endian then emit big-endian.
-  do {
-    buf[n++] = static_cast<std::uint8_t>(x & 0xff);
-    x >>= 8;
-  } while (x != 0 && x != -1);
-  // Ensure the sign bit of the leading octet matches v's sign.
-  const bool neg = v < 0;
-  if (((buf[n - 1] & 0x80) != 0) != neg) buf[n++] = neg ? 0xff : 0x00;
-  length(n);
-  for (unsigned i = n; i-- > 0;) w_.write_bits(buf[i], 8);
-}
-
 void PerEncoder::enumerated(std::uint32_t index, std::uint32_t count) {
   if (index >= count) throw std::invalid_argument{"PerEncoder::enumerated: index out of range"};
   constrained(index, 0, static_cast<std::int64_t>(count) - 1);
@@ -68,40 +41,12 @@ void PerEncoder::octet_string(const std::vector<std::uint8_t>& v) {
   w_.write_bytes(v.data(), v.size());
 }
 
-void PerEncoder::fixed_octet_string(const std::uint8_t* data, std::size_t n) {
-  w_.write_bytes(data, n);
-}
-
-void PerEncoder::ia5_string(const std::string& s) {
-  length(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (u > 127) throw std::invalid_argument{"PerEncoder::ia5_string: non-IA5 character"};
-    w_.write_bits(u, 7);
-  }
-}
-
 std::int64_t PerDecoder::constrained(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw DecodeError{"PerDecoder::constrained: lo > hi"};
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
   const std::uint64_t off = r_.read_bits(bits_for_range(range));
   if (off >= range) throw DecodeError{"PerDecoder::constrained: offset out of range"};
   return lo + static_cast<std::int64_t>(off);
-}
-
-std::int64_t PerDecoder::constrained_ext(std::int64_t lo, std::int64_t hi) {
-  if (r_.read_bit()) return unconstrained();
-  return constrained(lo, hi);
-}
-
-std::int64_t PerDecoder::unconstrained() {
-  const std::size_t n = length();
-  if (n == 0 || n > 8) throw DecodeError{"PerDecoder::unconstrained: bad octet count"};
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) v = (v << 8) | r_.read_bits(8);
-  // Sign-extend from n*8 bits.
-  const unsigned shift = 64 - static_cast<unsigned>(n) * 8;
-  return static_cast<std::int64_t>(v << shift) >> shift;
 }
 
 std::uint32_t PerDecoder::enumerated(std::uint32_t count) {
@@ -118,16 +63,6 @@ std::vector<std::uint8_t> PerDecoder::octet_string() {
   const std::size_t n = length();
   std::vector<std::uint8_t> out(n);
   r_.read_bytes(out.data(), n);
-  return out;
-}
-
-void PerDecoder::fixed_octet_string(std::uint8_t* out, std::size_t n) { r_.read_bytes(out, n); }
-
-std::string PerDecoder::ia5_string() {
-  const std::size_t n = length();
-  std::string out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(static_cast<char>(r_.read_bits(7)));
   return out;
 }
 

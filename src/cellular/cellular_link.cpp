@@ -26,11 +26,6 @@ CellularEndpoint& CellularNetwork::create_endpoint(const std::string& name) {
   return *it->second;
 }
 
-CellularEndpoint* CellularNetwork::endpoint(const std::string& name) {
-  const auto it = endpoints_.find(name);
-  return it == endpoints_.end() ? nullptr : it->second.get();
-}
-
 void CellularNetwork::send(const std::string& from, const std::string& to,
                            std::vector<std::uint8_t> payload) {
   ++stats_.sent;

@@ -18,14 +18,6 @@ std::vector<double> ExperimentSummary::total_samples_ms() const {
   return out;
 }
 
-std::vector<double> ExperimentSummary::braking_samples_m() const {
-  std::vector<double> out;
-  for (const auto& t : trials) {
-    if (t.stopped_by_denm) out.push_back(t.braking_distance_m);
-  }
-  return out;
-}
-
 unsigned resolve_experiment_threads(unsigned threads) {
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();

@@ -37,7 +37,7 @@ ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware
     probe_ = std::make_unique<its::dcc::ChannelProbe>(sched_, *radio_);
     probe_->start();
     dcc_ = std::make_unique<its::dcc::ReactiveDcc>(sched_, *radio_, *probe_, config_.dcc, trace_,
-                                                   "dcc." + config_.name);
+                                                   config_.station_id);
     router_->set_send_hook(
         [this](dot11p::Frame frame) { dcc_->send(std::move(frame)); });
   }

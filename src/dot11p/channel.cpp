@@ -120,12 +120,6 @@ void ObstacleShadowingModel::for_each_crossing(geo::Vec2 tx, geo::Vec2 rx, OnWal
   }
 }
 
-bool ObstacleShadowingModel::is_nlos(geo::Vec2 tx, geo::Vec2 rx) const {
-  bool nlos = false;
-  for_each_crossing(tx, rx, [&](std::size_t) { nlos = true; });
-  return nlos;
-}
-
 std::size_t ObstacleShadowingModel::walls_crossed(geo::Vec2 tx, geo::Vec2 rx) const {
   std::size_t crossed = 0;
   for_each_crossing(tx, rx, [&](std::size_t) { ++crossed; });

@@ -19,10 +19,6 @@ unsigned data_bits_per_symbol(Mcs mcs) {
   throw std::logic_error{"data_bits_per_symbol: unknown MCS"};
 }
 
-double data_rate_mbps(Mcs mcs) {
-  return static_cast<double>(data_bits_per_symbol(mcs)) / 8.0;  // 8 us symbol
-}
-
 sim::SimTime frame_airtime(std::size_t psdu_bytes, Mcs mcs) {
   const auto bits = kServiceBits + 8 * psdu_bytes + kTailBits;
   const auto nbps = data_bits_per_symbol(mcs);

@@ -34,16 +34,4 @@ double GeoArea::geometric_function(Vec2 p) const {
   throw std::logic_error{"GeoArea: unknown shape"};
 }
 
-double GeoArea::bounding_radius() const {
-  switch (shape) {
-    case AreaShape::Circle:
-      return a;
-    case AreaShape::Ellipse:
-      return std::max(a, b);
-    case AreaShape::Rectangle:
-      return std::hypot(a, b);
-  }
-  throw std::logic_error{"GeoArea: unknown shape"};
-}
-
 }  // namespace rst::geo

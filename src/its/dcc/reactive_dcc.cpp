@@ -2,17 +2,6 @@
 
 namespace rst::its::dcc {
 
-const char* to_string(DccState s) {
-  switch (s) {
-    case DccState::Relaxed: return "Relaxed";
-    case DccState::Active1: return "Active1";
-    case DccState::Active2: return "Active2";
-    case DccState::Active3: return "Active3";
-    case DccState::Restrictive: return "Restrictive";
-  }
-  return "?";
-}
-
 const std::array<DccStateParams, 5>& default_dcc_table() {
   using sim::SimTime;
   static const std::array<DccStateParams, 5> kTable{{
@@ -26,8 +15,8 @@ const std::array<DccStateParams, 5>& default_dcc_table() {
 }
 
 ReactiveDcc::ReactiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe,
-                         Config config, sim::Trace* trace, std::string name)
-    : sched_{sched}, radio_{radio}, config_{config}, trace_{trace}, name_{std::move(name)} {
+                         Config config, sim::Trace* trace, std::uint32_t station_id)
+    : sched_{sched}, radio_{radio}, config_{config}, trace_{trace}, station_id_{station_id} {
   probe.set_listener([this](double cbr) { on_channel_load(cbr); });
 }
 
@@ -55,20 +44,24 @@ void ReactiveDcc::on_channel_load(double cbr) {
   if (target > state_) {
     state_ = target;  // congestion: react immediately
     below_windows_ = 0;
-    ++stats_.state_changes;
-    if (trace_) trace_->record(sched_.now(), name_, std::string{"state up to "} + to_string(state_));
+    trace_state_change();
   } else if (target < state_) {
     // Relaxation requires sustained low load (hysteresis), one step at a time.
     if (++below_windows_ >= config_.down_hysteresis_windows) {
       below_windows_ = 0;
       state_ = static_cast<DccState>(static_cast<std::uint8_t>(state_) - 1);
-      ++stats_.state_changes;
-      if (trace_) {
-        trace_->record(sched_.now(), name_, std::string{"state down to "} + to_string(state_));
-      }
+      trace_state_change();
     }
   } else {
     below_windows_ = 0;
+  }
+}
+
+void ReactiveDcc::trace_state_change() {
+  ++stats_.state_changes;
+  if (trace_) {
+    trace_->record_event(sched_.now(), sim::Stage::DccState, station_id_,
+                         static_cast<std::uint64_t>(state_));
   }
 }
 

@@ -12,10 +12,6 @@ RoadsideCamera::RoadsideCamera(sim::Scheduler& sched, Config config)
 
 void RoadsideCamera::add_object(CameraObject object) { objects_.push_back(std::move(object)); }
 
-void RoadsideCamera::remove_object(std::uint32_t id) {
-  std::erase_if(objects_, [&](const CameraObject& o) { return o.id == id; });
-}
-
 CameraFrame RoadsideCamera::capture() {
   CameraFrame frame;
   frame.capture_time = sched_.now();

@@ -21,119 +21,26 @@ CampaignEngine::CampaignEngine(CampaignEngineConfig config)
   trace_.set_event_capacity(1 << 16);
 }
 
-namespace {
-
-/// Validation shared by submit-time rejection messages and run_campaign:
-/// the spec parsed within its rows' bounds and validated, and its canonical
-/// text.
-struct Validated {
-  bool ok{false};
-  std::string error{};
-  std::string canonical{};
-  core::TestbedConfig config{};
-};
-
-/// Best-effort id for admission-time traces: the canonical campaign id when
-/// the spec canonicalizes (matching CampaignOutcome::id), else the id of the
-/// raw spec bytes — still stable per submission, so the trace stays joinable.
-std::uint64_t submission_id(const CampaignRequest& request) {
-  std::string spec = request.spec;
+CampaignOutcome CampaignEngine::execute(const CampaignRequest& request, const LineSink& sink) {
+  CampaignOutcome out;
+  core::TestbedConfig base;
+  std::string canonical;
   try {
-    spec = core::canonicalize_spec(request.spec);
-  } catch (const std::exception&) {
-  }
-  return campaign_id(spec, request.trials, request.base_seed);
-}
-
-Validated validate_request(const CampaignRequest& request, int max_trials) {
-  Validated v;
-  try {
-    v.canonical = core::canonicalize_spec(request.spec, &v.config);
-    v.config.validate();
+    canonical = core::canonicalize_spec(request.spec, &base);
+    base.validate();
     if (request.trials < 1) throw std::invalid_argument{"campaign: trials must be >= 1"};
-    if (request.trials > max_trials) {
+    if (request.trials > config_.max_trials) {
       throw std::invalid_argument{"campaign: trials exceeds max_trials"};
     }
-    v.ok = true;
   } catch (const std::exception& e) {
-    v.error = e.what();
-  }
-  return v;
-}
-
-}  // namespace
-
-CampaignEngine::Admission CampaignEngine::submit(CampaignRequest request) {
-  metrics_.histogram("campaign.queue_depth").observe(static_cast<double>(queue_.size()));
-  if (queue_.size() >= config_.queue_capacity) {
-    if (config_.overflow == CampaignEngineConfig::OverflowPolicy::Reject) {
-      metrics_.counter("campaigns_rejected").add();
-      trace_.record_event(tick(), Stage::CampaignRejected, 0, submission_id(request),
-                          static_cast<double>(queue_.size()), sim::kCampaignRejectedQueueFull);
-      return Admission::Rejected;
-    }
-    shed_oldest();
-  }
-  const std::uint64_t id = submission_id(request);
-  queue_.push_back(std::move(request));
-  metrics_.counter("campaigns_admitted").add();
-  trace_.record_event(tick(), Stage::CampaignAdmitted, 0, id,
-                      static_cast<double>(queue_.size()));
-  return Admission::Admitted;
-}
-
-void CampaignEngine::shed_oldest() {
-  // Drop-oldest: the new submission is admitted, the stalest queued
-  // campaign is shed (it was enqueued longest ago and is the most likely
-  // to have a departed client).
-  metrics_.counter("campaigns_shed").add();
-  trace_.record_event(tick(), Stage::CampaignRejected, 0, submission_id(queue_.front()),
-                      static_cast<double>(queue_.size()), sim::kCampaignRejectedDropOldest);
-  queue_.pop_front();
-}
-
-std::optional<CampaignOutcome> CampaignEngine::run_one(const LineSink& sink) {
-  if (queue_.empty()) return std::nullopt;
-  CampaignRequest request = std::move(queue_.front());
-  queue_.pop_front();
-  return run_campaign(request, sink);
-}
-
-CampaignOutcome CampaignEngine::execute(CampaignRequest request, const LineSink& sink) {
-  // The synchronous transport path: admission against the queued backlog
-  // (a direct execute does not jump a full queue), then run inline. The
-  // configured overflow policy applies exactly as in submit(): under
-  // DropOldest a full queue sheds its stalest campaign to admit this one.
-  metrics_.histogram("campaign.queue_depth").observe(static_cast<double>(queue_.size()));
-  if (queue_.size() >= config_.queue_capacity) {
-    if (config_.overflow == CampaignEngineConfig::OverflowPolicy::Reject) {
-      metrics_.counter("campaigns_rejected").add();
-      trace_.record_event(tick(), Stage::CampaignRejected, 0, submission_id(request),
-                          static_cast<double>(queue_.size()), sim::kCampaignRejectedQueueFull);
-      CampaignOutcome out;
-      out.status = CampaignOutcome::Status::Rejected;
-      out.error = "overloaded";
-      return out;
-    }
-    shed_oldest();
-  }
-  metrics_.counter("campaigns_admitted").add();
-  trace_.record_event(tick(), Stage::CampaignAdmitted, 0, submission_id(request),
-                      static_cast<double>(queue_.size()));
-  return run_campaign(request, sink);
-}
-
-CampaignOutcome CampaignEngine::run_campaign(const CampaignRequest& request,
-                                             const LineSink& sink) {
-  CampaignOutcome out;
-  const Validated v = validate_request(request, config_.max_trials);
-  if (!v.ok) {
     out.status = CampaignOutcome::Status::Error;
-    out.error = v.error;
+    out.error = e.what();
     return out;
   }
-  out.canonical_spec = v.canonical;
-  out.id = campaign_id(v.canonical, request.trials, request.base_seed);
+  out.canonical_spec = canonical;
+  out.id = campaign_id(canonical, request.trials, request.base_seed);
+  metrics_.counter("campaigns_admitted").add();
+  trace_.record_event(tick(), Stage::CampaignAdmitted, 0, out.id);
 
   const std::size_t n = static_cast<std::size_t>(request.trials);
   std::vector<std::uint64_t> keys(n);
@@ -142,7 +49,7 @@ CampaignOutcome CampaignEngine::run_campaign(const CampaignRequest& request,
   std::vector<char> fresh(n, 0);
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = trial_key(v.canonical, request.base_seed + i);
+    keys[i] = trial_key(canonical, request.base_seed + i);
     if (const std::string* stored = store_.get(keys[i])) {
       records[i] = *stored;
       done[i] = 1;
@@ -176,7 +83,7 @@ CampaignOutcome CampaignEngine::run_campaign(const CampaignRequest& request,
   if (!misses.empty()) {
     const auto run_miss = [&](std::size_t j) {
       const std::size_t i = misses[j];
-      core::TestbedConfig config = v.config;
+      core::TestbedConfig config = base;
       config.seed = request.base_seed + static_cast<std::uint64_t>(i);
       core::TestbedScenario scenario{config};
       std::string record = serialize_trial_record(config.seed, scenario.run_emergency_brake_trial());

@@ -1,7 +1,7 @@
 #include "rst/server/protocol.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "rst/core/config_io.hpp"
@@ -29,13 +29,11 @@ std::string first_word(const std::string& line, std::string* rest) {
   return line.substr(begin, end - begin);
 }
 
+/// Strict decimal: digits only, no sign, no wrap-around on overflow.
 bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc{} && stop == end;
 }
 
 }  // namespace
@@ -64,13 +62,10 @@ bool LineSession::consume_line(const std::string& line, const LineSink& emit) {
   if (cmd == "STATS") {
     auto& m = engine_->metrics();
     emit("STATS admitted=" + std::to_string(m.counter("campaigns_admitted").value()) +
-         " rejected=" + std::to_string(m.counter("campaigns_rejected").value()) +
-         " shed=" + std::to_string(m.counter("campaigns_shed").value()) +
          " cache_hits=" + std::to_string(m.counter("cache_hits").value()) +
          " cache_misses=" + std::to_string(m.counter("cache_misses").value()) +
          " executed=" + std::to_string(engine_->trials_executed()) +
-         " store_records=" + std::to_string(engine_->store().count()) +
-         " queue_depth=" + std::to_string(engine_->queue_depth()));
+         " store_records=" + std::to_string(engine_->store().count()));
     return true;
   }
   if (cmd == "COMPACT") {
@@ -125,20 +120,14 @@ void LineSession::finish_campaign(const LineSink& emit) {
         header();
         emit(line);
       });
-  switch (outcome.status) {
-    case CampaignOutcome::Status::Ok:
-      header();  // degenerate campaigns with no artifact lines still get OK
-      emit("ENDARTIFACT");
-      emit("STATS hits=" + std::to_string(outcome.cache_hits) +
-           " misses=" + std::to_string(outcome.cache_misses) +
-           " executed=" + std::to_string(outcome.executed));
-      break;
-    case CampaignOutcome::Status::Rejected:
-      emit("REJECTED overloaded");
-      break;
-    case CampaignOutcome::Status::Error:
-      emit("ERROR " + outcome.error);
-      break;
+  if (outcome.status == CampaignOutcome::Status::Ok) {
+    header();  // degenerate campaigns with no artifact lines still get OK
+    emit("ENDARTIFACT");
+    emit("STATS hits=" + std::to_string(outcome.cache_hits) +
+         " misses=" + std::to_string(outcome.cache_misses) +
+         " executed=" + std::to_string(outcome.executed));
+  } else {
+    emit("ERROR " + outcome.error);
   }
   emit("DONE");
 }

@@ -50,8 +50,6 @@ const std::string* ResultStore::get(std::uint64_t key) const {
   return it == index_.end() ? nullptr : &it->second;
 }
 
-bool ResultStore::contains(std::uint64_t key) const { return index_.count(key) != 0; }
-
 void ResultStore::put(std::uint64_t key, const std::string& value) {
   const auto it = index_.find(key);
   if (it == index_.end()) {

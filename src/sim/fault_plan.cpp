@@ -93,16 +93,6 @@ std::string format_fault_clause(const FaultClause& clause) {
   return buf;
 }
 
-std::string format_fault_plan(const FaultPlan& plan) {
-  std::string out;
-  for (const auto& clause : plan.clauses) {
-    out += "fault = ";
-    out += format_fault_clause(clause);
-    out += '\n';
-  }
-  return out;
-}
-
 FaultInjector::FaultInjector(Scheduler& sched, RandomStream rng, FaultPlan plan, Trace* trace)
     : sched_{sched}, plan_{std::move(plan)}, trace_{trace} {
   streams_.reserve(kFaultKindCount);

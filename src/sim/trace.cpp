@@ -1,9 +1,7 @@
 #include "rst/sim/trace.hpp"
 
-#include <algorithm>
 #include <cinttypes>
-
-#include "rst/sim/fault_plan.hpp"
+#include <cstdio>
 
 namespace rst::sim {
 
@@ -31,151 +29,25 @@ std::string_view stage_name(Stage stage) {
     case Stage::WatchdogDegraded: return "WatchdogDegraded";
     case Stage::WatchdogRecovered: return "WatchdogRecovered";
     case Stage::CampaignAdmitted: return "CampaignAdmitted";
-    case Stage::CampaignRejected: return "CampaignRejected";
     case Stage::CampaignTrial: return "CampaignTrial";
     case Stage::StoreCompaction: return "StoreCompaction";
     case Stage::CpmTx: return "CpmTx";
     case Stage::CpmRx: return "CpmRx";
     case Stage::CpmFusion: return "CpmFusion";
+    case Stage::DccState: return "DccState";
   }
   return "Unknown";
 }
 
 namespace {
 
-/// Renders a typed event into its legacy component/message form. Buffers
-/// are caller-provided so the echo path stays allocation-free; the merged
-/// compatibility view copies them into strings (cold path only).
-void render_event(const TraceEvent& ev, char (&component)[32], char (&message)[160]) {
-  const auto action = [&](char* out, std::size_t n, const char* verb) {
-    std::snprintf(out, n, "DENM %s action=%" PRIu32 "/%" PRIu16 "%s", verb,
-                  action_station(ev.a), action_sequence(ev.a),
-                  (ev.detail & kDenmTermination) != 0 ? " termination" : "");
-  };
-  switch (ev.stage) {
-    case Stage::CameraFrame:
-      std::snprintf(component, sizeof component, "object_detection");
-      std::snprintf(message, sizeof message, "frame %" PRIu64 " %s", ev.a,
-                    ev.phase == Phase::End ? "processed" : "captured");
-      break;
-    case Stage::YoloDetection:
-      std::snprintf(component, sizeof component, "object_detection");
-      std::snprintf(message, sizeof message, "YOLO output: %" PRIu64 " object(s), nearest at %f m",
-                    ev.a, ev.value);
-      break;
-    case Stage::HazardDecision:
-      std::snprintf(component, sizeof component, "hazard_service");
-      if (ev.detail == kHazardActionPoint) {
-        std::snprintf(message, sizeof message, "action point crossed: object %" PRIu64 " at %f m",
-                      ev.a, ev.value);
-      } else {
-        std::snprintf(message, sizeof message,
-                      "collision predicted: %s %" PRIu64 " vs station %" PRIu64 " in %f s",
-                      ev.detail == kHazardCpaStation ? "station" : "object", ev.a >> 32,
-                      ev.a & 0xffffffffu, ev.value);
-      }
-      break;
-    case Stage::TriggerDenm:
-      std::snprintf(component, sizeof component, "hazard_service");
-      std::snprintf(message, sizeof message, "trigger_denm %s",
-                    ev.detail == kTriggerFailed ? "failed" : "requested");
-      break;
-    case Stage::DenmTx:
-      std::snprintf(component, sizeof component, "den.%" PRIu32, ev.station);
-      action(message, sizeof message, "sent");
-      break;
-    case Stage::DenmRx:
-      std::snprintf(component, sizeof component, "den.%" PRIu32, ev.station);
-      action(message, sizeof message, "received");
-      break;
-    case Stage::KafForward:
-      std::snprintf(component, sizeof component, "den.%" PRIu32, ev.station);
-      action(message, sizeof message, "keep-alive forwarded");
-      break;
-    case Stage::GnForward:
-      std::snprintf(component, sizeof component, "gn.%" PRIu32, ev.station);
-      std::snprintf(message, sizeof message, "packet forwarded seq=%" PRIu64, ev.a);
-      break;
-    case Stage::DenmPoll:
-      std::snprintf(component, sizeof component, "msg_handler");
-      std::snprintf(message, sizeof message, "request_denm %s #%" PRIu64,
-                    ev.phase == Phase::End ? "response" : "poll", ev.a);
-      break;
-    case Stage::DenmFetch:
-      std::snprintf(component, sizeof component, "msg_handler");
-      action(message, sizeof message, "fetched");
-      break;
-    case Stage::InboxDrop:
-      std::snprintf(component, sizeof component, "openc2x.%" PRIu32, ev.station);
-      action(message, sizeof message, "dropped (inbox full):");
-      break;
-    case Stage::EmergencyStop:
-      std::snprintf(component, sizeof component, "planner");
-      std::snprintf(message, sizeof message, "emergency stop");
-      break;
-    case Stage::PowerCutCommand:
-      std::snprintf(component, sizeof component, "control");
-      std::snprintf(message, sizeof message, "power cut commanded wall=%.3fms",
-                    static_cast<double>(static_cast<std::int64_t>(ev.a)) * 1e-6);
-      break;
-    case Stage::PowerCutApplied:
-      std::snprintf(component, sizeof component, "control");
-      std::snprintf(message, sizeof message, "power cut applied");
-      break;
-    case Stage::CamTx:
-      std::snprintf(component, sizeof component, "ca.%" PRIu32, ev.station);
-      std::snprintf(message, sizeof message, "CAM sent gdt=%" PRIu64, ev.a);
-      break;
-    case Stage::CamRx:
-      std::snprintf(component, sizeof component, "ca.%" PRIu32, ev.station);
-      std::snprintf(message, sizeof message, "CAM received from %" PRIu64, ev.a);
-      break;
-    case Stage::ModemDenmRx:
-      std::snprintf(component, sizeof component, "modem");
-      action(message, sizeof message, "received");
-      break;
-    case Stage::AebTrigger:
-      std::snprintf(component, sizeof component, "aeb");
-      std::snprintf(message, sizeof message, "AEB triggered: obstacle at %f m", ev.value);
-      break;
-    case Stage::FaultWindow:
-      std::snprintf(component, sizeof component, "fault_injector");
-      std::snprintf(message, sizeof message, "fault %.*s clause %" PRIu64 " %s severity=%g",
-                    static_cast<int>(fault_kind_name(static_cast<FaultKind>(ev.detail)).size()),
-                    fault_kind_name(static_cast<FaultKind>(ev.detail)).data(), ev.a,
-                    ev.phase == Phase::End ? "recovered" : "active", ev.value);
-      break;
-    case Stage::WatchdogDegraded:
-      std::snprintf(component, sizeof component, "msg_handler");
-      std::snprintf(message, sizeof message,
-                    "watchdog: infrastructure contact lost, failsafe engaged");
-      break;
-    case Stage::WatchdogRecovered:
-      std::snprintf(component, sizeof component, "msg_handler");
-      std::snprintf(message, sizeof message, "watchdog: infrastructure contact restored");
-      break;
-    case Stage::CampaignAdmitted:
-      std::snprintf(component, sizeof component, "campaign_engine");
-      std::snprintf(message, sizeof message, "campaign %016" PRIx64 " admitted, queue depth %g",
-                    ev.a, ev.value);
-      break;
-    case Stage::CampaignRejected:
-      std::snprintf(component, sizeof component, "campaign_engine");
-      std::snprintf(message, sizeof message, "campaign %016" PRIx64 " %s", ev.a,
-                    ev.detail == kCampaignRejectedDropOldest ? "dropped (oldest shed)"
-                                                             : "rejected (queue full)");
-      break;
-    case Stage::CampaignTrial:
-      std::snprintf(component, sizeof component, "campaign_engine");
-      std::snprintf(message, sizeof message, "trial key %016" PRIx64 " cache %s", ev.a,
-                    ev.detail == kCampaignTrialHit ? "hit" : "miss");
-      break;
-    case Stage::StoreCompaction:
-      std::snprintf(component, sizeof component, "result_store");
-      std::snprintf(message, sizeof message, "compaction reclaimed %g byte(s), %" PRIu64
-                    " live record(s)", ev.value, ev.a);
-      break;
+char phase_char(Phase phase) {
+  switch (phase) {
+    case Phase::Instant: return 'i';
+    case Phase::Begin: return 'b';
+    case Phase::End: return 'e';
   }
+  return '?';
 }
 
 }  // namespace
@@ -191,18 +63,18 @@ void Trace::push_event(SimTime when, Stage stage, Phase phase, std::uint32_t sta
   ev.when = when;
   ev.a = a;
   ev.value = value;
-  ev.seq = next_seq_++;
   ev.station = station;
   ev.detail = detail;
   ev.stage = stage;
   ev.phase = phase;
   events_.push_back(ev);
-  merged_dirty_ = true;
   if (echo_) {
-    char component[32];
-    char message[160];
-    render_event(ev, component, message);
-    std::fprintf(stderr, "[%12.3f ms] %-28s %s\n", when.to_milliseconds(), component, message);
+    const std::string_view name = stage_name(stage);
+    std::fprintf(stderr,
+                 "[%12.3f ms] %-17.*s %c station=%" PRIu32 " a=%" PRIu64 " value=%g detail=%" PRIu16
+                 "\n",
+                 when.to_milliseconds(), static_cast<int>(name.size()), name.data(),
+                 phase_char(phase), station, a, value, detail);
   }
 }
 
@@ -220,134 +92,16 @@ const TraceEvent* Trace::find_event(Stage stage, SimTime from, std::uint32_t sta
   return nullptr;
 }
 
-std::vector<const TraceEvent*> Trace::find_all_events(Stage stage) const {
-  std::vector<const TraceEvent*> out;
-  for (const auto& ev : events_) {
-    if (ev.stage == stage) out.push_back(&ev);
-  }
-  return out;
-}
-
-void Trace::record(SimTime when, std::string_view component, std::string_view message) {
-  if (echo_) {
-    std::fprintf(stderr, "[%12.3f ms] %-28.*s %.*s\n", when.to_milliseconds(),
-                 static_cast<int>(component.size()), component.data(),
-                 static_cast<int>(message.size()), message.data());
-  }
-  records_.push_back({when, std::string{component}, std::string{message}});
-  record_seqs_.push_back(next_seq_++);
-  merged_dirty_ = true;
-}
-
-const std::vector<TraceRecord>& Trace::merged() const {
-  // Fast path: no typed events recorded — the legacy vector IS the view.
-  if (events_.empty()) return records_;
-  if (!merged_dirty_ && merged_.size() == events_.size() + records_.size()) return merged_;
-
-  struct Entry {
-    std::uint32_t seq;
-    TraceRecord rec;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(events_.size() + records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    entries.push_back({record_seqs_[i], records_[i]});
-  }
-  char component[32];
-  char message[160];
-  for (const auto& ev : events_) {
-    render_event(ev, component, message);
-    entries.push_back({ev.seq, {ev.when, component, message}});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
-  merged_.clear();
-  merged_.reserve(entries.size());
-  for (auto& e : entries) merged_.push_back(std::move(e.rec));
-  merged_dirty_ = false;
-  return merged_;
-}
-
-const std::vector<TraceRecord>& Trace::records() const { return merged(); }
-
 void Trace::clear() {
   events_.clear();
   events_dropped_ = 0;
-  next_seq_ = 0;
-  records_.clear();
-  record_seqs_.clear();
-  merged_.clear();
-  merged_dirty_ = false;
-}
-
-const TraceRecord* Trace::find(std::string_view component_substr, std::string_view message_substr,
-                               SimTime from) const {
-  for (const auto& r : merged()) {
-    if (r.when < from) continue;
-    if (r.component.find(component_substr) == std::string::npos) continue;
-    if (r.message.find(message_substr) == std::string::npos) continue;
-    return &r;
-  }
-  return nullptr;
-}
-
-namespace {
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-void json_escape_into(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-}  // namespace
-
-std::string Trace::to_csv() const {
-  std::string out = "time_ms,component,message\n";
-  char buf[64];
-  for (const auto& r : merged()) {
-    std::snprintf(buf, sizeof buf, "%.6f,", r.when.to_milliseconds());
-    out += buf;
-    out += csv_escape(r.component);
-    out += ',';
-    out += csv_escape(r.message);
-    out += '\n';
-  }
-  return out;
 }
 
 std::string Trace::to_chrome_trace_json() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[320];
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out += ',';
-    first = false;
-  };
   for (const auto& ev : events_) {
-    sep();
+    if (&ev != &events_.front()) out += ',';
     const std::string_view name = stage_name(ev.stage);
     if (ev.phase == Phase::Instant) {
       std::snprintf(buf, sizeof buf,
@@ -361,36 +115,13 @@ std::string Trace::to_chrome_trace_json() const {
                     "{\"name\":\"%.*s\",\"cat\":\"rst\",\"ph\":\"%c\",\"id\":%" PRIu64
                     ",\"ts\":%.3f,\"pid\":0,\"tid\":%" PRIu32 ",\"args\":{\"value\":%g,"
                     "\"detail\":%" PRIu16 "}}",
-                    static_cast<int>(name.size()), name.data(),
-                    ev.phase == Phase::Begin ? 'b' : 'e', ev.a, ev.when.to_microseconds(),
+                    static_cast<int>(name.size()), name.data(), phase_char(ev.phase), ev.a,
+                    ev.when.to_microseconds(),
                     ev.station, ev.value, ev.detail);
     }
     out += buf;
   }
-  for (const auto& r : records_) {
-    sep();
-    out += "{\"name\":\"";
-    json_escape_into(out, r.component);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"cat\":\"legacy\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%.3f,\"pid\":0,"
-                  "\"tid\":0,\"args\":{\"message\":\"",
-                  r.when.to_milliseconds() * 1000.0);
-    out += buf;
-    json_escape_into(out, r.message);
-    out += "\"}}";
-  }
   out += "]}";
-  return out;
-}
-
-std::vector<const TraceRecord*> Trace::find_all(std::string_view component_substr,
-                                                std::string_view message_substr) const {
-  std::vector<const TraceRecord*> out;
-  for (const auto& r : merged()) {
-    if (r.component.find(component_substr) == std::string::npos) continue;
-    if (r.message.find(message_substr) == std::string::npos) continue;
-    out.push_back(&r);
-  }
   return out;
 }
 

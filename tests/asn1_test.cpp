@@ -95,28 +95,6 @@ TEST(Per, ConstrainedRoundTripProperty) {
   }
 }
 
-TEST(Per, ConstrainedExtRootAndExtension) {
-  for (std::int64_t v : {5LL, 0LL, 7LL, -3LL, 1000LL}) {
-    PerEncoder e;
-    e.constrained_ext(v, 0, 7);
-    PerDecoder d{e.finish()};
-    EXPECT_EQ(d.constrained_ext(0, 7), v);
-  }
-}
-
-TEST(Per, UnconstrainedRoundTripProperty) {
-  sim::RandomStream r{11, "unc"};
-  std::vector<std::int64_t> values{0, 1, -1, 127, 128, -128, -129, 65535, -65536,
-                                   (1LL << 40), -(1LL << 40)};
-  for (int i = 0; i < 200; ++i) values.push_back(r.uniform_int(-(1LL << 62), (1LL << 62)));
-  for (const auto v : values) {
-    PerEncoder e;
-    e.unconstrained(v);
-    PerDecoder d{e.finish()};
-    EXPECT_EQ(d.unconstrained(), v) << v;
-  }
-}
-
 TEST(Per, EnumeratedRoundTrip) {
   for (std::uint32_t v = 0; v < 7; ++v) {
     PerEncoder e;
@@ -151,38 +129,17 @@ TEST(Per, OctetStringRoundTrip) {
   }
 }
 
-TEST(Per, FixedOctetStringHasNoLengthOverhead) {
-  const std::uint8_t data[4] = {1, 2, 3, 4};
-  PerEncoder e;
-  e.fixed_octet_string(data, 4);
-  EXPECT_EQ(e.bit_count(), 32u);
-  std::uint8_t out[4] = {};
-  PerDecoder d{e.finish()};
-  d.fixed_octet_string(out, 4);
-  EXPECT_TRUE(std::equal(std::begin(data), std::end(data), std::begin(out)));
-}
-
-TEST(Per, Ia5StringRoundTripAndValidation) {
-  PerEncoder e;
-  e.ia5_string("DENM test 123!");
-  PerDecoder d{e.finish()};
-  EXPECT_EQ(d.ia5_string(), "DENM test 123!");
-
-  PerEncoder bad;
-  EXPECT_THROW(bad.ia5_string("caf\xc3\xa9"), std::invalid_argument);
-}
-
 TEST(Per, BooleanAndMixedSequence) {
   PerEncoder e;
   e.boolean(true);
   e.constrained(-5, -10, 10);
   e.boolean(false);
-  e.unconstrained(123456789);
+  e.octet_string({0xde, 0xad});
   PerDecoder d{e.finish()};
   EXPECT_TRUE(d.boolean());
   EXPECT_EQ(d.constrained(-10, 10), -5);
   EXPECT_FALSE(d.boolean());
-  EXPECT_EQ(d.unconstrained(), 123456789);
+  EXPECT_EQ(d.octet_string(), (std::vector<std::uint8_t>{0xde, 0xad}));
 }
 
 TEST(Per, DecoderDetectsTruncation) {

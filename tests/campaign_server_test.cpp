@@ -2,8 +2,7 @@
 // the ResultStore segment file, and the CampaignEngine's acceptance
 // criteria — an identical (spec, seed) resubmission is a full cache hit
 // (zero trials executed, byte-identical artifact), output is bit-identical
-// across worker counts, and the bounded admission queue rejects overload
-// with a distinct status.
+// across worker counts, and only a valid campaign is admitted.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rst/core/config_io.hpp"
@@ -130,9 +130,9 @@ TEST(TrialRecord, DuplicatedFieldCannotMaskAMissingOne) {
 
 TEST(ResultStore, MemoryOnlyPutGet) {
   ResultStore store;
-  EXPECT_FALSE(store.contains(7));
+  EXPECT_EQ(store.get(7), nullptr);
   store.put(7, "value");
-  ASSERT_TRUE(store.contains(7));
+  ASSERT_NE(store.get(7), nullptr);
   EXPECT_EQ(*store.get(7), "value");
   EXPECT_EQ(store.count(), 1u);
 }
@@ -439,81 +439,23 @@ TEST(CampaignEngine, SpellingsOfOneConfigShareTrials) {
             0u);
 }
 
-TEST(CampaignEngine, BoundedQueueRejectsOverload) {
-  CampaignEngineConfig config;
-  config.queue_capacity = 2;
-  CampaignEngine engine{config};
-  EXPECT_EQ(engine.submit(small_campaign()), CampaignEngine::Admission::Admitted);
-  EXPECT_EQ(engine.submit(small_campaign()), CampaignEngine::Admission::Admitted);
-  // Queue full: the distinct rejected status, not unbounded growth.
-  EXPECT_EQ(engine.submit(small_campaign()), CampaignEngine::Admission::Rejected);
-  EXPECT_EQ(engine.queue_depth(), 2u);
-  EXPECT_EQ(engine.metrics().counter("campaigns_rejected").value(), 1u);
-  // execute() honors the same admission bound while a backlog exists.
-  const CampaignOutcome out = engine.execute(small_campaign());
-  EXPECT_EQ(out.status, CampaignOutcome::Status::Rejected);
-  // Draining the queue runs the admitted campaigns.
-  EXPECT_TRUE(engine.run_one().has_value());
-  EXPECT_TRUE(engine.run_one().has_value());
-  EXPECT_FALSE(engine.run_one().has_value());
-}
-
-TEST(CampaignEngine, DropOldestShedsTheStalestCampaign) {
-  CampaignEngineConfig config;
-  config.queue_capacity = 1;
-  config.overflow = CampaignEngineConfig::OverflowPolicy::DropOldest;
-  CampaignEngine engine{config};
-  CampaignRequest first = small_campaign(2);
-  CampaignRequest second = small_campaign(3);
-  EXPECT_EQ(engine.submit(first), CampaignEngine::Admission::Admitted);
-  EXPECT_EQ(engine.submit(second), CampaignEngine::Admission::Admitted);
-  EXPECT_EQ(engine.queue_depth(), 1u);
-  EXPECT_EQ(engine.metrics().counter("campaigns_shed").value(), 1u);
-  // The survivor is the newer submission.
-  const auto out = engine.run_one();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->cache_misses, 3u);
-}
-
-TEST(CampaignEngine, ExecuteHonorsDropOldestPolicy) {
-  CampaignEngineConfig config;
-  config.queue_capacity = 1;
-  config.overflow = CampaignEngineConfig::OverflowPolicy::DropOldest;
-  CampaignEngine engine{config};
-  EXPECT_EQ(engine.submit(small_campaign(2)), CampaignEngine::Admission::Admitted);
-  // The queue is full, but the synchronous path applies the configured
-  // policy: the stalest queued campaign is shed and this one runs.
-  const CampaignOutcome out = engine.execute(small_campaign(3));
-  EXPECT_EQ(out.status, CampaignOutcome::Status::Ok);
-  EXPECT_EQ(out.cache_misses, 3u);
-  EXPECT_EQ(engine.queue_depth(), 0u);
-  EXPECT_EQ(engine.metrics().counter("campaigns_shed").value(), 1u);
-  EXPECT_EQ(engine.metrics().counter("campaigns_rejected").value(), 0u);
-  EXPECT_FALSE(engine.run_one().has_value());  // the shed campaign is gone
-}
-
 TEST(CampaignEngine, AdmissionTraceEventsCarryTheCampaignId) {
-  CampaignEngineConfig config;
-  config.queue_capacity = 1;
-  CampaignEngine engine{config};
+  CampaignEngine engine{{}};
   const CampaignRequest request = small_campaign();
-  const std::uint64_t id =
-      campaign_id(core::canonicalize_spec(request.spec), request.trials, request.base_seed);
-  EXPECT_EQ(engine.submit(request), CampaignEngine::Admission::Admitted);
-  EXPECT_EQ(engine.submit(request), CampaignEngine::Admission::Rejected);
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
+  const CampaignOutcome out = engine.execute(request);
+  ASSERT_EQ(out.status, CampaignOutcome::Status::Ok);
+  EXPECT_EQ(out.id,
+            campaign_id(core::canonicalize_spec(request.spec), request.trials, request.base_seed));
+  CampaignRequest bad = small_campaign();
+  bad.spec = "not_a_knob = 3\n";
+  ASSERT_EQ(engine.execute(bad).status, CampaignOutcome::Status::Error);
+  // Only the campaign that passed validation is admitted, under its id.
+  std::vector<std::uint64_t> admitted;
   for (const auto& e : engine.trace().events()) {
-    if (e.stage == sim::Stage::CampaignAdmitted) {
-      EXPECT_EQ(e.a, id);
-      ++admitted;
-    } else if (e.stage == sim::Stage::CampaignRejected) {
-      EXPECT_EQ(e.a, id);
-      ++rejected;
-    }
+    if (e.stage == sim::Stage::CampaignAdmitted) admitted.push_back(e.a);
   }
-  EXPECT_EQ(admitted, 1u);
-  EXPECT_EQ(rejected, 1u);
+  EXPECT_EQ(admitted, std::vector<std::uint64_t>{out.id});
+  EXPECT_EQ(engine.metrics().counter("campaigns_admitted").value(), 1u);
 }
 
 TEST(CampaignEngine, ObservabilityCountsMatchOutcomes) {
@@ -543,8 +485,8 @@ TEST(LineSession, PingStatsAndUnknownCommands) {
   CampaignEngine engine{{}};
   LineSession session{engine};
   EXPECT_EQ(session.handle_text("PING\n"), "PONG\n");
-  const std::string stats = session.handle_text("STATS\n");
-  EXPECT_EQ(stats.rfind("STATS admitted=0 ", 0), 0u);
+  EXPECT_EQ(session.handle_text("STATS\n"),
+            "STATS admitted=0 cache_hits=0 cache_misses=0 executed=0 store_records=0\n");
   const std::string bad = session.handle_text("FROB\n");
   EXPECT_EQ(bad.rfind("ERROR unknown command", 0), 0u);
 }
@@ -589,6 +531,33 @@ TEST(LineSession, BadSpecYieldsError) {
       EXPECT_EQ(bad_engine.store().count(), 0u);
     }
   }
+}
+
+TEST(LineSession, CampaignHeaderNumbersAreStrictDecimals) {
+  // A sign, an overflow or an empty value is a bad token, never a wrapped
+  // or saturated number.
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"CAMPAIGN trials=1 seed=-1", "seed=-1"},
+      {"CAMPAIGN trials=1 seed=99999999999999999999999", "seed=99999999999999999999999"},
+      {"CAMPAIGN trials=1 seed=+7", "seed=+7"},
+      {"CAMPAIGN trials=1 seed=", "seed="},
+      {"CAMPAIGN trials=+3 seed=1", "trials=+3"},
+  };
+  for (const auto& [header, token] : cases) {
+    CampaignEngine engine{{}};
+    LineSession session{engine};
+    EXPECT_EQ(session.handle_text(header + "\n"),
+              "ERROR campaign header: bad token '" + token + "'\nDONE\n");
+    EXPECT_EQ(engine.trials_executed(), 0u) << header;
+    EXPECT_EQ(engine.store().count(), 0u) << header;
+  }
+  // The largest seed still runs.
+  CampaignEngine engine{{}};
+  LineSession session{engine};
+  const std::string response =
+      session.handle_text("CAMPAIGN trials=1 seed=18446744073709551615\nEND\n");
+  EXPECT_EQ(response.rfind("OK id=", 0), 0u) << response;
+  EXPECT_EQ(engine.trials_executed(), 1u);
 }
 
 TEST(LineSession, QuitEndsTheSession) {

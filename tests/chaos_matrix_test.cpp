@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -297,7 +298,10 @@ TEST(ChaosWatchdog, ContactRestoredRecoversAndStopsViaDenm) {
   ASSERT_NE(scenario.fault_injector(), nullptr);
   EXPECT_EQ(scenario.fault_injector()->stats().activations, 1u);
   EXPECT_EQ(scenario.fault_injector()->stats().recoveries, 1u);
-  EXPECT_EQ(scenario.trace().find_all_events(sim::Stage::FaultWindow).size(), 2u);
+  const auto& events = scenario.trace().events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const auto& e) { return e.stage == sim::Stage::FaultWindow; }),
+            2);
 }
 
 // --- Legacy-knob equivalence (the ported failure_injection scenarios) ---

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "rst/its/dcc/channel_probe.hpp"
 #include "rst/its/dcc/adaptive_dcc.hpp"
@@ -85,8 +86,6 @@ TEST(DccTable, DefaultTableIsMonotone) {
     EXPECT_GT(table[i].cbr_up_threshold, table[i - 1].cbr_up_threshold);
     EXPECT_GT(table[i].min_gap, table[i - 1].min_gap);
   }
-  EXPECT_EQ(std::string{to_string(DccState::Relaxed)}, "Relaxed");
-  EXPECT_EQ(std::string{to_string(DccState::Restrictive)}, "Restrictive");
 }
 
 TEST(ReactiveDcc, StateGoesUpImmediatelyAndDownWithHysteresis) {
@@ -118,6 +117,33 @@ TEST(ReactiveDcc, StateGoesUpImmediatelyAndDownWithHysteresis) {
   EXPECT_EQ(dcc.state(), DccState::Active3);
   dcc.on_channel_load(0.05);
   EXPECT_EQ(dcc.state(), DccState::Active2);
+}
+
+TEST(ReactiveDcc, TracesEveryStateChangeAsATypedEvent) {
+  Rig rig;
+  auto& radio = rig.add_radio({0, 0});
+  ChannelProbe probe{rig.sched, radio};
+  ReactiveDccConfig config;
+  config.down_hysteresis_windows = 1;
+  sim::Trace trace;
+  ReactiveDcc dcc{rig.sched, radio, probe, config, &trace, 77};
+
+  dcc.on_channel_load(0.45);  // up to Active2
+  dcc.on_channel_load(0.45);  // unchanged: no event
+  dcc.on_channel_load(0.70);  // up to Restrictive
+  dcc.on_channel_load(0.05);  // one step down per window
+  dcc.on_channel_load(0.05);
+
+  const std::vector<DccState> expected{DccState::Active2, DccState::Restrictive,
+                                       DccState::Active3, DccState::Active2};
+  ASSERT_EQ(trace.events().size(), expected.size());
+  EXPECT_EQ(trace.events().size(), dcc.stats().state_changes);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const sim::TraceEvent& ev = trace.events()[i];
+    EXPECT_EQ(ev.stage, sim::Stage::DccState);
+    EXPECT_EQ(ev.station, 77u);
+    EXPECT_EQ(ev.a, static_cast<std::uint64_t>(expected[i])) << "event " << i;
+  }
 }
 
 TEST(ReactiveDcc, MinGapFollowsState) {
@@ -295,7 +321,7 @@ TEST(ReactiveDcc, CongestionRaisesStateAndThrottles) {
   auto& managed = rig.add_radio({0, 0});
   ChannelProbe probe{rig.sched, managed};
   probe.start();
-  ReactiveDcc dcc{rig.sched, managed, probe, {}, nullptr, "dcc"};
+  ReactiveDcc dcc{rig.sched, managed, probe};
 
   std::vector<dot11p::Radio*> loaders;
   for (int i = 0; i < 3; ++i) {

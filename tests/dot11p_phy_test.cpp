@@ -16,6 +16,8 @@ namespace {
 using namespace rst::sim::literals;
 
 TEST(PhyParams, DataRatesMatch80211pAt10Mhz) {
+  // Data bits per 8 us OFDM symbol, over 8 us, is the nominal rate in Mbit/s.
+  const auto data_rate_mbps = [](Mcs mcs) { return data_bits_per_symbol(mcs) / 8.0; };
   EXPECT_DOUBLE_EQ(data_rate_mbps(Mcs::Bpsk12), 3.0);
   EXPECT_DOUBLE_EQ(data_rate_mbps(Mcs::Bpsk34), 4.5);
   EXPECT_DOUBLE_EQ(data_rate_mbps(Mcs::Qpsk12), 6.0);
@@ -149,10 +151,10 @@ TEST(Channel, ObstacleShadowingAddsWallLoss) {
   auto base = std::make_unique<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
   const double base_loss = base->loss_db({0, 0}, {10, 0});
   ObstacleShadowingModel model{std::move(base), {{.a = {5, -5}, .b = {5, 5}, .obstruction_loss_db = 20.0}}};
-  EXPECT_TRUE(model.is_nlos({0, 0}, {10, 0}));
+  EXPECT_EQ(model.walls_crossed({0, 0}, {10, 0}), 1u);
   EXPECT_NEAR(model.loss_db({0, 0}, {10, 0}), base_loss + 20.0, 1e-9);
   // A path that dodges the wall pays no penalty.
-  EXPECT_FALSE(model.is_nlos({0, 0}, {0, 10}));
+  EXPECT_EQ(model.walls_crossed({0, 0}, {0, 10}), 0u);
 }
 
 TEST(Channel, MultipleWallsAccumulate) {

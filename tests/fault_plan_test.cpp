@@ -84,8 +84,10 @@ TEST(FaultPlan, PlanRoundTripsThroughConfigIo) {
     const std::size_t n = 1 + gen() % 6;
     for (std::size_t i = 0; i < n; ++i) plan.clauses.push_back(random_clause(gen));
 
+    std::string text;
+    for (const auto& clause : plan.clauses) text += "fault = " + format_fault_clause(clause) + "\n";
     core::TestbedConfig config;
-    const auto applied = core::apply_config_overrides(config, format_fault_plan(plan));
+    const auto applied = core::apply_config_overrides(config, text);
     EXPECT_EQ(applied, n);
     EXPECT_EQ(config.fault_plan, plan);
   }
@@ -222,7 +224,10 @@ TEST(FaultPlan, EveryActivationAndRecoveryEmitsATypedSpan) {
   EXPECT_EQ(inj.stats().activations, 2u);
   EXPECT_EQ(inj.stats().recoveries, 2u);
 
-  const auto events = trace.find_all_events(Stage::FaultWindow);
+  std::vector<const TraceEvent*> events;
+  for (const auto& ev : trace.events()) {
+    if (ev.stage == Stage::FaultWindow) events.push_back(&ev);
+  }
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i < plan.clauses.size(); ++i) {
     const auto& clause = plan.clauses[i];
@@ -244,8 +249,10 @@ TEST(FaultPlan, EveryActivationAndRecoveryEmitsATypedSpan) {
     EXPECT_EQ(begins, 1);
     EXPECT_EQ(ends, 1);
   }
-  // The spans render through the legacy string view too.
-  EXPECT_NE(trace.find("fault_injector", "radio-blackout"), nullptr);
+  // The earliest span opens the radio blackout.
+  const TraceEvent* first = trace.find_event(Stage::FaultWindow);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(static_cast<FaultKind>(first->detail), FaultKind::RadioBlackout);
 }
 
 TEST(FaultPlan, StreamsAreDeterministicPerKind) {

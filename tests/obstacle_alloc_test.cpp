@@ -90,7 +90,7 @@ TEST(ObstacleAlloc, IndexedQueryPathIsAllocationFreeInSteadyState) {
       const double t = i * 47.0;
       sink += model.loss_db({t, 10.0}, {1600.0 - t, 1590.0});
       sink += static_cast<double>(model.walls_crossed({t, t}, {800.0, 800.0}));
-      sink += model.is_nlos({10.0, t}, {1590.0, 1600.0 - t}) ? 1.0 : 0.0;
+      sink += model.walls_crossed({10.0, t}, {1590.0, 1600.0 - t}) > 0 ? 1.0 : 0.0;
     }
     return sink;
   };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "rst/its/facilities/den_basic_service.hpp"
@@ -137,7 +138,9 @@ TEST(OpenC2xApi, InboxBoundDropsOldest) {
   // Bounded at 4: the two oldest (seq 1, 2) were evicted and counted.
   EXPECT_EQ(rig.api->pending_denms(), 4u);
   EXPECT_EQ(rig.api->stats().denms_dropped, 2u);
-  EXPECT_EQ(trace.find_all_events(sim::Stage::InboxDrop).size(), 2u);
+  EXPECT_EQ(std::count_if(trace.events().begin(), trace.events().end(),
+                          [](const auto& e) { return e.stage == sim::Stage::InboxDrop; }),
+            2);
 
   // The survivors drain in FIFO order: seq 3..6.
   std::string body;

@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "rst/sim/trace.hpp"
-
 namespace rst::sim {
 namespace {
 
@@ -206,43 +204,6 @@ TEST(Scheduler, RescheduleAtSameTimestampFromRunningEventGoesToBatchTail) {
   sched.post_at(5_ms, [&] { order.push_back(1); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(Trace, RecordAndFilteredLookup) {
-  Trace trace;
-  trace.record(1_ms, "den.900", "DENM sent action=900/1");
-  trace.record(2_ms, "den.42", "DENM received action=900/1");
-  trace.record(3_ms, "control", "power cut commanded");
-  trace.record(4_ms, "den.900", "DENM sent action=900/2");
-
-  ASSERT_EQ(trace.records().size(), 4u);
-  const auto* first_sent = trace.find("den.900", "DENM sent");
-  ASSERT_NE(first_sent, nullptr);
-  EXPECT_EQ(first_sent->when, 1_ms);
-  // `from` skips earlier records.
-  const auto* second_sent = trace.find("den.900", "DENM sent", 2_ms);
-  ASSERT_NE(second_sent, nullptr);
-  EXPECT_EQ(second_sent->when, 4_ms);
-  // Substring match on both fields.
-  EXPECT_NE(trace.find("control", "power cut"), nullptr);
-  EXPECT_EQ(trace.find("control", "no such message"), nullptr);
-  EXPECT_EQ(trace.find("nobody", ""), nullptr);
-
-  const auto all_sent = trace.find_all("den.", "DENM");
-  EXPECT_EQ(all_sent.size(), 3u);
-
-  trace.clear();
-  EXPECT_TRUE(trace.records().empty());
-}
-
-TEST(Trace, CsvExportEscapesSpecials) {
-  Trace trace;
-  trace.record(1500_us, "den.900", "DENM sent action=900/1");
-  trace.record(2_ms, "note", "contains, comma and \"quotes\"");
-  const std::string csv = trace.to_csv();
-  EXPECT_NE(csv.find("time_ms,component,message\n"), std::string::npos);
-  EXPECT_NE(csv.find("1.500000,den.900,DENM sent action=900/1\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"contains, comma and \"\"quotes\"\"\""), std::string::npos);
 }
 
 }  // namespace

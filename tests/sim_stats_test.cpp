@@ -29,35 +29,6 @@ TEST(RunningStats, PaperTable3VarianceConvention) {
   EXPECT_NEAR(s.population_variance(), 0.0019, 5e-4);
 }
 
-TEST(RunningStats, MergeEqualsBulk) {
-  RandomStream r{1, "merge"};
-  RunningStats bulk;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.normal(3.0, 1.5);
-    bulk.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), bulk.count());
-  EXPECT_NEAR(a.mean(), bulk.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), bulk.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), bulk.min());
-  EXPECT_DOUBLE_EQ(a.max(), bulk.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  RunningStats empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
 TEST(Edf, StepValuesAndQuantiles) {
   Edf edf{{44, 44, 50, 55, 70, 70, 71, 71, 71, 55}};
   EXPECT_EQ(edf.count(), 10u);

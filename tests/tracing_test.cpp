@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rst/core/experiment.hpp"
@@ -35,7 +38,9 @@ TEST(TraceTyped, RecordAndQueryByStageAndStation) {
   ASSERT_NE(rx, nullptr);
   EXPECT_EQ(rx->when, 2_ms);
 
-  EXPECT_EQ(trace.find_all_events(Stage::DenmTx).size(), 2u);
+  EXPECT_EQ(std::count_if(trace.events().begin(), trace.events().end(),
+                          [](const TraceEvent& e) { return e.stage == Stage::DenmTx; }),
+            2);
   EXPECT_EQ(trace.find_event(Stage::AebTrigger), nullptr);
 }
 
@@ -51,34 +56,32 @@ TEST(TraceTyped, RingCapacityDropsNewestAndCounts) {
   EXPECT_EQ(trace.events_dropped(), 2u);
   EXPECT_EQ(trace.events().front().a, 0u);
   EXPECT_EQ(trace.events().back().a, 3u);
+
+  trace.clear();
+  EXPECT_TRUE(trace.events().empty());
+  EXPECT_EQ(trace.events_dropped(), 0u);
 }
 
-TEST(TraceTyped, LegacyViewRendersTypedEventsInSequenceOrder) {
+TEST(TraceTyped, EveryStageHasAUniqueName) {
+  // The echo and the Chrome export both name events by stage_name.
+  std::set<std::string_view> names;
+  for (int i = 0; i <= static_cast<int>(Stage::DccState); ++i) {
+    const std::string_view name = stage_name(static_cast<Stage>(i));
+    EXPECT_NE(name, "Unknown") << "stage " << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate stage name " << name;
+  }
+}
+
+TEST(TraceTyped, EchoPrintsOneLinePerEvent) {
   Trace trace;
-  trace.record(1_ms, "custom", "string record first");
-  trace.record_event(2_ms, Stage::DenmTx, 900, pack_action(900, 1));
-  trace.record_event(3_ms, Stage::DenmRx, 42, pack_action(900, 1));
-  trace.record(4_ms, "custom", "string record last");
-
-  // The merged view interleaves both paths in recording order.
-  const auto& all = trace.records();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0].message, "string record first");
-  EXPECT_EQ(all[1].component, "den.900");
-  EXPECT_EQ(all[1].message, "DENM sent action=900/1");
-  EXPECT_EQ(all[2].component, "den.42");
-  EXPECT_EQ(all[2].message, "DENM received action=900/1");
-  EXPECT_EQ(all[3].message, "string record last");
-
-  // The legacy queries the rest of the codebase uses keep working.
-  EXPECT_NE(trace.find("den.900", "DENM sent"), nullptr);
-  EXPECT_NE(trace.find("den.42", "DENM received"), nullptr);
-  EXPECT_EQ(trace.find_all("den.", "action=900/1").size(), 2u);
-
-  // New recordings invalidate and rebuild the view.
-  trace.record_event(5_ms, Stage::KafForward, 42, pack_action(900, 1));
-  EXPECT_EQ(trace.records().size(), 5u);
-  EXPECT_NE(trace.find("den.42", "keep-alive forwarded"), nullptr);
+  trace.set_echo(true);
+  ::testing::internal::CaptureStderr();
+  trace.record_event(1500_us, Stage::DenmTx, 900, 7, 2.5, 1);
+  trace.span_begin(2_ms, Stage::DenmPoll, 0, 3);
+  const std::string echoed = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(echoed,
+            "[       1.500 ms] DenmTx            i station=900 a=7 value=2.5 detail=1\n"
+            "[       2.000 ms] DenmPoll          b station=0 a=3 value=0 detail=0\n");
 }
 
 TEST(TraceTyped, SpanPairsRenderAsAsyncChromeEvents) {
@@ -86,7 +89,6 @@ TEST(TraceTyped, SpanPairsRenderAsAsyncChromeEvents) {
   trace.span_begin(1_ms, Stage::DenmPoll, 0, 7);
   trace.span_end(2_ms, Stage::DenmPoll, 0, 7);
   trace.record_event(3_ms, Stage::EmergencyStop);
-  trace.record(4_ms, "custom", "legacy \"quoted\" message");
 
   const std::string json = trace.to_chrome_trace_json();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
@@ -96,8 +98,6 @@ TEST(TraceTyped, SpanPairsRenderAsAsyncChromeEvents) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   // ts is microseconds.
   EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);
-  // The legacy record rides along with its message escaped.
-  EXPECT_NE(json.find("legacy \\\"quoted\\\" message"), std::string::npos);
 }
 
 /// Minimal structural JSON check: balanced {} / [] outside strings, valid
