@@ -76,7 +76,6 @@ struct PlatoonResult {
 class PlatoonScenario {
  public:
   explicit PlatoonScenario(PlatoonConfig config);
-  ~PlatoonScenario();
   PlatoonScenario(const PlatoonScenario&) = delete;
   PlatoonScenario& operator=(const PlatoonScenario&) = delete;
 
@@ -102,7 +101,7 @@ class PlatoonScenario {
     std::unique_ptr<vehicle::MessageHandler> handler;
     std::unique_ptr<ItsStation> obu;
     std::unique_ptr<vehicle::CaccController> cacc;
-    sim::EventHandle cruise_timer;
+    std::unique_ptr<sim::Timer> cruise_timer;
     sim::SimTime power_cut_at{};
     bool power_cut{false};
   };

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <deque>
-#include <string>
 
 #include "rst/dot11p/frame.hpp"
 #include "rst/dot11p/radio.hpp"
@@ -34,8 +33,7 @@ class AdaptiveDcc {
   using Config = AdaptiveDccConfig;
 
   AdaptiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe,
-              Config config = {}, sim::Trace* trace = nullptr, std::string name = "adaptive_dcc");
-  ~AdaptiveDcc();
+              Config config = {}, sim::Trace* trace = nullptr);
   AdaptiveDcc(const AdaptiveDcc&) = delete;
   AdaptiveDcc& operator=(const AdaptiveDcc&) = delete;
 
@@ -72,12 +70,11 @@ class AdaptiveDcc {
   dot11p::Radio& radio_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
 
   double rate_hz_;
   sim::SimTime last_tx_{-sim::SimTime::seconds(1)};
   std::deque<Pending> queue_;
-  sim::EventHandle gate_timer_;
+  sim::Timer gate_timer_;
   Stats stats_;
 };
 

@@ -27,12 +27,10 @@ class ChannelProbe {
   using Listener = std::function<void(double cbr)>;
 
   ChannelProbe(sim::Scheduler& sched, const dot11p::Radio& radio, Config config = {});
-  ~ChannelProbe();
   ChannelProbe(const ChannelProbe&) = delete;
   ChannelProbe& operator=(const ChannelProbe&) = delete;
 
   void start();
-  void stop();
 
   /// Smoothed channel busy ratio in [0, 1].
   [[nodiscard]] double cbr() const { return cbr_; }
@@ -46,11 +44,9 @@ class ChannelProbe {
  private:
   void sample();
 
-  sim::Scheduler& sched_;
   const dot11p::Radio& radio_;
   Config config_;
-  bool running_{false};
-  sim::EventHandle timer_;
+  sim::Timer timer_;
   sim::SimTime busy_at_window_start_{};
   double cbr_{0};
   double last_sample_{0};

@@ -48,7 +48,6 @@ class ReactiveDcc {
   /// State changes are traced as Stage::DccState events from `station_id`.
   ReactiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe, Config config = {},
               sim::Trace* trace = nullptr, std::uint32_t station_id = 0);
-  ~ReactiveDcc();
   ReactiveDcc(const ReactiveDcc&) = delete;
   ReactiveDcc& operator=(const ReactiveDcc&) = delete;
 
@@ -96,7 +95,7 @@ class ReactiveDcc {
   int below_windows_{0};
   sim::SimTime last_tx_{-sim::SimTime::seconds(1)};
   std::array<std::deque<Pending>, 4> queues_{};
-  sim::EventHandle gate_timer_;
+  sim::Timer gate_timer_;
   Stats stats_;
 };
 

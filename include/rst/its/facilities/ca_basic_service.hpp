@@ -57,7 +57,6 @@ class CaBasicService {
 
   /// Begins periodic generation. Idempotent.
   void start();
-  void stop();
 
   /// Sends one CAM immediately, outside the generation rules (the manual
   /// CAM trigger of the OpenC2X web interface).
@@ -93,8 +92,7 @@ class CaBasicService {
   Ldm* ldm_;
   sim::Trace* trace_;
 
-  bool running_{false};
-  sim::EventHandle check_timer_;
+  sim::Timer check_timer_;
   sim::SimTime t_gen_cam_;
   int dynamic_cam_countdown_{0};
   std::optional<CaVehicleData> last_sent_;

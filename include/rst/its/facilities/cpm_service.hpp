@@ -57,7 +57,6 @@ class CpmService {
 
   /// Begins periodic generation. Idempotent.
   void start();
-  void stop();
 
   /// Sends one CPM immediately, outside the generation cadence. Returns
   /// the number of objects published (0 means nothing was sent).
@@ -118,8 +117,7 @@ class CpmService {
   Ldm* ldm_;
   sim::Trace* trace_;
 
-  bool running_{false};
-  sim::EventHandle timer_;
+  sim::Timer timer_;
   std::vector<RemoteAnnouncement> announcements_;
   FusedCallback fused_cb_;
   sim::MetricsRegistry* metrics_{nullptr};

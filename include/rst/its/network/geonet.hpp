@@ -219,6 +219,7 @@ class GeoNetRouter {
   void update_location_table(const LongPositionVector& pv);
   void broadcast(const GnPacket& pkt, dot11p::AccessCategory ac);
   void schedule_beacon();
+  void send_beacon();
   void prune_tables();
 
   sim::Scheduler& sched_;
@@ -246,7 +247,7 @@ class GeoNetRouter {
     sim::SimTime queued;
   };
   std::map<std::uint64_t, std::vector<PendingGuc>> ls_buffer_;
-  sim::EventHandle beacon_timer_;
+  sim::Timer beacon_timer_;
   DeliveryHandler deliver_;
   SendHook send_hook_;
   Stats stats_;

@@ -31,8 +31,8 @@ class NtpClock {
  public:
   using Config = NtpClockConfig;
 
-  NtpClock(sim::Scheduler& sched, sim::RandomStream rng, std::string name, Config config = {});
-  ~NtpClock();
+  NtpClock(sim::Scheduler& sched, sim::RandomStream rng, const std::string& name,
+           Config config = {});
   NtpClock(const NtpClock&) = delete;
   NtpClock& operator=(const NtpClock&) = delete;
 
@@ -51,11 +51,10 @@ class NtpClock {
 
   sim::Scheduler& sched_;
   sim::RandomStream rng_;
-  std::string name_;
   Config config_;
   sim::SimTime offset_at_ref_;
   sim::SimTime ref_time_;
-  sim::EventHandle sync_timer_;
+  sim::Timer sync_timer_;
   std::uint64_t sync_count_{0};
 };
 

@@ -26,7 +26,7 @@ namespace rst::middleware {
 class OpenC2xApi {
  public:
   OpenC2xApi(HttpHost& host, const geo::LocalFrame& frame, its::DenBasicService& den,
-             its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr, std::string trace_name = {},
+             its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr,
              its::CaBasicService* ca = nullptr, std::size_t max_inbox = 16);
 
   /// Number of received DENMs not yet fetched via /request_denm.
@@ -51,7 +51,6 @@ class OpenC2xApi {
   its::CaBasicService* ca_;
   its::Ldm* ldm_;
   sim::Trace* trace_;
-  std::string trace_name_;
   struct InboxEntry {
     its::Denm denm;
     sim::SimTime received;

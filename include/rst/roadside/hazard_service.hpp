@@ -81,8 +81,7 @@ class HazardAdvertisementService {
                              middleware::HttpHost& host, const geo::LocalFrame& frame,
                              geo::Vec2 camera_position, double camera_facing_rad,
                              sim::RandomStream rng, Config config = {},
-                             its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr,
-                             std::string name = "hazard_service");
+                             its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr);
 
   void start();
   void stop();
@@ -122,7 +121,6 @@ class HazardAdvertisementService {
   Config config_;
   its::Ldm* ldm_;
   sim::Trace* trace_;
-  std::string name_;
   bool running_{false};
   bool armed_{true};
   sim::SimTime last_trigger_{};
@@ -137,7 +135,7 @@ class HazardAdvertisementService {
   };
   std::map<std::uint32_t, MotionState> motion_;
   CollisionPredictor predictor_{};
-  sim::EventHandle cam_scan_timer_;
+  sim::Timer cam_scan_timer_;
   Stats stats_;
 };
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "rst/middleware/message_bus.hpp"
@@ -61,13 +60,11 @@ class ObjectDetectionService {
 
   ObjectDetectionService(sim::Scheduler& sched, middleware::MessageBus& bus, RoadsideCamera& camera,
                          YoloSimulator& yolo, sim::RandomStream rng, Config config = {},
-                         sim::Trace* trace = nullptr, std::string name = "object_detection");
-  ~ObjectDetectionService();
+                         sim::Trace* trace = nullptr);
   ObjectDetectionService(const ObjectDetectionService&) = delete;
   ObjectDetectionService& operator=(const ObjectDetectionService&) = delete;
 
   void start();
-  void stop();
 
   [[nodiscard]] std::uint64_t frames_processed() const { return frames_; }
   [[nodiscard]] double effective_fps() const;
@@ -82,9 +79,7 @@ class ObjectDetectionService {
   sim::RandomStream rng_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
-  bool running_{false};
-  sim::EventHandle loop_timer_;
+  sim::Timer loop_timer_;
   std::uint64_t frames_{0};
   sim::SimTime started_at_{};
   RangeTracker tracker_;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "rst/sim/small_function.hpp"
@@ -168,6 +169,32 @@ class Scheduler {
   std::shared_ptr<detail::EventStatePool> pool_;
   SimTime now_{SimTime::zero()};
   std::uint64_t executed_{0};
+};
+
+/// A component's own periodic or one-shot event. The callback is bound
+/// once; arming replaces any pending firing, so a component re-arms from
+/// inside its callback to keep a cadence. Destroying the timer cancels it:
+/// the callback never runs after its owner is gone. The scheduled event
+/// refers to the timer, so it is neither copyable nor movable.
+class Timer {
+ public:
+  Timer(Scheduler& sched, Scheduler::Callback cb) : sched_{sched}, cb_{std::move(cb)} {}
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() { cancel(); }
+
+  /// Fires the callback at absolute time `when` (>= now()).
+  void arm_at(SimTime when);
+  /// Fires the callback after `delay` (>= 0).
+  void arm_in(SimTime delay) { arm_at(sched_.now() + delay); }
+  void cancel() { handle_.cancel(); }
+  /// True while a firing is pending (false inside the callback itself).
+  [[nodiscard]] bool armed() const { return handle_.pending(); }
+
+ private:
+  Scheduler& sched_;
+  Scheduler::Callback cb_;
+  EventHandle handle_;
 };
 
 }  // namespace rst::sim

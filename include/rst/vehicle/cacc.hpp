@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "rst/its/facilities/ca_basic_service.hpp"
 #include "rst/sim/trace.hpp"
@@ -33,8 +32,7 @@ class CaccController {
   using Config = CaccConfig;
 
   CaccController(sim::Scheduler& sched, VehicleDynamics& dynamics, Config config = {},
-                 sim::Trace* trace = nullptr, std::string name = "cacc");
-  ~CaccController();
+                 sim::Trace* trace = nullptr);
   CaccController(const CaccController&) = delete;
   CaccController& operator=(const CaccController&) = delete;
 
@@ -55,7 +53,6 @@ class CaccController {
   VehicleDynamics& dynamics_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
 
   struct LeaderState {
     geo::Vec2 position{};
@@ -63,8 +60,7 @@ class CaccController {
     sim::SimTime stamp{};
   };
   std::optional<LeaderState> leader_;
-  bool running_{false};
-  sim::EventHandle timer_;
+  sim::Timer timer_;
   std::uint64_t updates_{0};
 };
 

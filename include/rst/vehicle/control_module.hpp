@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "rst/middleware/message_bus.hpp"
 #include "rst/middleware/ntp.hpp"
 #include "rst/sim/trace.hpp"
@@ -33,13 +31,11 @@ class ControlModule {
 
   ControlModule(sim::Scheduler& sched, middleware::MessageBus& bus, VehicleDynamics& dynamics,
                 sim::RandomStream rng, Config config = {}, sim::Trace* trace = nullptr,
-                std::string name = "control", const middleware::NtpClock* clock = nullptr);
-  ~ControlModule();
+                const middleware::NtpClock* clock = nullptr);
   ControlModule(const ControlModule&) = delete;
   ControlModule& operator=(const ControlModule&) = delete;
 
   void start();
-  void stop();
 
   [[nodiscard]] std::uint64_t commands_applied() const { return applied_; }
 
@@ -55,10 +51,9 @@ class ControlModule {
   sim::RandomStream rng_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
   const middleware::NtpClock* clock_;
   bool running_{false};
-  sim::EventHandle odometry_timer_;
+  sim::Timer odometry_timer_;
   std::uint64_t applied_{0};
 };
 

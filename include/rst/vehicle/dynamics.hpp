@@ -35,14 +35,12 @@ struct VehicleParams {
 class VehicleDynamics {
  public:
   VehicleDynamics(sim::Scheduler& sched, VehicleParams params, sim::RandomStream rng);
-  ~VehicleDynamics();
   VehicleDynamics(const VehicleDynamics&) = delete;
   VehicleDynamics& operator=(const VehicleDynamics&) = delete;
 
   /// Places the vehicle and starts/continues integration.
   void reset(geo::Vec2 position, double heading_rad, double speed_mps = 0.0);
   void start();
-  void stop();
 
   /// Actuator inputs (what the Teensy/ESC applies).
   void set_throttle(double throttle01);
@@ -62,7 +60,6 @@ class VehicleDynamics {
  private:
   void tick();
 
-  sim::Scheduler& sched_;
   VehicleParams params_;
   sim::RandomStream rng_;
 
@@ -77,8 +74,7 @@ class VehicleDynamics {
   /// Per-run multiplicative variation of the coast-down friction (tyre
   /// temperature, battery level...) drawn at each reset.
   double friction_factor_{1.0};
-  bool running_{false};
-  sim::EventHandle tick_timer_;
+  sim::Timer tick_timer_;
 };
 
 }  // namespace rst::vehicle

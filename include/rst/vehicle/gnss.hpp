@@ -32,12 +32,10 @@ class GnssReceiver {
 
   GnssReceiver(sim::Scheduler& sched, const VehicleDynamics& vehicle, sim::RandomStream rng,
                Config config = {});
-  ~GnssReceiver();
   GnssReceiver(const GnssReceiver&) = delete;
   GnssReceiver& operator=(const GnssReceiver&) = delete;
 
   void start();
-  void stop();
 
   /// Latest fix (the value an application polling the receiver sees).
   [[nodiscard]] geo::Vec2 position() const { return last_fix_; }
@@ -64,8 +62,7 @@ class GnssReceiver {
   geo::Vec2 bias_{};
   geo::Vec2 last_fix_{};
   sim::SimTime last_fix_time_{};
-  bool running_{false};
-  sim::EventHandle timer_;
+  sim::Timer timer_;
   std::uint64_t fixes_{0};
 };
 

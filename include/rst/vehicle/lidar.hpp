@@ -47,7 +47,6 @@ class ScanningLidar {
 
   ScanningLidar(sim::Scheduler& sched, middleware::MessageBus& bus,
                 const VehicleDynamics& vehicle, sim::RandomStream rng, Config config = {});
-  ~ScanningLidar();
   ScanningLidar(const ScanningLidar&) = delete;
   ScanningLidar& operator=(const ScanningLidar&) = delete;
 
@@ -55,7 +54,6 @@ class ScanningLidar {
   void set_walls(std::vector<dot11p::Wall> walls) { walls_ = std::move(walls); }
 
   void start();
-  void stop();
 
   /// Synchronous scan (also used by the periodic loop).
   [[nodiscard]] LidarScan scan() const;
@@ -72,8 +70,7 @@ class ScanningLidar {
   Config config_;
   std::vector<LidarTarget> targets_;
   std::vector<dot11p::Wall> walls_;
-  bool running_{false};
-  sim::EventHandle timer_;
+  sim::Timer timer_;
   std::uint64_t scans_{0};
 };
 
@@ -97,7 +94,7 @@ class AebController {
   using Config = AebConfig;
 
   AebController(sim::Scheduler& sched, middleware::MessageBus& bus, Config config = {},
-                sim::Trace* trace = nullptr, std::string name = "aeb");
+                sim::Trace* trace = nullptr);
 
   void start() { running_ = true; }
   void stop() { running_ = false; }
@@ -113,7 +110,6 @@ class AebController {
   middleware::MessageBus& bus_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
   bool running_{false};
   bool triggered_{false};
   double speed_{0};

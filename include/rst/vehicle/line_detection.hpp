@@ -42,12 +42,10 @@ class LineCameraSensor {
 
   LineCameraSensor(sim::Scheduler& sched, middleware::MessageBus& bus, const Track& track,
                    const VehicleDynamics& vehicle, sim::RandomStream rng, Config config = {});
-  ~LineCameraSensor();
   LineCameraSensor(const LineCameraSensor&) = delete;
   LineCameraSensor& operator=(const LineCameraSensor&) = delete;
 
   void start();
-  void stop();
 
   [[nodiscard]] std::uint64_t frames_processed() const { return frames_; }
 
@@ -60,8 +58,7 @@ class LineCameraSensor {
   const VehicleDynamics& vehicle_;
   sim::RandomStream rng_;
   Config config_;
-  bool running_{false};
-  sim::EventHandle frame_timer_;
+  sim::Timer frame_timer_;
   std::uint64_t frames_{0};
 };
 

@@ -43,14 +43,11 @@ class MessageHandler {
   using Config = MessageHandlerConfig;
 
   MessageHandler(sim::Scheduler& sched, middleware::MessageBus& bus, middleware::HttpHost& host,
-                 sim::RandomStream rng, Config config = {}, sim::Trace* trace = nullptr,
-                 std::string name = "msg_handler");
-  ~MessageHandler();
+                 sim::RandomStream rng, Config config = {}, sim::Trace* trace = nullptr);
   MessageHandler(const MessageHandler&) = delete;
   MessageHandler& operator=(const MessageHandler&) = delete;
 
   void start();
-  void stop();
 
   /// True when the DENM's cause code demands an emergency stop.
   [[nodiscard]] static bool is_emergency(const its::Denm& denm);
@@ -85,12 +82,10 @@ class MessageHandler {
   sim::RandomStream rng_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
-  bool running_{false};
   bool last_poll_failed_{false};
   bool degraded_{false};
   sim::SimTime last_contact_{};
-  sim::EventHandle poll_timer_;
+  sim::Timer poll_timer_;
   Stats stats_;
 };
 

@@ -50,7 +50,7 @@ class MotionPlanner {
   using Config = MotionPlannerConfig;
 
   MotionPlanner(sim::Scheduler& sched, middleware::MessageBus& bus, Config config = {},
-                sim::Trace* trace = nullptr, std::string name = "planner");
+                sim::Trace* trace = nullptr);
 
   /// Latches an emergency stop (also reachable via the `v2x_emergency`
   /// bus topic). Idempotent.
@@ -61,9 +61,6 @@ class MotionPlanner {
   /// True while the planner holds the watchdog failsafe speed cap.
   [[nodiscard]] bool degraded() const { return degraded_; }
 
-  /// Releases the latch (new experiment run).
-  void reset();
-
  private:
   void on_line(const LineDetection& det);
   void on_odometry(const Odometry& odo);
@@ -72,7 +69,6 @@ class MotionPlanner {
   middleware::MessageBus& bus_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
   PidController steering_pid_;
   double current_speed_{0};
   sim::SimTime last_line_time_{};

@@ -39,15 +39,6 @@ class PidController {
     return out;
   }
 
-  void reset() {
-    integral_ = 0;
-    last_error_ = 0;
-    has_last_ = false;
-    last_output_ = 0;
-  }
-
-  [[nodiscard]] double integral() const { return integral_; }
-
  private:
   Gains gains_;
   double output_min_;

@@ -45,7 +45,7 @@ ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware
                                                   config_.ntp);
   http_ = std::make_unique<middleware::HttpHost>(lan, config_.name);
   api_ = std::make_unique<middleware::OpenC2xApi>(*http_, frame, *den_, ldm_.get(), trace_,
-                                                  config_.name, ca_.get());
+                                                  ca_.get());
 
   mux_.register_port(its::kBtpPortCam,
                      [this](const std::vector<std::uint8_t>& payload,

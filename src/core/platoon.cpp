@@ -58,9 +58,10 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
     handler_config.obu_hostname = obu_config.name;
     unit->handler = std::make_unique<vehicle::MessageHandler>(
         sched_, *unit->bus, *unit->host, rng_.child("handler" + std::to_string(i)), handler_config,
-        &trace_, "msg_handler." + std::to_string(i));
+        &trace_);
 
     Unit* raw = unit.get();
+    unit->cruise_timer = std::make_unique<sim::Timer>(sched_, [this, raw] { cruise_tick(*raw); });
     unit->bus->subscribe_to<std::string>("v2x_emergency", [this, raw](const std::string&) {
       if (raw->power_cut) return;
       raw->power_cut = true;
@@ -79,8 +80,8 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
         return data;
       });
       if (i > 0) {
-        unit->cacc = std::make_unique<vehicle::CaccController>(
-            sched_, *unit->dynamics, config_.cacc, &trace_, "cacc." + std::to_string(i));
+        unit->cacc = std::make_unique<vehicle::CaccController>(sched_, *unit->dynamics,
+                                                               config_.cacc, &trace_);
         const its::StationId predecessor = static_cast<its::StationId>(100 + i - 1);
         vehicle::CaccController* cacc = unit->cacc.get();
         unit->obu->ca().set_cam_callback(
@@ -95,17 +96,13 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
   }
 }
 
-PlatoonScenario::~PlatoonScenario() {
-  for (auto& u : units_) u->cruise_timer.cancel();
-}
-
 void PlatoonScenario::cruise_tick(Unit& unit) {
   if (!unit.power_cut) {
     const double throttle =
         std::clamp(0.05 + 1.5 * (config_.speed_mps - unit.dynamics->speed_mps()), 0.0, 1.0);
     unit.dynamics->set_throttle(throttle);
   }
-  unit.cruise_timer = sched_.schedule_in(50_ms, [this, &unit] { cruise_tick(unit); });
+  unit.cruise_timer->arm_in(50_ms);
 }
 
 PlatoonResult PlatoonScenario::run_emergency_stop(sim::SimTime warmup, sim::SimTime timeout) {

@@ -83,18 +83,17 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   line_sensor_ = std::make_unique<vehicle::LineCameraSensor>(
       sched_, *vehicle_bus_, *track_, *dynamics_, rng_.child("line"), config_.line_sensor);
   planner_ = std::make_unique<vehicle::MotionPlanner>(sched_, *vehicle_bus_, config_.planner,
-                                                      &trace_, "planner");
+                                                      &trace_);
   jetson_clock_ = std::make_unique<middleware::NtpClock>(sched_, rng_.child("jclock"), "jetson",
                                                          config_.jetson_ntp);
   control_ = std::make_unique<vehicle::ControlModule>(sched_, *vehicle_bus_, *dynamics_,
                                                       rng_.child("control"), config_.control,
-                                                      &trace_, "control", jetson_clock_.get());
+                                                      &trace_, jetson_clock_.get());
   if (config_.enable_lidar_aeb) {
     lidar_ = std::make_unique<vehicle::ScanningLidar>(sched_, *vehicle_bus_, *dynamics_,
                                                       rng_.child("lidar"), config_.lidar);
     lidar_->set_walls(config_.walls);
-    aeb_ = std::make_unique<vehicle::AebController>(sched_, *vehicle_bus_, config_.aeb, &trace_,
-                                                    "aeb");
+    aeb_ = std::make_unique<vehicle::AebController>(sched_, *vehicle_bus_, config_.aeb, &trace_);
   }
   if (config_.message_handler.watchdog) {
     // Graceful degradation: while infrastructure contact is lost the AEB is
@@ -110,8 +109,7 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   vehicle::MessageHandler::Config mh_config = config_.message_handler;
   mh_config.obu_hostname = config_.obu.name;
   message_handler_ = std::make_unique<vehicle::MessageHandler>(
-      sched_, *vehicle_bus_, *jetson_host_, rng_.child("handler"), mh_config, &trace_,
-      "msg_handler");
+      sched_, *vehicle_bus_, *jetson_host_, rng_.child("handler"), mh_config, &trace_);
 
   // --- Road-side infrastructure ---
   roadside::RoadsideCamera::Config cam_config = config_.camera;
@@ -125,8 +123,7 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   yolo_ = std::make_unique<roadside::YoloSimulator>(rng_.child("yolo"), config_.yolo);
   yolo_->set_fault_injector(faults_.get());
   detection_ = std::make_unique<roadside::ObjectDetectionService>(
-      sched_, *edge_bus_, *camera_, *yolo_, rng_.child("od"), config_.detection, &trace_,
-      "object_detection");
+      sched_, *edge_bus_, *camera_, *yolo_, rng_.child("od"), config_.detection, &trace_);
   edge_host_ = std::make_unique<middleware::HttpHost>(*lan_, "edge");
   roadside::HazardAdvertisementService::Config hz_config = config_.hazard;
   hz_config.rsu_hostname = config_.rsu.name;
@@ -183,7 +180,7 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
 
   hazard_ = std::make_unique<roadside::HazardAdvertisementService>(
       sched_, *edge_bus_, *edge_host_, frame_, config_.camera_position, config_.camera_facing_rad,
-      rng_.child("hazard"), hz_config, &rsu_->ldm(), &trace_, "hazard_service");
+      rng_.child("hazard"), hz_config, &rsu_->ldm(), &trace_);
 
   // Alternative warning bearer: RSU -> vehicle over a cellular network,
   // push-delivered to a 5G modem that feeds the motion planner directly.

@@ -16,7 +16,10 @@ Radio::Radio(Medium& medium, RadioConfig config, PositionProvider position, sim:
   medium_.attach(this);
 }
 
-Radio::~Radio() { medium_.detach(this); }
+Radio::~Radio() {
+  medium_.detach(this);
+  for (auto& st : acs_) st.attempt.cancel();
+}
 
 void Radio::send(Frame frame) {
   frame.src_mac = mac_;

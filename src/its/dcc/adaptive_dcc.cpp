@@ -5,17 +5,15 @@
 namespace rst::its::dcc {
 
 AdaptiveDcc::AdaptiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe,
-                         Config config, sim::Trace* trace, std::string name)
+                         Config config, sim::Trace* trace)
     : sched_{sched},
       radio_{radio},
       config_{config},
       trace_{trace},
-      name_{std::move(name)},
-      rate_hz_{config.rate_max_hz} {
+      rate_hz_{config.rate_max_hz},
+      gate_timer_{sched, [this] { try_dequeue(); }} {
   probe.set_listener([this](double cbr) { on_channel_load(cbr); });
 }
-
-AdaptiveDcc::~AdaptiveDcc() { gate_timer_.cancel(); }
 
 void AdaptiveDcc::on_channel_load(double cbr) {
   ++stats_.rate_updates;
@@ -43,10 +41,7 @@ void AdaptiveDcc::send(dot11p::Frame frame) {
   }
   queue_.push_back({std::move(frame), now});
   ++stats_.queued;
-  if (!gate_timer_.pending()) {
-    gate_timer_ = sched_.schedule_at(std::max(last_tx_ + current_min_gap(), now),
-                                     [this] { try_dequeue(); });
-  }
+  if (!gate_timer_.armed()) gate_timer_.arm_at(std::max(last_tx_ + current_min_gap(), now));
 }
 
 void AdaptiveDcc::try_dequeue() {
@@ -62,9 +57,7 @@ void AdaptiveDcc::try_dequeue() {
     ++stats_.passed;
     radio_.send(std::move(p.frame));
   }
-  if (!queue_.empty()) {
-    gate_timer_ = sched_.schedule_at(last_tx_ + current_min_gap(), [this] { try_dequeue(); });
-  }
+  if (!queue_.empty()) gate_timer_.arm_at(last_tx_ + current_min_gap());
 }
 
 }  // namespace rst::its::dcc

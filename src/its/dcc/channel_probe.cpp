@@ -5,24 +5,15 @@
 namespace rst::its::dcc {
 
 ChannelProbe::ChannelProbe(sim::Scheduler& sched, const dot11p::Radio& radio, Config config)
-    : sched_{sched}, radio_{radio}, config_{config} {}
-
-ChannelProbe::~ChannelProbe() { timer_.cancel(); }
+    : radio_{radio}, config_{config}, timer_{sched, [this] { sample(); }} {}
 
 void ChannelProbe::start() {
-  if (running_) return;
-  running_ = true;
+  if (timer_.armed()) return;
   busy_at_window_start_ = radio_.cumulative_busy_time();
-  timer_ = sched_.schedule_in(config_.window, [this] { sample(); });
-}
-
-void ChannelProbe::stop() {
-  running_ = false;
-  timer_.cancel();
+  timer_.arm_in(config_.window);
 }
 
 void ChannelProbe::sample() {
-  if (!running_) return;
   const sim::SimTime busy_now = radio_.cumulative_busy_time();
   const double busy_fraction =
       static_cast<double>((busy_now - busy_at_window_start_).count_ns()) /
@@ -32,7 +23,7 @@ void ChannelProbe::sample() {
   ++windows_;
   cbr_ = windows_ == 1 ? last_sample_ : (1.0 - config_.alpha) * cbr_ + config_.alpha * last_sample_;
   if (listener_) listener_(cbr_);
-  timer_ = sched_.schedule_in(config_.window, [this] { sample(); });
+  timer_.arm_in(config_.window);
 }
 
 }  // namespace rst::its::dcc

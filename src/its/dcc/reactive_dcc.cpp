@@ -16,11 +16,14 @@ const std::array<DccStateParams, 5>& default_dcc_table() {
 
 ReactiveDcc::ReactiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe,
                          Config config, sim::Trace* trace, std::uint32_t station_id)
-    : sched_{sched}, radio_{radio}, config_{config}, trace_{trace}, station_id_{station_id} {
+    : sched_{sched},
+      radio_{radio},
+      config_{config},
+      trace_{trace},
+      station_id_{station_id},
+      gate_timer_{sched, [this] { try_dequeue(); }} {
   probe.set_listener([this](double cbr) { on_channel_load(cbr); });
 }
-
-ReactiveDcc::~ReactiveDcc() { gate_timer_.cancel(); }
 
 sim::SimTime ReactiveDcc::current_min_gap() const {
   return config_.table[static_cast<std::size_t>(state_)].min_gap;
@@ -81,10 +84,7 @@ void ReactiveDcc::send(dot11p::Frame frame) {
   }
   q.push_back({std::move(frame), now});
   ++stats_.queued;
-  if (!gate_timer_.pending()) {
-    const sim::SimTime open_at = last_tx_ + current_min_gap();
-    gate_timer_ = sched_.schedule_at(std::max(open_at, now), [this] { try_dequeue(); });
-  }
+  if (!gate_timer_.armed()) gate_timer_.arm_at(std::max(last_tx_ + current_min_gap(), now));
 }
 
 void ReactiveDcc::try_dequeue() {
@@ -108,9 +108,7 @@ void ReactiveDcc::try_dequeue() {
       break;
     }
   }
-  if (queue_depth() > 0) {
-    gate_timer_ = sched_.schedule_at(last_tx_ + current_min_gap(), [this] { try_dequeue(); });
-  }
+  if (queue_depth() > 0) gate_timer_.arm_at(last_tx_ + current_min_gap());
 }
 
 }  // namespace rst::its::dcc

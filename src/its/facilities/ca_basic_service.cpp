@@ -15,17 +15,11 @@ CaBasicService::CaBasicService(sim::Scheduler& sched, GeoNetRouter& router, Stat
       config_{config},
       ldm_{ldm},
       trace_{trace},
+      check_timer_{sched, [this] { check_generation(); }},
       t_gen_cam_{config.t_gen_cam_max} {}
 
 void CaBasicService::start() {
-  if (running_) return;
-  running_ = true;
-  check_timer_ = sched_.schedule_in(config_.t_gen_cam_min, [this] { check_generation(); });
-}
-
-void CaBasicService::stop() {
-  running_ = false;
-  check_timer_.cancel();
+  if (!check_timer_.armed()) check_timer_.arm_in(config_.t_gen_cam_min);
 }
 
 void CaBasicService::send_now() { send_cam(provider_()); }
@@ -86,8 +80,6 @@ Cam CaBasicService::build_cam(bool include_lf) const {
 }
 
 void CaBasicService::check_generation() {
-  if (!running_) return;
-
   const CaVehicleData data = provider_();
   bool trigger = false;
   bool dynamics = false;
@@ -119,7 +111,7 @@ void CaBasicService::check_generation() {
     send_cam(data);
   }
 
-  check_timer_ = sched_.schedule_in(config_.t_gen_cam_min, [this] { check_generation(); });
+  check_timer_.arm_in(config_.t_gen_cam_min);
 }
 
 void CaBasicService::send_cam(const CaVehicleData& data) {

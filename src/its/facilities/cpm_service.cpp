@@ -29,17 +29,11 @@ CpmService::CpmService(sim::Scheduler& sched, GeoNetRouter& router, StationId st
       station_id_{station_id},
       config_{config},
       ldm_{ldm},
-      trace_{trace} {}
+      trace_{trace},
+      timer_{sched, [this] { generate(); }} {}
 
 void CpmService::start() {
-  if (running_) return;
-  running_ = true;
-  timer_ = sched_.schedule_in(config_.interval, [this] { generate(); });
-}
-
-void CpmService::stop() {
-  running_ = false;
-  timer_.cancel();
+  if (!timer_.armed()) timer_.arm_in(config_.interval);
 }
 
 void CpmService::set_metrics(sim::MetricsRegistry* metrics) {
@@ -48,9 +42,8 @@ void CpmService::set_metrics(sim::MetricsRegistry* metrics) {
 }
 
 void CpmService::generate() {
-  if (!running_) return;
   send_now();
-  timer_ = sched_.schedule_in(config_.interval, [this] { generate(); });
+  timer_.arm_in(config_.interval);
 }
 
 std::size_t CpmService::send_now() {

@@ -95,7 +95,8 @@ GeoNetRouter::GeoNetRouter(sim::Scheduler& sched, dot11p::Radio& radio, const ge
       ego_{std::move(ego)},
       config_{config},
       rng_{rng.child("geonet")},
-      trace_{trace} {
+      trace_{trace},
+      beacon_timer_{sched, [this] { send_beacon(); }} {
   radio_.set_receive_callback(
       [this](const dot11p::Frame& f, const dot11p::RxInfo& info) { on_frame(f, info); });
   if (config_.enable_beaconing) schedule_beacon();
@@ -103,7 +104,6 @@ GeoNetRouter::GeoNetRouter(sim::Scheduler& sched, dot11p::Radio& radio, const ge
 
 GeoNetRouter::~GeoNetRouter() {
   radio_.set_receive_callback(nullptr);
-  beacon_timer_.cancel();
   for (auto& [key, timer] : cbf_timers_) timer.cancel();
 }
 
@@ -568,15 +568,17 @@ void GeoNetRouter::handle_guc(GnPacket pkt, const dot11p::RxInfo& /*info*/) {
 
 void GeoNetRouter::schedule_beacon() {
   const auto jitter = rng_.uniform_time(sim::SimTime::zero(), config_.beacon_interval / 4);
-  beacon_timer_ = sched_.schedule_in(config_.beacon_interval + jitter, [this] {
-    GnPacket pkt;
-    pkt.type = GnPacketType::Beacon;
-    pkt.remaining_hop_limit = 1;
-    pkt.source = make_position_vector();
-    pkt.forwarder = pkt.source;
-    broadcast(pkt, dot11p::AccessCategory::Background);
-    schedule_beacon();
-  });
+  beacon_timer_.arm_in(config_.beacon_interval + jitter);
+}
+
+void GeoNetRouter::send_beacon() {
+  GnPacket pkt;
+  pkt.type = GnPacketType::Beacon;
+  pkt.remaining_hop_limit = 1;
+  pkt.source = make_position_vector();
+  pkt.forwarder = pkt.source;
+  broadcast(pkt, dot11p::AccessCategory::Background);
+  schedule_beacon();
 }
 
 }  // namespace rst::its

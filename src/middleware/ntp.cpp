@@ -2,17 +2,19 @@
 
 namespace rst::middleware {
 
-NtpClock::NtpClock(sim::Scheduler& sched, sim::RandomStream rng, std::string name, Config config)
+NtpClock::NtpClock(sim::Scheduler& sched, sim::RandomStream rng, const std::string& name,
+                   Config config)
     : sched_{sched},
       rng_{rng.child("ntp." + name)},
-      name_{std::move(name)},
       config_{config},
       offset_at_ref_{config.initial_offset},
-      ref_time_{sched.now()} {
+      ref_time_{sched.now()},
+      sync_timer_{sched, [this] {
+                    sync();
+                    schedule_sync();
+                  }} {
   if (config_.enable_sync) schedule_sync();
 }
-
-NtpClock::~NtpClock() { sync_timer_.cancel(); }
 
 sim::SimTime NtpClock::offset() const {
   const auto elapsed = sched_.now() - ref_time_;
@@ -33,10 +35,7 @@ void NtpClock::sync() {
 
 void NtpClock::schedule_sync() {
   const auto jitter = rng_.uniform_time(sim::SimTime::zero(), config_.sync_interval / 8);
-  sync_timer_ = sched_.schedule_in(config_.sync_interval + jitter, [this] {
-    sync();
-    schedule_sync();
-  });
+  sync_timer_.arm_in(config_.sync_interval + jitter);
 }
 
 }  // namespace rst::middleware

@@ -3,10 +3,14 @@
 namespace rst::middleware {
 
 OpenC2xApi::OpenC2xApi(HttpHost& host, const geo::LocalFrame& frame, its::DenBasicService& den,
-                       its::Ldm* ldm, sim::Trace* trace, std::string trace_name,
-                       its::CaBasicService* ca, std::size_t max_inbox)
-    : frame_{frame}, den_{den}, ca_{ca}, ldm_{ldm}, trace_{trace},
-      trace_name_{std::move(trace_name)}, max_inbox_{max_inbox == 0 ? 1 : max_inbox} {
+                       its::Ldm* ldm, sim::Trace* trace, its::CaBasicService* ca,
+                       std::size_t max_inbox)
+    : frame_{frame},
+      den_{den},
+      ca_{ca},
+      ldm_{ldm},
+      trace_{trace},
+      max_inbox_{max_inbox == 0 ? 1 : max_inbox} {
   den_.set_denm_callback([this](const its::Denm& denm, const its::GnDeliveryMeta& meta, bool) {
     // Bounded inbox: a slow (or dead) poller must not let undelivered DENMs
     // accumulate without limit. Drop the OLDEST — the newest message holds

@@ -23,7 +23,7 @@ bool is_known_road_user(std::string_view label) {
 HazardAdvertisementService::HazardAdvertisementService(
     sim::Scheduler& sched, middleware::MessageBus& bus, middleware::HttpHost& host,
     const geo::LocalFrame& frame, geo::Vec2 camera_position, double camera_facing_rad,
-    sim::RandomStream rng, Config config, its::Ldm* ldm, sim::Trace* trace, std::string name)
+    sim::RandomStream rng, Config config, its::Ldm* ldm, sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
       host_{host},
@@ -34,7 +34,7 @@ HazardAdvertisementService::HazardAdvertisementService(
       config_{config},
       ldm_{ldm},
       trace_{trace},
-      name_{std::move(name)} {
+      cam_scan_timer_{sched, [this] { scan_cam_pairs(); }} {
   predictor_ = CollisionPredictor{config_.cpa};
   bus_.subscribe_to<DetectionBatch>("detections",
                                     [this](const DetectionBatch& b) { on_detections(b); });
@@ -42,8 +42,8 @@ HazardAdvertisementService::HazardAdvertisementService(
 
 void HazardAdvertisementService::start() {
   running_ = true;
-  if (config_.monitor_cam_pairs && !cam_scan_timer_.pending()) {
-    cam_scan_timer_ = sched_.schedule_in(config_.cam_pair_scan_period, [this] { scan_cam_pairs(); });
+  if (config_.monitor_cam_pairs && !cam_scan_timer_.armed()) {
+    cam_scan_timer_.arm_in(config_.cam_pair_scan_period);
   }
 }
 
@@ -53,8 +53,7 @@ void HazardAdvertisementService::stop() {
 }
 
 void HazardAdvertisementService::scan_cam_pairs() {
-  if (!running_) return;
-  cam_scan_timer_ = sched_.schedule_in(config_.cam_pair_scan_period, [this] { scan_cam_pairs(); });
+  cam_scan_timer_.arm_in(config_.cam_pair_scan_period);
   if (!ldm_) return;
   if (!armed_) {
     if (sched_.now() - last_trigger_ > config_.rearm_delay) armed_ = true;

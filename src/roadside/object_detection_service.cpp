@@ -5,7 +5,7 @@ namespace rst::roadside {
 ObjectDetectionService::ObjectDetectionService(sim::Scheduler& sched, middleware::MessageBus& bus,
                                                RoadsideCamera& camera, YoloSimulator& yolo,
                                                sim::RandomStream rng, Config config,
-                                               sim::Trace* trace, std::string name)
+                                               sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
       camera_{camera},
@@ -13,25 +13,16 @@ ObjectDetectionService::ObjectDetectionService(sim::Scheduler& sched, middleware
       rng_{rng.child("od_service")},
       config_{config},
       trace_{trace},
-      name_{std::move(name)},
+      loop_timer_{sched, [this] { process_frame(); }},
       tracker_{config.tracker},
       associator_{config.associator} {}
 
-ObjectDetectionService::~ObjectDetectionService() { loop_timer_.cancel(); }
-
 void ObjectDetectionService::start() {
-  if (running_) return;
-  running_ = true;
+  if (loop_timer_.armed()) return;
   started_at_ = sched_.now();
   // Random initial phase: the detection loop is not synchronised to the
   // experiment start.
-  loop_timer_ = sched_.schedule_in(
-      rng_.uniform_time(sim::SimTime::zero(), config_.processing_period), [this] { process_frame(); });
-}
-
-void ObjectDetectionService::stop() {
-  running_ = false;
-  loop_timer_.cancel();
+  loop_timer_.arm_in(rng_.uniform_time(sim::SimTime::zero(), config_.processing_period));
 }
 
 double ObjectDetectionService::effective_fps() const {
@@ -40,7 +31,6 @@ double ObjectDetectionService::effective_fps() const {
 }
 
 void ObjectDetectionService::process_frame() {
-  if (!running_) return;
   ++frames_;
   const CameraFrame frame = camera_.capture();
   if (trace_) {
@@ -94,7 +84,7 @@ void ObjectDetectionService::process_frame() {
     bus_.publish("detections", batch);
   });
 
-  loop_timer_ = sched_.schedule_in(config_.processing_period, [this] { process_frame(); });
+  loop_timer_.arm_in(config_.processing_period);
 }
 
 }  // namespace rst::roadside

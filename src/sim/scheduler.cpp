@@ -166,4 +166,9 @@ std::size_t Scheduler::run_until(SimTime deadline) {
   return n;
 }
 
+void Timer::arm_at(SimTime when) {
+  handle_.cancel();
+  handle_ = sched_.schedule_at(when, [this] { cb_(); });
+}
+
 }  // namespace rst::sim

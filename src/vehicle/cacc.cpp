@@ -5,25 +5,18 @@
 namespace rst::vehicle {
 
 CaccController::CaccController(sim::Scheduler& sched, VehicleDynamics& dynamics, Config config,
-                               sim::Trace* trace, std::string name)
+                               sim::Trace* trace)
     : sched_{sched},
       dynamics_{dynamics},
       config_{config},
       trace_{trace},
-      name_{std::move(name)} {}
-
-CaccController::~CaccController() { timer_.cancel(); }
+      timer_{sched, [this] { tick(); }} {}
 
 void CaccController::start() {
-  if (running_) return;
-  running_ = true;
-  timer_ = sched_.schedule_in(config_.control_period, [this] { tick(); });
+  if (!timer_.armed()) timer_.arm_in(config_.control_period);
 }
 
-void CaccController::stop() {
-  running_ = false;
-  timer_.cancel();
-}
+void CaccController::stop() { timer_.cancel(); }
 
 void CaccController::on_leader_cam(const its::Cam& cam, geo::Vec2 leader_position) {
   LeaderState state;
@@ -46,8 +39,7 @@ double CaccController::current_gap_m() const {
 }
 
 void CaccController::tick() {
-  if (!running_) return;
-  timer_ = sched_.schedule_in(config_.control_period, [this] { tick(); });
+  timer_.arm_in(config_.control_period);
   if (dynamics_.power_cut()) {
     stop();  // emergency latched: never reapply throttle
     return;

@@ -4,31 +4,23 @@ namespace rst::vehicle {
 
 ControlModule::ControlModule(sim::Scheduler& sched, middleware::MessageBus& bus,
                              VehicleDynamics& dynamics, sim::RandomStream rng, Config config,
-                             sim::Trace* trace, std::string name,
-                             const middleware::NtpClock* clock)
+                             sim::Trace* trace, const middleware::NtpClock* clock)
     : sched_{sched},
       bus_{bus},
       dynamics_{dynamics},
       rng_{rng.child("control")},
       config_{config},
       trace_{trace},
-      name_{std::move(name)},
-      clock_{clock} {
+      clock_{clock},
+      odometry_timer_{sched, [this] { publish_odometry(); }} {
   bus_.subscribe_to<DriveCommand>("drive_cmd",
                                   [this](const DriveCommand& cmd) { on_command(cmd); });
 }
 
-ControlModule::~ControlModule() { odometry_timer_.cancel(); }
-
 void ControlModule::start() {
   if (running_) return;
   running_ = true;
-  odometry_timer_ = sched_.schedule_in(config_.odometry_period, [this] { publish_odometry(); });
-}
-
-void ControlModule::stop() {
-  running_ = false;
-  odometry_timer_.cancel();
+  odometry_timer_.arm_in(config_.odometry_period);
 }
 
 sim::SimTime ControlModule::next_pwm_edge(sim::SimTime t) const {
@@ -66,13 +58,12 @@ void ControlModule::on_command(const DriveCommand& cmd) {
 }
 
 void ControlModule::publish_odometry() {
-  if (!running_) return;
   Odometry odo;
   odo.speed_mps = dynamics_.speed_mps();
   odo.position = dynamics_.position();
   odo.heading_rad = dynamics_.heading_rad();
   bus_.publish("odometry", odo);
-  odometry_timer_ = sched_.schedule_in(config_.odometry_period, [this] { publish_odometry(); });
+  odometry_timer_.arm_in(config_.odometry_period);
 }
 
 }  // namespace rst::vehicle

@@ -10,9 +10,7 @@ constexpr double kGravity = 9.81;
 }
 
 VehicleDynamics::VehicleDynamics(sim::Scheduler& sched, VehicleParams params, sim::RandomStream rng)
-    : sched_{sched}, params_{params}, rng_{rng.child("dynamics")} {}
-
-VehicleDynamics::~VehicleDynamics() { tick_timer_.cancel(); }
+    : params_{params}, rng_{rng.child("dynamics")}, tick_timer_{sched, [this] { tick(); }} {}
 
 void VehicleDynamics::reset(geo::Vec2 position, double heading_rad, double speed_mps) {
   position_ = position;
@@ -26,14 +24,7 @@ void VehicleDynamics::reset(geo::Vec2 position, double heading_rad, double speed
 }
 
 void VehicleDynamics::start() {
-  if (running_) return;
-  running_ = true;
-  tick_timer_ = sched_.schedule_in(params_.tick, [this] { tick(); });
-}
-
-void VehicleDynamics::stop() {
-  running_ = false;
-  tick_timer_.cancel();
+  if (!tick_timer_.armed()) tick_timer_.arm_in(params_.tick);
 }
 
 void VehicleDynamics::set_throttle(double throttle01) {
@@ -50,7 +41,6 @@ void VehicleDynamics::cut_power() {
 }
 
 void VehicleDynamics::tick() {
-  if (!running_) return;
   const double dt = params_.tick.to_seconds();
 
   double force = throttle_ * params_.max_motor_force_n;
@@ -77,7 +67,7 @@ void VehicleDynamics::tick() {
     heading_ += ds / params_.wheelbase_m * std::tan(steering_);
   }
 
-  tick_timer_ = sched_.schedule_in(params_.tick, [this] { tick(); });
+  tick_timer_.arm_in(params_.tick);
 }
 
 }  // namespace rst::vehicle

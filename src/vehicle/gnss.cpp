@@ -8,27 +8,21 @@ namespace rst::vehicle {
 
 GnssReceiver::GnssReceiver(sim::Scheduler& sched, const VehicleDynamics& vehicle,
                            sim::RandomStream rng, Config config)
-    : sched_{sched}, vehicle_{vehicle}, rng_{rng.child("gnss")}, config_{config} {
+    : sched_{sched},
+      vehicle_{vehicle},
+      rng_{rng.child("gnss")},
+      config_{config},
+      timer_{sched, [this] { tick(); }} {
   bias_ = {rng_.normal(0.0, config_.initial_bias_sigma_m),
            rng_.normal(0.0, config_.initial_bias_sigma_m)};
   last_fix_ = vehicle_.position() + bias_;
 }
 
-GnssReceiver::~GnssReceiver() { timer_.cancel(); }
-
 void GnssReceiver::start() {
-  if (running_) return;
-  running_ = true;
-  timer_ = sched_.schedule_in(config_.fix_period, [this] { tick(); });
-}
-
-void GnssReceiver::stop() {
-  running_ = false;
-  timer_.cancel();
+  if (!timer_.armed()) timer_.arm_in(config_.fix_period);
 }
 
 void GnssReceiver::tick() {
-  if (!running_) return;
   bias_ = bias_ * (1.0 - config_.bias_decay) +
           geo::Vec2{rng_.normal(0.0, config_.bias_walk_sigma_m),
                     rng_.normal(0.0, config_.bias_walk_sigma_m)};
@@ -49,7 +43,7 @@ void GnssReceiver::tick() {
                         rng_.normal(0.0, config_.noise_sigma_m)};
   last_fix_time_ = sched_.now();
   ++fixes_;
-  timer_ = sched_.schedule_in(config_.fix_period, [this] { tick(); });
+  timer_.arm_in(config_.fix_period);
 }
 
 }  // namespace rst::vehicle

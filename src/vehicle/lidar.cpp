@@ -13,21 +13,13 @@ ScanningLidar::ScanningLidar(sim::Scheduler& sched, middleware::MessageBus& bus,
       bus_{bus},
       vehicle_{vehicle},
       rng_{rng.child("lidar")},
-      config_{config} {}
-
-ScanningLidar::~ScanningLidar() { timer_.cancel(); }
+      config_{config},
+      timer_{sched, [this] { tick(); }} {}
 
 void ScanningLidar::add_target(LidarTarget target) { targets_.push_back(std::move(target)); }
 
 void ScanningLidar::start() {
-  if (running_) return;
-  running_ = true;
-  timer_ = sched_.schedule_in(config_.scan_period, [this] { tick(); });
-}
-
-void ScanningLidar::stop() {
-  running_ = false;
-  timer_.cancel();
+  if (!timer_.armed()) timer_.arm_in(config_.scan_period);
 }
 
 LidarScan ScanningLidar::scan() const {
@@ -58,17 +50,16 @@ LidarScan ScanningLidar::scan() const {
 }
 
 void ScanningLidar::tick() {
-  if (!running_) return;
   const LidarScan result = scan();
   ++scans_;
   sched_.post_in(config_.processing_latency,
                  [this, result] { bus_.publish("lidar_scan", result); });
-  timer_ = sched_.schedule_in(config_.scan_period, [this] { tick(); });
+  timer_.arm_in(config_.scan_period);
 }
 
 AebController::AebController(sim::Scheduler& sched, middleware::MessageBus& bus, Config config,
-                             sim::Trace* trace, std::string name)
-    : sched_{sched}, bus_{bus}, config_{config}, trace_{trace}, name_{std::move(name)} {
+                             sim::Trace* trace)
+    : sched_{sched}, bus_{bus}, config_{config}, trace_{trace} {
   bus_.subscribe_to<LidarScan>("lidar_scan", [this](const LidarScan& scan) { on_scan(scan); });
   bus_.subscribe_to<Odometry>("odometry", [this](const Odometry& odo) { speed_ = odo.speed_mps; });
 }

@@ -12,23 +12,14 @@ LineCameraSensor::LineCameraSensor(sim::Scheduler& sched, middleware::MessageBus
       track_{track},
       vehicle_{vehicle},
       rng_{rng.child("line_camera")},
-      config_{config} {}
-
-LineCameraSensor::~LineCameraSensor() { frame_timer_.cancel(); }
+      config_{config},
+      frame_timer_{sched, [this] { capture(); }} {}
 
 void LineCameraSensor::start() {
-  if (running_) return;
-  running_ = true;
-  frame_timer_ = sched_.schedule_in(config_.frame_period, [this] { capture(); });
-}
-
-void LineCameraSensor::stop() {
-  running_ = false;
-  frame_timer_.cancel();
+  if (!frame_timer_.armed()) frame_timer_.arm_in(config_.frame_period);
 }
 
 void LineCameraSensor::capture() {
-  if (!running_) return;
   ++frames_;
 
   LineDetection det;
@@ -49,7 +40,7 @@ void LineCameraSensor::capture() {
                                         config_.processing_min);
   sched_.post_in(latency, [this, det] { bus_.publish("line_detection", det); });
 
-  frame_timer_ = sched_.schedule_in(config_.frame_period, [this] { capture(); });
+  frame_timer_.arm_in(config_.frame_period);
 }
 
 }  // namespace rst::vehicle

@@ -6,43 +6,33 @@ namespace rst::vehicle {
 
 MessageHandler::MessageHandler(sim::Scheduler& sched, middleware::MessageBus& bus,
                                middleware::HttpHost& host, sim::RandomStream rng, Config config,
-                               sim::Trace* trace, std::string name)
+                               sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
       host_{host},
       rng_{rng.child("msg_handler")},
       config_{config},
       trace_{trace},
-      name_{std::move(name)} {}
-
-MessageHandler::~MessageHandler() { poll_timer_.cancel(); }
+      poll_timer_{sched, [this] { poll(); }} {}
 
 void MessageHandler::start() {
-  if (running_) return;
-  running_ = true;
+  if (poll_timer_.armed()) return;
   last_contact_ = sched_.now();  // grace period: contact assumed at startup
   // First poll at a random phase, as the script start is uncorrelated with
   // the experiment.
-  poll_timer_ = sched_.schedule_in(rng_.uniform_time(sim::SimTime::zero(), config_.poll_period),
-                                   [this] { poll(); });
-}
-
-void MessageHandler::stop() {
-  running_ = false;
-  poll_timer_.cancel();
+  poll_timer_.arm_in(rng_.uniform_time(sim::SimTime::zero(), config_.poll_period));
 }
 
 void MessageHandler::poll() {
-  if (!running_) return;
   const std::uint64_t poll_no = ++stats_.polls;
   if (last_poll_failed_) ++stats_.retries;
   if (trace_) trace_->span_begin(sched_.now(), sim::Stage::DenmPoll, 0, poll_no);
   host_.post(config_.obu_hostname, "/request_denm", {},
              [this, poll_no](const middleware::HttpResponse& r) {
                if (trace_) trace_->span_end(sched_.now(), sim::Stage::DenmPoll, 0, poll_no);
-               if (running_) on_response(r);
+               on_response(r);
              });
-  poll_timer_ = sched_.schedule_in(config_.poll_period, [this] { poll(); });
+  poll_timer_.arm_in(config_.poll_period);
 }
 
 bool MessageHandler::is_emergency(const its::Denm& denm) {

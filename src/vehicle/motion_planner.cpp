@@ -8,12 +8,11 @@
 namespace rst::vehicle {
 
 MotionPlanner::MotionPlanner(sim::Scheduler& sched, middleware::MessageBus& bus, Config config,
-                             sim::Trace* trace, std::string name)
+                             sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
       config_{config},
       trace_{trace},
-      name_{std::move(name)},
       steering_pid_{config.steering_gains, -config.max_steer_rad, config.max_steer_rad} {
   bus_.subscribe_to<LineDetection>("line_detection",
                                    [this](const LineDetection& det) { on_line(det); });
@@ -25,12 +24,6 @@ MotionPlanner::MotionPlanner(sim::Scheduler& sched, middleware::MessageBus& bus,
                                  [this](const std::string& reason) { emergency_stop(reason); });
   bus_.subscribe_to<WatchdogState>(
       "watchdog", [this](const WatchdogState& state) { degraded_ = state.degraded; });
-}
-
-void MotionPlanner::reset() {
-  emergency_latched_ = false;
-  steering_pid_.reset();
-  has_last_line_ = false;
 }
 
 void MotionPlanner::on_odometry(const Odometry& odo) { current_speed_ = odo.speed_mps; }

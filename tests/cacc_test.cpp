@@ -14,7 +14,7 @@ struct CaccRig {
   sim::RandomStream rng{909, "cacc_test"};
   VehicleDynamics leader{sched, {}, rng.child("lead")};
   VehicleDynamics follower{sched, {}, rng.child("follow")};
-  CaccController cacc{sched, follower, {}, nullptr, "cacc"};
+  CaccController cacc{sched, follower};
   sim::EventHandle feed_timer;
   sim::EventHandle lead_timer;
 

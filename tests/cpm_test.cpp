@@ -360,19 +360,24 @@ TEST(CpmService, ObjectCountCapsAtConfiguredMaximum) {
   EXPECT_EQ(a.cpm->send_now(), 3u);
 }
 
-TEST(CpmService, StopCancelsTheCadence) {
+// A started service destroyed mid-run takes its cadence with it: nothing
+// it scheduled runs afterwards (under ASan, a leftover event is a
+// heap-use-after-free).
+TEST(ServiceLifetime, DestroyedCpmServiceNeverFires) {
   Rig rig;
   auto& a = rig.add_station(1, {0, 0}, {.interval = 100_ms});
-  rig.add_station(2, {30, 0});
+  auto& b = rig.add_station(2, {30, 0});
   a.ldm->set_perceived_object_lifetime(10_s);
   a.ldm->update_perceived_object(percept(9, {5, 5}));
   a.cpm->start();
   rig.sched.run_until(350_ms);
-  const auto sent = a.cpm->stats().cpms_sent;
-  EXPECT_GE(sent, 3u);
-  a.cpm->stop();
-  rig.sched.run_until(1_s);
-  EXPECT_EQ(a.cpm->stats().cpms_sent, sent);
+  const auto received = b.cpm->stats().cpms_received;
+  EXPECT_GE(received, 3u);
+  a.cpm.reset();
+  const auto executed = rig.sched.executed_events();
+  rig.sched.run_until(rig.sched.now() + 2_s);
+  EXPECT_EQ(rig.sched.executed_events(), executed);
+  EXPECT_EQ(b.cpm->stats().cpms_received, received);
 }
 
 }  // namespace

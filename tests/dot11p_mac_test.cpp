@@ -250,6 +250,26 @@ TEST(Mac, TransmitQueueBoundedDropsOldest) {
   EXPECT_EQ(tx.stats().tx_frames, 4u);
 }
 
+TEST(Mac, RadioDestroyedDuringBackoffNeverFires) {
+  Rig rig;
+  auto& tx = rig.add_radio({0, 0});
+  auto& blocker = rig.add_radio({5, 0});
+  blocker.send(make_frame(2000));
+  rig.sched.run(1);  // blocker starts transmitting
+  const sim::SimTime blocker_start = rig.sched.now();
+  tx.send(make_frame(100));  // channel busy: tx defers
+  // The channel goes idle at the end of the blocker's frame; tx then counts
+  // down AIFS plus its backoff.
+  const auto airtime = frame_airtime(2000 + kMacOverheadBytes, Mcs::Qpsk12);
+  rig.sched.run_until(blocker_start + airtime + 1_us);
+  ASSERT_GT(rig.sched.pending_events(), 0u);  // tx's access attempt
+  rig.radios[0].reset();
+  const auto executed = rig.sched.executed_events();
+  rig.sched.run();
+  EXPECT_EQ(rig.sched.executed_events(), executed);
+  EXPECT_EQ(blocker.stats().tx_frames, 1u);
+}
+
 TEST(Mac, DetachedRadioStopsReceiving) {
   Rig rig;
   auto& tx = rig.add_radio({0, 0});

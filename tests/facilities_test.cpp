@@ -6,6 +6,7 @@
 #include "rst/its/facilities/ca_basic_service.hpp"
 #include "rst/its/facilities/den_basic_service.hpp"
 #include "rst/its/facilities/ldm.hpp"
+#include "rst/roadside/hazard_service.hpp"
 
 namespace rst::its {
 namespace {
@@ -210,16 +211,41 @@ TEST(CaService, PathHistoryTracksTheTrajectory) {
   }
 }
 
-TEST(CaService, StopHaltsGeneration) {
+// A started service destroyed mid-run takes its timer with it: nothing it
+// scheduled runs afterwards (under ASan, a leftover event is a
+// heap-use-after-free).
+TEST(ServiceLifetime, DestroyedCaServiceNeverFires) {
   Rig rig;
   auto& a = rig.add_station(1, {0, 0});
-  rig.add_station(2, {30, 0});
+  auto& b = rig.add_station(2, {30, 0});
   a.ca->start();
-  rig.sched.run_until(2_s);
-  const auto sent = a.ca->stats().cams_sent;
-  a.ca->stop();
-  rig.sched.run_until(5_s);
-  EXPECT_EQ(a.ca->stats().cams_sent, sent);
+  rig.sched.run_until(1_s);
+  const auto received = b.ca->stats().cams_received;
+  EXPECT_GE(received, 1u);
+  a.ca.reset();
+  const auto executed = rig.sched.executed_events();
+  rig.sched.run_until(rig.sched.now() + 2_s);
+  EXPECT_EQ(rig.sched.executed_events(), executed);
+  EXPECT_EQ(b.ca->stats().cams_received, received);
+}
+
+TEST(ServiceLifetime, DestroyedHazardServiceNeverScans) {
+  Rig rig;
+  auto& a = rig.add_station(1, {0, 0});
+  middleware::MessageBus bus{rig.sched, rig.rng.child("bus")};
+  middleware::HttpLan lan{rig.sched, rig.rng.child("lan")};
+  middleware::HttpHost edge{lan, "edge"};
+  roadside::HazardServiceConfig config;
+  config.monitor_cam_pairs = true;
+  auto hazard = std::make_unique<roadside::HazardAdvertisementService>(
+      rig.sched, bus, edge, rig.frame, geo::Vec2{0, 8}, M_PI / 2, rig.rng.child("hazard"), config,
+      a.ldm.get());
+  hazard->start();
+  rig.sched.run_until(1_s);
+  hazard.reset();
+  const auto executed = rig.sched.executed_events();
+  rig.sched.run_until(rig.sched.now() + 2_s);
+  EXPECT_EQ(rig.sched.executed_events(), executed);
 }
 
 TEST(DenService, TriggerDeliversToReceiverInArea) {

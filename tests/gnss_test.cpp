@@ -46,21 +46,6 @@ TEST(Gnss, BiasDecayKeepsTheWalkBounded) {
   EXPECT_LT(worst, 5.0);  // the random walk does not diverge
 }
 
-TEST(Gnss, StopFreezesTheFix) {
-  sim::Scheduler sched;
-  sim::RandomStream rng{608, "gnss_test3"};
-  VehicleDynamics dyn{sched, {}, rng.child("dyn")};
-  dyn.reset({0, 0}, 0.0, 1.0);
-  dyn.start();
-  GnssReceiver gnss{sched, dyn, rng.child("gnss")};
-  gnss.start();
-  sched.run_until(1_s);
-  gnss.stop();
-  const auto frozen = gnss.position();
-  sched.run_until(3_s);
-  EXPECT_EQ(gnss.position(), frozen);
-}
-
 }  // namespace
 }  // namespace rst::vehicle
 

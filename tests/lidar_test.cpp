@@ -68,13 +68,12 @@ TEST(Lidar, PeriodicScansPublishOnBus) {
   rig.sched.run_until(1050_ms);
   EXPECT_GE(scans, 9);
   EXPECT_LE(scans, 11);
-  rig.lidar.stop();
 }
 
 struct AebRig : Rig {
   MotionPlanner planner{sched, bus};
   ControlModule control{sched, bus, dyn, rng.child("ctl")};
-  AebController aeb{sched, bus, {}, nullptr, "aeb"};
+  AebController aeb{sched, bus};
 };
 
 TEST(Aeb, StopsBeforeStationaryObstacle) {

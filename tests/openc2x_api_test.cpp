@@ -127,7 +127,7 @@ TEST(OpenC2xApi, InboxBoundDropsOldest) {
   sim::Trace trace;
   // Rebuild the API with a tiny inbox so the bound is exercised quickly.
   rig.api = std::make_unique<OpenC2xApi>(rig.host, rig.frame, *rig.den, nullptr, &trace,
-                                         std::string{}, nullptr, /*max_inbox=*/4);
+                                         nullptr, /*max_inbox=*/4);
   its::GnDeliveryMeta meta;
   meta.delivered_at = rig.sched.now();
   for (std::uint16_t seq = 1; seq <= 6; ++seq) {

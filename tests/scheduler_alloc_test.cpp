@@ -46,6 +46,7 @@ namespace {
 
 using rst::sim::Scheduler;
 using rst::sim::SimTime;
+using rst::sim::Timer;
 
 class CountScope {
  public:
@@ -113,6 +114,23 @@ TEST(SchedulerAlloc, SelfReschedulingTimerIsAllocationFree) {
   }
   EXPECT_EQ(ticks, 2048u);
   EXPECT_GT(ticks, warm);
+}
+
+TEST(SchedulerAlloc, RearmingAWarmTimerIsAllocationFree) {
+  Scheduler sched;
+  std::uint64_t fired = 0;
+  Timer timer{sched, [&] {
+                if (++fired < 1100) timer.arm_in(SimTime::milliseconds(1));
+              }};
+  timer.arm_in(SimTime::milliseconds(1));
+  sched.run_until(SimTime::milliseconds(100));  // warm-up: 100 firings
+
+  {
+    CountScope scope;
+    sched.run();  // the remaining 1,000 firings, each re-arming the timer
+    EXPECT_EQ(scope.count(), 0u) << "re-arming a timer allocated";
+  }
+  EXPECT_EQ(fired, 1100u);
 }
 
 TEST(SchedulerAlloc, PooledHandlesReuseNodes) {

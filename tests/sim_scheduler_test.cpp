@@ -67,6 +67,76 @@ TEST(Scheduler, CancelIsIdempotentAndSafeAfterFire) {
   h.cancel();
 }
 
+TEST(Timer, RearmingFromTheCallbackKeepsAFixedCadence) {
+  Scheduler sched;
+  std::vector<SimTime> fired;
+  Timer timer{sched, [&] {
+                fired.push_back(sched.now());
+                timer.arm_in(10_ms);
+              }};
+  timer.arm_in(10_ms);
+  sched.post_at(25_ms, [] {});  // unrelated traffic does not shift the cadence
+  sched.run_until(55_ms);
+  EXPECT_EQ(fired, (std::vector<SimTime>{10_ms, 20_ms, 30_ms, 40_ms, 50_ms}));
+  EXPECT_TRUE(timer.armed());
+}
+
+TEST(Timer, CancelStopsTheNextFiring) {
+  Scheduler sched;
+  int fired = 0;
+  Timer timer{sched, [&] {
+                ++fired;
+                timer.arm_in(10_ms);
+              }};
+  timer.arm_in(10_ms);
+  sched.run_until(25_ms);
+  EXPECT_EQ(fired, 2);
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
+  sched.run_until(100_ms);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Timer, ArmingAnArmedTimerFiresOnceAtTheNewTime) {
+  Scheduler sched;
+  std::vector<SimTime> fired;
+  Timer timer{sched, [&] { fired.push_back(sched.now()); }};
+  timer.arm_in(10_ms);
+  timer.arm_at(30_ms);  // later than the pending firing
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{30_ms}));
+  timer.arm_at(60_ms);
+  timer.arm_in(5_ms);  // earlier than the pending firing
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{30_ms, 35_ms}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, DestroyingAnArmedTimerRunsNothing) {
+  Scheduler sched;
+  int fired = 0;
+  {
+    Timer timer{sched, [&] { ++fired; }};
+    timer.arm_in(10_ms);
+  }
+  const auto purged = sched.purged_events();
+  sched.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sched.executed_events(), 0u);
+  EXPECT_EQ(sched.purged_events(), purged + 1);
+}
+
+TEST(Timer, FiresInArmOrderAmongEqualTimestamps) {
+  Scheduler sched;
+  std::vector<int> order;
+  Timer timer{sched, [&] { order.push_back(2); }};
+  sched.post_at(10_ms, [&] { order.push_back(1); });
+  timer.arm_at(10_ms);
+  sched.post_at(10_ms, [&] { order.push_back(3); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
   Scheduler sched;
   int fired = 0;

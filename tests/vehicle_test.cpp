@@ -84,15 +84,6 @@ TEST(Pid, DerivativeDamps) {
   EXPECT_LT(with_d.update(0.5, 0.1), 0.5);
 }
 
-TEST(Pid, ResetClearsState) {
-  PidController pid{{.kp = 1.0, .ki = 1.0, .kd = 1.0}, -10, 10};
-  (void)pid.update(2.0, 0.1);
-  (void)pid.update(2.0, 0.1);
-  pid.reset();
-  EXPECT_DOUBLE_EQ(pid.integral(), 0.0);
-  EXPECT_DOUBLE_EQ(pid.update(1.0, 0.1), 1.0 + 0.1);  // kp*e + ki*integral, no derivative kick
-}
-
 TEST(Dynamics, AcceleratesUnderThrottleAndCoastsDown) {
   sim::Scheduler sched;
   VehicleDynamics dyn{sched, {}, sim::RandomStream{1, "dyn"}};
