@@ -7,7 +7,6 @@
 #include "rst/cellular/cellular_link.hpp"
 #include "rst/core/its_station.hpp"
 #include "rst/dot11p/medium.hpp"
-#include "rst/middleware/message_bus.hpp"
 #include "rst/vehicle/cacc.hpp"
 #include "rst/vehicle/dynamics.hpp"
 #include "rst/vehicle/message_handler.hpp"
@@ -96,7 +95,7 @@ class PlatoonScenario {
  private:
   struct Unit {
     std::unique_ptr<vehicle::VehicleDynamics> dynamics;
-    std::unique_ptr<middleware::MessageBus> bus;
+    std::unique_ptr<vehicle::VehicleBus> bus;
     std::unique_ptr<middleware::HttpHost> host;
     std::unique_ptr<vehicle::MessageHandler> handler;
     std::unique_ptr<ItsStation> obu;

@@ -8,7 +8,6 @@
 #include "rst/core/its_station.hpp"
 #include "rst/dot11p/channel.hpp"
 #include "rst/dot11p/medium.hpp"
-#include "rst/middleware/message_bus.hpp"
 #include "rst/roadside/hazard_service.hpp"
 #include "rst/sim/fault_plan.hpp"
 #include "rst/sim/metrics.hpp"
@@ -116,7 +115,6 @@ struct TestbedConfig {
 
   // --- Wired middleware ---
   middleware::HttpLan::Config lan{};
-  middleware::MessageBus::Config bus{};
   middleware::NtpClock::Config edge_ntp{};
   middleware::NtpClock::Config jetson_ntp{};
 
@@ -232,8 +230,8 @@ class TestbedScenario {
 
   std::unique_ptr<dot11p::Medium> medium_;
   std::unique_ptr<middleware::HttpLan> lan_;
-  std::unique_ptr<middleware::MessageBus> vehicle_bus_;
-  std::unique_ptr<middleware::MessageBus> edge_bus_;
+  std::unique_ptr<vehicle::VehicleBus> vehicle_bus_;
+  std::unique_ptr<roadside::EdgeBus> edge_bus_;
 
   std::unique_ptr<vehicle::Track> track_;
   std::unique_ptr<vehicle::VehicleDynamics> dynamics_;

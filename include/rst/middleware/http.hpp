@@ -14,7 +14,6 @@ class FaultInjector;
 namespace rst::middleware {
 
 struct HttpRequest {
-  std::string method{"POST"};
   std::string path;
   std::string body;
 };

@@ -1,10 +1,7 @@
 #pragma once
 
-#include <any>
+#include <cstddef>
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "rst/sim/random.hpp"
@@ -12,55 +9,58 @@
 
 namespace rst::middleware {
 
-struct MessageBusConfig {
-  sim::SimTime base_latency{sim::SimTime::microseconds(300)};
-  sim::SimTime jitter{sim::SimTime::microseconds(200)};
-};
-
-/// Publish/subscribe message bus modelling ROS topics on the Jetson
-/// (the paper's vehicle pipeline passes camera frames, line coordinates
-/// and steering commands between nodes as ROS topics).
+/// Publish/subscribe bus modelling ROS topics (the paper's Jetson nodes pass
+/// line coordinates, odometry and drive commands to each other as ROS
+/// topics; the edge node passes YOLO detections to the hazard service).
 ///
-/// Delivery is asynchronous with a configurable serialization/transport
-/// latency; handlers receive `std::any` payloads (use the typed
-/// subscribe/publish helpers).
+/// A concrete bus derives from `MessageBus` and declares one `Topic<T>`
+/// member per topic, next to the message types. Every delivery waits a
+/// serialization/transport latency of 300 µs + U(0, 200 µs), drawn from the
+/// bus's one stream, so the draws of all its topics interleave in publish
+/// order.
 class MessageBus {
  public:
-  using Config = MessageBusConfig;
-
-  MessageBus(sim::Scheduler& sched, sim::RandomStream rng, Config config = {});
-
-  using Handler = std::function<void(const std::any&)>;
-
-  /// Subscribes a raw handler; returns a subscription id usable for unsubscribe.
-  std::uint64_t subscribe(const std::string& topic, Handler handler);
-  void unsubscribe(const std::string& topic, std::uint64_t id);
-
-  /// Publishes to all current subscribers after a latency draw per subscriber.
-  void publish(const std::string& topic, std::any message);
-
-  template <typename T>
-  std::uint64_t subscribe_to(const std::string& topic, std::function<void(const T&)> handler) {
-    return subscribe(topic, [h = std::move(handler)](const std::any& msg) {
-      if (const T* v = std::any_cast<T>(&msg)) h(*v);
-    });
-  }
-
-  [[nodiscard]] std::size_t subscriber_count(const std::string& topic) const;
-  [[nodiscard]] std::uint64_t published_count() const { return published_; }
+  MessageBus(sim::Scheduler& sched, sim::RandomStream rng);
+  MessageBus(const MessageBus&) = delete;
+  MessageBus& operator=(const MessageBus&) = delete;
 
  private:
-  struct Subscription {
-    std::uint64_t id;
-    Handler handler;
-  };
+  template <typename T>
+  friend class Topic;
+
+  /// Runs `deliver` after one latency draw.
+  void deliver_later(sim::Scheduler::Callback deliver);
 
   sim::Scheduler& sched_;
   sim::RandomStream rng_;
-  Config config_;
-  std::map<std::string, std::vector<Subscription>> topics_;
-  std::uint64_t next_id_{1};
-  std::uint64_t published_{0};
+};
+
+/// One typed topic of a bus. A publish posts one delivery per subscriber,
+/// in subscription order, each holding the message by value; a topic
+/// without subscribers draws nothing. Pending deliveries refer to the
+/// topic, so it is neither copyable nor movable. Wiring is static: there is
+/// no unsubscribe.
+template <typename T>
+class Topic {
+ public:
+  using Handler = std::function<void(const T&)>;
+
+  explicit Topic(MessageBus& bus) : bus_{bus} {}
+  Topic(const Topic&) = delete;
+  Topic& operator=(const Topic&) = delete;
+
+  void subscribe(Handler handler) { subscribers_.push_back(std::move(handler)); }
+
+  void publish(const T& message) {
+    for (std::size_t i = 0; i < subscribers_.size(); ++i) {
+      // The index, not a handler pointer: a later subscribe may reallocate.
+      bus_.deliver_later([this, i, message] { subscribers_[i](message); });
+    }
+  }
+
+ private:
+  MessageBus& bus_;
+  std::vector<Handler> subscribers_;
 };
 
 }  // namespace rst::middleware

@@ -7,7 +7,6 @@
 #include "rst/its/facilities/ldm.hpp"
 #include "rst/its/messages/cause_code.hpp"
 #include "rst/middleware/http.hpp"
-#include "rst/middleware/message_bus.hpp"
 #include "rst/roadside/collision_predictor.hpp"
 #include "rst/roadside/object_detection_service.hpp"
 #include "rst/sim/trace.hpp"
@@ -77,10 +76,9 @@ class HazardAdvertisementService {
  public:
   using Config = HazardServiceConfig;
 
-  HazardAdvertisementService(sim::Scheduler& sched, middleware::MessageBus& bus,
-                             middleware::HttpHost& host, const geo::LocalFrame& frame,
-                             geo::Vec2 camera_position, double camera_facing_rad,
-                             sim::RandomStream rng, Config config = {},
+  HazardAdvertisementService(sim::Scheduler& sched, EdgeBus& bus, middleware::HttpHost& host,
+                             const geo::LocalFrame& frame, geo::Vec2 camera_position,
+                             double camera_facing_rad, sim::RandomStream rng, Config config = {},
                              its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr);
 
   void start();
@@ -112,7 +110,6 @@ class HazardAdvertisementService {
   [[nodiscard]] bool crossing_detected(const TrackedDetection& det);
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
   middleware::HttpHost& host_;
   const geo::LocalFrame& frame_;
   geo::Vec2 camera_position_;

@@ -32,6 +32,14 @@ struct DetectionBatch {
   std::vector<TrackedDetection> detections;
 };
 
+/// The edge node's bus, one member per topic.
+struct EdgeBus : middleware::MessageBus {
+  using MessageBus::MessageBus;
+
+  /// Detection service -> hazard service (and, with CPM on, the RSU's LDM feed).
+  middleware::Topic<DetectionBatch> detections{*this};
+};
+
 struct ObjectDetectionConfig {
   /// End-to-end period of the detection loop (4 FPS).
   sim::SimTime processing_period{sim::SimTime::milliseconds(250)};
@@ -58,7 +66,7 @@ class ObjectDetectionService {
  public:
   using Config = ObjectDetectionConfig;
 
-  ObjectDetectionService(sim::Scheduler& sched, middleware::MessageBus& bus, RoadsideCamera& camera,
+  ObjectDetectionService(sim::Scheduler& sched, EdgeBus& bus, RoadsideCamera& camera,
                          YoloSimulator& yolo, sim::RandomStream rng, Config config = {},
                          sim::Trace* trace = nullptr);
   ObjectDetectionService(const ObjectDetectionService&) = delete;
@@ -73,7 +81,7 @@ class ObjectDetectionService {
   void process_frame();
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  EdgeBus& bus_;
   RoadsideCamera& camera_;
   YoloSimulator& yolo_;
   sim::RandomStream rng_;

@@ -1,10 +1,9 @@
 #pragma once
 
-#include "rst/middleware/message_bus.hpp"
 #include "rst/middleware/ntp.hpp"
 #include "rst/sim/trace.hpp"
 #include "rst/vehicle/dynamics.hpp"
-#include "rst/vehicle/motion_planner.hpp"
+#include "rst/vehicle/vehicle_bus.hpp"
 
 namespace rst::vehicle {
 
@@ -29,7 +28,7 @@ class ControlModule {
  public:
   using Config = ControlModuleConfig;
 
-  ControlModule(sim::Scheduler& sched, middleware::MessageBus& bus, VehicleDynamics& dynamics,
+  ControlModule(sim::Scheduler& sched, VehicleBus& bus, VehicleDynamics& dynamics,
                 sim::RandomStream rng, Config config = {}, sim::Trace* trace = nullptr,
                 const middleware::NtpClock* clock = nullptr);
   ControlModule(const ControlModule&) = delete;
@@ -46,7 +45,7 @@ class ControlModule {
   [[nodiscard]] sim::SimTime next_pwm_edge(sim::SimTime t) const;
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  VehicleBus& bus_;
   VehicleDynamics& dynamics_;
   sim::RandomStream rng_;
   Config config_;

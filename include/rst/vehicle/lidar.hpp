@@ -4,24 +4,12 @@
 #include <vector>
 
 #include "rst/dot11p/channel.hpp"
-#include "rst/middleware/message_bus.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/trace.hpp"
 #include "rst/vehicle/dynamics.hpp"
+#include "rst/vehicle/vehicle_bus.hpp"
 
 namespace rst::vehicle {
-
-/// One return from the scanning LiDAR, in the vehicle frame.
-struct LidarDetection {
-  double range_m{0};
-  double bearing_rad{0};  ///< relative to the vehicle heading, + = clockwise
-};
-
-/// A full scan published on the bus topic `lidar_scan`.
-struct LidarScan {
-  sim::SimTime capture_time{};
-  std::vector<LidarDetection> detections;
-};
 
 /// An object the LiDAR can return: a disc at a (possibly moving) position.
 struct LidarTarget {
@@ -45,8 +33,8 @@ class ScanningLidar {
  public:
   using Config = ScanningLidarConfig;
 
-  ScanningLidar(sim::Scheduler& sched, middleware::MessageBus& bus,
-                const VehicleDynamics& vehicle, sim::RandomStream rng, Config config = {});
+  ScanningLidar(sim::Scheduler& sched, VehicleBus& bus, const VehicleDynamics& vehicle,
+                sim::RandomStream rng, Config config = {});
   ScanningLidar(const ScanningLidar&) = delete;
   ScanningLidar& operator=(const ScanningLidar&) = delete;
 
@@ -64,7 +52,7 @@ class ScanningLidar {
   void tick();
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  VehicleBus& bus_;
   const VehicleDynamics& vehicle_;
   mutable sim::RandomStream rng_;
   Config config_;
@@ -93,7 +81,7 @@ class AebController {
  public:
   using Config = AebConfig;
 
-  AebController(sim::Scheduler& sched, middleware::MessageBus& bus, Config config = {},
+  AebController(sim::Scheduler& sched, VehicleBus& bus, Config config = {},
                 sim::Trace* trace = nullptr);
 
   void start() { running_ = true; }
@@ -104,10 +92,9 @@ class AebController {
 
  private:
   void on_scan(const LidarScan& scan);
-  void on_odometry(const struct Odometry& odo);
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  VehicleBus& bus_;
   Config config_;
   sim::Trace* trace_;
   bool running_{false};

@@ -1,24 +1,12 @@
 #pragma once
 
-#include <string>
-
-#include "rst/middleware/message_bus.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
 #include "rst/vehicle/dynamics.hpp"
 #include "rst/vehicle/track.hpp"
+#include "rst/vehicle/vehicle_bus.hpp"
 
 namespace rst::vehicle {
-
-/// Output of the on-board line-detection pipeline (ZED frame -> Canny ->
-/// region filter -> probabilistic Hough transform in the paper; here the
-/// geometric result of that pipeline, observed with sensor noise).
-struct LineDetection {
-  double lateral_offset_m{0};   ///< signed offset of the vehicle from the line
-  double heading_error_rad{0};  ///< vehicle heading minus line tangent
-  bool line_found{true};
-  sim::SimTime capture_time{};
-};
 
 struct LineCameraConfig {
   sim::SimTime frame_period{sim::SimTime::from_milliseconds(1000.0 / 30.0)};
@@ -40,7 +28,7 @@ class LineCameraSensor {
  public:
   using Config = LineCameraConfig;
 
-  LineCameraSensor(sim::Scheduler& sched, middleware::MessageBus& bus, const Track& track,
+  LineCameraSensor(sim::Scheduler& sched, VehicleBus& bus, const Track& track,
                    const VehicleDynamics& vehicle, sim::RandomStream rng, Config config = {});
   LineCameraSensor(const LineCameraSensor&) = delete;
   LineCameraSensor& operator=(const LineCameraSensor&) = delete;
@@ -53,7 +41,7 @@ class LineCameraSensor {
   void capture();
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  VehicleBus& bus_;
   const Track& track_;
   const VehicleDynamics& vehicle_;
   sim::RandomStream rng_;

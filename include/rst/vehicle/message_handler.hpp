@@ -4,9 +4,9 @@
 
 #include "rst/its/messages/denm.hpp"
 #include "rst/middleware/http.hpp"
-#include "rst/middleware/message_bus.hpp"
 #include "rst/middleware/ntp.hpp"
 #include "rst/sim/trace.hpp"
+#include "rst/vehicle/vehicle_bus.hpp"
 
 namespace rst::vehicle {
 
@@ -18,16 +18,11 @@ struct MessageHandlerConfig {
   sim::SimTime handling_jitter{sim::SimTime::microseconds(400)};
   /// DENM/CAM-liveness watchdog: when no successful poll response has been
   /// seen for `watchdog_timeout`, publish WatchdogState{degraded=true} on
-  /// the "watchdog" topic — the planner caps its speed at the failsafe and
+  /// the `watchdog` topic — the planner caps its speed at the failsafe and
   /// the on-board AEB is armed — and recover on the next good response.
   /// Off by default (the nominal chain is byte-identical with it off).
   bool watchdog{false};
   sim::SimTime watchdog_timeout{sim::SimTime::milliseconds(400)};
-};
-
-/// Degradation state broadcast by the liveness watchdog (topic "watchdog").
-struct WatchdogState {
-  bool degraded{false};
 };
 
 /// The paper's OBU-polling script: "a Python script running at the Jetson
@@ -42,7 +37,7 @@ class MessageHandler {
  public:
   using Config = MessageHandlerConfig;
 
-  MessageHandler(sim::Scheduler& sched, middleware::MessageBus& bus, middleware::HttpHost& host,
+  MessageHandler(sim::Scheduler& sched, VehicleBus& bus, middleware::HttpHost& host,
                  sim::RandomStream rng, Config config = {}, sim::Trace* trace = nullptr);
   MessageHandler(const MessageHandler&) = delete;
   MessageHandler& operator=(const MessageHandler&) = delete;
@@ -77,7 +72,7 @@ class MessageHandler {
   void set_degraded(bool degraded);
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  VehicleBus& bus_;
   middleware::HttpHost& host_;
   sim::RandomStream rng_;
   Config config_;

@@ -1,29 +1,11 @@
 #pragma once
 
-#include <string>
-
-#include "rst/middleware/message_bus.hpp"
+#include "rst/sim/scheduler.hpp"
 #include "rst/sim/trace.hpp"
-#include "rst/vehicle/line_detection.hpp"
 #include "rst/vehicle/pid.hpp"
+#include "rst/vehicle/vehicle_bus.hpp"
 
 namespace rst::vehicle {
-
-/// Command from the Motion Planner to the Control module (the ROS topic
-/// between the Jetson's planner node and the Teensy bridge).
-struct DriveCommand {
-  double steering_rad{0};
-  double throttle01{0};
-  /// True triggers the ESC power interruption (emergency stop).
-  bool power_cut{false};
-};
-
-/// Odometry sample published by the control module.
-struct Odometry {
-  double speed_mps{0};
-  geo::Vec2 position{};
-  double heading_rad{0};
-};
 
 struct MotionPlannerConfig {
   PidController::Gains steering_gains{.kp = 2.2, .ki = 0.0, .kd = 0.25};
@@ -32,7 +14,7 @@ struct MotionPlannerConfig {
   double heading_gain_m{0.35};
   double target_speed_mps{1.2};
   /// Speed cap while the liveness watchdog reports infrastructure contact
-  /// lost (topic "watchdog"): creep slowly so the on-board sensors can
+  /// lost (topic `watchdog`): creep slowly so the on-board sensors can
   /// still stop the vehicle within their short range.
   double failsafe_speed_mps{0.35};
   /// Simple proportional throttle to hold target speed.
@@ -49,12 +31,12 @@ class MotionPlanner {
  public:
   using Config = MotionPlannerConfig;
 
-  MotionPlanner(sim::Scheduler& sched, middleware::MessageBus& bus, Config config = {},
+  MotionPlanner(sim::Scheduler& sched, VehicleBus& bus, Config config = {},
                 sim::Trace* trace = nullptr);
 
   /// Latches an emergency stop (also reachable via the `v2x_emergency`
-  /// bus topic). Idempotent.
-  void emergency_stop(const std::string& reason);
+  /// and `emergency_stop` bus topics). Idempotent.
+  void emergency_stop();
 
   [[nodiscard]] bool stopped() const { return emergency_latched_; }
   [[nodiscard]] std::uint64_t commands_sent() const { return commands_; }
@@ -66,7 +48,7 @@ class MotionPlanner {
   void on_odometry(const Odometry& odo);
 
   sim::Scheduler& sched_;
-  middleware::MessageBus& bus_;
+  VehicleBus& bus_;
   Config config_;
   sim::Trace* trace_;
   PidController steering_pid_;

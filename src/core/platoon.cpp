@@ -35,7 +35,8 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
     unit->dynamics = std::make_unique<vehicle::VehicleDynamics>(
         sched_, config_.vehicle_params, rng_.child("veh" + std::to_string(i)));
     unit->dynamics->reset({0.0, -config_.spacing_m * i}, 0.0, config_.speed_mps);
-    unit->bus = std::make_unique<middleware::MessageBus>(sched_, rng_.child("bus" + std::to_string(i)));
+    unit->bus =
+        std::make_unique<vehicle::VehicleBus>(sched_, rng_.child("bus" + std::to_string(i)));
     unit->host = std::make_unique<middleware::HttpHost>(*lan_, "jetson" + std::to_string(i));
 
     ItsStationConfig obu_config;
@@ -62,7 +63,7 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
 
     Unit* raw = unit.get();
     unit->cruise_timer = std::make_unique<sim::Timer>(sched_, [this, raw] { cruise_tick(*raw); });
-    unit->bus->subscribe_to<std::string>("v2x_emergency", [this, raw](const std::string&) {
+    unit->bus->v2x_emergency.subscribe([this, raw](const vehicle::EmergencyStop&) {
       if (raw->power_cut) return;
       raw->power_cut = true;
       raw->power_cut_at = sched_.now();

@@ -69,8 +69,8 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   medium_->set_fault_injector(faults_.get());
   lan_ = std::make_unique<middleware::HttpLan>(sched_, rng_.child("lan"), config_.lan);
   lan_->set_fault_injector(faults_.get());
-  vehicle_bus_ = std::make_unique<middleware::MessageBus>(sched_, rng_.child("vbus"), config_.bus);
-  edge_bus_ = std::make_unique<middleware::MessageBus>(sched_, rng_.child("ebus"), config_.bus);
+  vehicle_bus_ = std::make_unique<vehicle::VehicleBus>(sched_, rng_.child("vbus"));
+  edge_bus_ = std::make_unique<roadside::EdgeBus>(sched_, rng_.child("ebus"));
 
   // --- Vehicle ---
   track_ = std::make_unique<vehicle::Track>(
@@ -98,12 +98,11 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   if (config_.message_handler.watchdog) {
     // Graceful degradation: while infrastructure contact is lost the AEB is
     // the armed stop path (the planner independently caps its speed).
-    vehicle_bus_->subscribe_to<vehicle::WatchdogState>(
-        "watchdog", [this](const vehicle::WatchdogState& state) {
-          if (!aeb_) return;
-          if (state.degraded) aeb_->start();
-          else aeb_->stop();
-        });
+    vehicle_bus_->watchdog.subscribe([this](const vehicle::WatchdogState& state) {
+      if (!aeb_) return;
+      if (state.degraded) aeb_->start();
+      else aeb_->stop();
+    });
   }
   jetson_host_ = std::make_unique<middleware::HttpHost>(*lan_, "jetson");
   vehicle::MessageHandler::Config mh_config = config_.message_handler;
@@ -168,8 +167,8 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
     rsu_->cpm()->set_metrics(&metrics_);
     // The detection stream feeds the RSU's LDM continuously (not only at
     // DENM trigger time) so the CP service has percepts to publish.
-    edge_bus_->subscribe_to<roadside::DetectionBatch>(
-        "detections", [this](const roadside::DetectionBatch& batch) { feed_rsu_ldm(batch); });
+    edge_bus_->detections.subscribe(
+        [this](const roadside::DetectionBatch& batch) { feed_rsu_ldm(batch); });
     // The OBU consumes the fused picture: every accepted remote percept is
     // assessed against the ego track by the collision predictor.
     obu_->cpm()->set_fused_callback(
@@ -204,12 +203,9 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
                               sim::pack_action(denm.management.action_id.originating_station,
                                                denm.management.action_id.sequence_number));
           if (!vehicle::MessageHandler::is_emergency(denm)) return;
-          const auto cause = denm.situation->event_type.cause_code;
           // Modem-to-application handling, then straight to the planner.
-          sched_.post_in(sim::SimTime::microseconds(600), [this, cause] {
-            vehicle_bus_->publish("v2x_emergency",
-                                  std::string{"DENM cause "} + std::to_string(cause) +
-                                      " via cellular");
+          sched_.post_in(sim::SimTime::microseconds(600), [this] {
+            vehicle_bus_->v2x_emergency.publish(vehicle::EmergencyStop{});
           });
         });
     rsu_->den().set_transmit_hook([this](const its::Denm& denm) {
@@ -299,7 +295,7 @@ void TestbedScenario::on_fused_percept(const its::PerceivedObject& object) {
                       object.object_id, threat->t_cpa_s, sim::kHazardFusedPercept);
   // Short on-board application handling, then the planner's stop path.
   sched_.post_in(sim::SimTime::milliseconds(2), [this] {
-    vehicle_bus_->publish("v2x_emergency", std::string{"CPM fused-percept collision risk"});
+    vehicle_bus_->v2x_emergency.publish(vehicle::EmergencyStop{});
   });
 }
 

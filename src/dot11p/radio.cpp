@@ -125,8 +125,10 @@ void Radio::on_cs_busy_delta(int delta) {
 
 bool Radio::was_transmitting_during(sim::SimTime start, sim::SimTime end) const {
   if (transmitting_ && current_tx_start_ < end) return true;
-  return std::any_of(tx_history_.begin(), tx_history_.begin() + tx_history_size_,
-                     [&](const auto& iv) { return iv.first < end && iv.second > start; });
+  const auto last = tx_history_.begin() + tx_history_size_;
+  return std::find_if(tx_history_.begin(), last, [&](const auto& iv) {
+           return iv.first < end && iv.second > start;
+         }) != last;
 }
 
 void Radio::settle_detach(int cs_busy_decrements) {

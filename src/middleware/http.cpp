@@ -77,7 +77,7 @@ void HttpHost::handle(const std::string& path, Handler handler) {
 
 void HttpHost::post(const std::string& hostname, const std::string& path, std::string body,
                     HttpLan::ResponseCallback cb) {
-  lan_.request(hostname, HttpRequest{"POST", path, std::move(body)}, std::move(cb));
+  lan_.request(hostname, HttpRequest{path, std::move(body)}, std::move(cb));
 }
 
 HttpResponse HttpHost::dispatch(const HttpRequest& req) const {

@@ -1,39 +1,14 @@
 #include "rst/middleware/message_bus.hpp"
 
-#include <algorithm>
-
 namespace rst::middleware {
 
-MessageBus::MessageBus(sim::Scheduler& sched, sim::RandomStream rng, Config config)
-    : sched_{sched}, rng_{rng.child("bus")}, config_{config} {}
+MessageBus::MessageBus(sim::Scheduler& sched, sim::RandomStream rng)
+    : sched_{sched}, rng_{rng.child("bus")} {}
 
-std::uint64_t MessageBus::subscribe(const std::string& topic, Handler handler) {
-  const std::uint64_t id = next_id_++;
-  topics_[topic].push_back({id, std::move(handler)});
-  return id;
-}
-
-void MessageBus::unsubscribe(const std::string& topic, std::uint64_t id) {
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) return;
-  std::erase_if(it->second, [&](const Subscription& s) { return s.id == id; });
-}
-
-void MessageBus::publish(const std::string& topic, std::any message) {
-  ++published_;
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) return;
-  auto shared = std::make_shared<std::any>(std::move(message));
-  for (const auto& sub : it->second) {
-    const auto latency =
-        config_.base_latency + rng_.uniform_time(sim::SimTime::zero(), config_.jitter);
-    sched_.post_in(latency, [handler = sub.handler, shared] { handler(*shared); });
-  }
-}
-
-std::size_t MessageBus::subscriber_count(const std::string& topic) const {
-  const auto it = topics_.find(topic);
-  return it == topics_.end() ? 0 : it->second.size();
+void MessageBus::deliver_later(sim::Scheduler::Callback deliver) {
+  const auto latency = sim::SimTime::microseconds(300) +
+                       rng_.uniform_time(sim::SimTime::zero(), sim::SimTime::microseconds(200));
+  sched_.post_in(latency, std::move(deliver));
 }
 
 }  // namespace rst::middleware

@@ -41,10 +41,9 @@ CameraFrame RoadsideCamera::capture() {
         std::remainder(geo::heading_from_vector(rel) - config_.facing_rad, 2.0 * M_PI);
     if (std::abs(bearing) > config_.fov_half_angle_rad) continue;
     const geo::Vec2 target = obj.position();
-    const bool occluded =
-        std::any_of(walls_.begin(), walls_.end(), [&](const dot11p::Wall& w) {
-          return dot11p::segments_intersect(config_.position, target, w.a, w.b);
-        });
+    const bool occluded = std::ranges::any_of(walls_, [&](const dot11p::Wall& w) {
+      return dot11p::segments_intersect(config_.position, target, w.a, w.b);
+    });
     if (occluded) continue;
     frame.objects.push_back({obj.id, distance, bearing, obj.presentation});
   }

@@ -21,11 +21,10 @@ bool is_known_road_user(std::string_view label) {
 }  // namespace
 
 HazardAdvertisementService::HazardAdvertisementService(
-    sim::Scheduler& sched, middleware::MessageBus& bus, middleware::HttpHost& host,
+    sim::Scheduler& sched, EdgeBus& bus, middleware::HttpHost& host,
     const geo::LocalFrame& frame, geo::Vec2 camera_position, double camera_facing_rad,
     sim::RandomStream rng, Config config, its::Ldm* ldm, sim::Trace* trace)
     : sched_{sched},
-      bus_{bus},
       host_{host},
       frame_{frame},
       camera_position_{camera_position},
@@ -36,8 +35,7 @@ HazardAdvertisementService::HazardAdvertisementService(
       trace_{trace},
       cam_scan_timer_{sched, [this] { scan_cam_pairs(); }} {
   predictor_ = CollisionPredictor{config_.cpa};
-  bus_.subscribe_to<DetectionBatch>("detections",
-                                    [this](const DetectionBatch& b) { on_detections(b); });
+  bus.detections.subscribe([this](const DetectionBatch& b) { on_detections(b); });
 }
 
 void HazardAdvertisementService::start() {

@@ -2,7 +2,7 @@
 
 namespace rst::roadside {
 
-ObjectDetectionService::ObjectDetectionService(sim::Scheduler& sched, middleware::MessageBus& bus,
+ObjectDetectionService::ObjectDetectionService(sim::Scheduler& sched, EdgeBus& bus,
                                                RoadsideCamera& camera, YoloSimulator& yolo,
                                                sim::RandomStream rng, Config config,
                                                sim::Trace* trace)
@@ -81,7 +81,7 @@ void ObjectDetectionService::process_frame() {
                              batch.detections.front().detection.estimated_distance_m);
       }
     }
-    bus_.publish("detections", batch);
+    bus_.detections.publish(batch);
   });
 
   loop_timer_.arm_in(config_.processing_period);

@@ -2,9 +2,9 @@
 
 namespace rst::vehicle {
 
-ControlModule::ControlModule(sim::Scheduler& sched, middleware::MessageBus& bus,
-                             VehicleDynamics& dynamics, sim::RandomStream rng, Config config,
-                             sim::Trace* trace, const middleware::NtpClock* clock)
+ControlModule::ControlModule(sim::Scheduler& sched, VehicleBus& bus, VehicleDynamics& dynamics,
+                             sim::RandomStream rng, Config config, sim::Trace* trace,
+                             const middleware::NtpClock* clock)
     : sched_{sched},
       bus_{bus},
       dynamics_{dynamics},
@@ -13,8 +13,7 @@ ControlModule::ControlModule(sim::Scheduler& sched, middleware::MessageBus& bus,
       trace_{trace},
       clock_{clock},
       odometry_timer_{sched, [this] { publish_odometry(); }} {
-  bus_.subscribe_to<DriveCommand>("drive_cmd",
-                                  [this](const DriveCommand& cmd) { on_command(cmd); });
+  bus_.drive_cmd.subscribe([this](const DriveCommand& cmd) { on_command(cmd); });
 }
 
 void ControlModule::start() {
@@ -62,7 +61,7 @@ void ControlModule::publish_odometry() {
   odo.speed_mps = dynamics_.speed_mps();
   odo.position = dynamics_.position();
   odo.heading_rad = dynamics_.heading_rad();
-  bus_.publish("odometry", odo);
+  bus_.odometry.publish(odo);
   odometry_timer_.arm_in(config_.odometry_period);
 }
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rst/vehicle/motion_planner.hpp"
-
 namespace rst::vehicle {
 
-ScanningLidar::ScanningLidar(sim::Scheduler& sched, middleware::MessageBus& bus,
+ScanningLidar::ScanningLidar(sim::Scheduler& sched, VehicleBus& bus,
                              const VehicleDynamics& vehicle, sim::RandomStream rng, Config config)
     : sched_{sched},
       bus_{bus},
@@ -36,7 +34,7 @@ LidarScan ScanningLidar::scan() const {
     const double bearing = std::remainder(geo::heading_from_vector(rel) - heading, 2.0 * M_PI);
     if (std::abs(bearing) > config_.fov_half_angle_rad) continue;
     // Occlusion: a wall between the sensor and the target blocks the ray.
-    const bool occluded = std::any_of(walls_.begin(), walls_.end(), [&](const dot11p::Wall& w) {
+    const bool occluded = std::ranges::any_of(walls_, [&](const dot11p::Wall& w) {
       return dot11p::segments_intersect(own, pos, w.a, w.b);
     });
     if (occluded) continue;
@@ -53,15 +51,15 @@ void ScanningLidar::tick() {
   const LidarScan result = scan();
   ++scans_;
   sched_.post_in(config_.processing_latency,
-                 [this, result] { bus_.publish("lidar_scan", result); });
+                 [this, result] { bus_.lidar_scan.publish(result); });
   timer_.arm_in(config_.scan_period);
 }
 
-AebController::AebController(sim::Scheduler& sched, middleware::MessageBus& bus, Config config,
+AebController::AebController(sim::Scheduler& sched, VehicleBus& bus, Config config,
                              sim::Trace* trace)
     : sched_{sched}, bus_{bus}, config_{config}, trace_{trace} {
-  bus_.subscribe_to<LidarScan>("lidar_scan", [this](const LidarScan& scan) { on_scan(scan); });
-  bus_.subscribe_to<Odometry>("odometry", [this](const Odometry& odo) { speed_ = odo.speed_mps; });
+  bus_.lidar_scan.subscribe([this](const LidarScan& scan) { on_scan(scan); });
+  bus_.odometry.subscribe([this](const Odometry& odo) { speed_ = odo.speed_mps; });
 }
 
 void AebController::on_scan(const LidarScan& scan) {
@@ -79,7 +77,7 @@ void AebController::on_scan(const LidarScan& scan) {
       if (trace_) {
         trace_->record_event(sched_.now(), sim::Stage::AebTrigger, 0, 0, forward);
       }
-      bus_.publish("emergency_stop", std::string{"AEB: obstacle ahead"});
+      bus_.emergency_stop.publish(EmergencyStop{});
       return;
     }
   }

@@ -4,7 +4,7 @@
 
 namespace rst::vehicle {
 
-LineCameraSensor::LineCameraSensor(sim::Scheduler& sched, middleware::MessageBus& bus,
+LineCameraSensor::LineCameraSensor(sim::Scheduler& sched, VehicleBus& bus,
                                    const Track& track, const VehicleDynamics& vehicle,
                                    sim::RandomStream rng, Config config)
     : sched_{sched},
@@ -38,7 +38,7 @@ void LineCameraSensor::capture() {
 
   const auto latency = rng_.normal_time(config_.processing_mean, config_.processing_sigma,
                                         config_.processing_min);
-  sched_.post_in(latency, [this, det] { bus_.publish("line_detection", det); });
+  sched_.post_in(latency, [this, det] { bus_.line_detection.publish(det); });
 
   frame_timer_.arm_in(config_.frame_period);
 }

@@ -4,9 +4,8 @@
 
 namespace rst::vehicle {
 
-MessageHandler::MessageHandler(sim::Scheduler& sched, middleware::MessageBus& bus,
-                               middleware::HttpHost& host, sim::RandomStream rng, Config config,
-                               sim::Trace* trace)
+MessageHandler::MessageHandler(sim::Scheduler& sched, VehicleBus& bus, middleware::HttpHost& host,
+                               sim::RandomStream rng, Config config, sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
       host_{host},
@@ -58,7 +57,7 @@ void MessageHandler::set_degraded(bool degraded) {
     ++stats_.watchdog_recoveries;
     if (trace_) trace_->record_event(sched_.now(), sim::Stage::WatchdogRecovered);
   }
-  bus_.publish("watchdog", WatchdogState{degraded});
+  bus_.watchdog.publish(WatchdogState{degraded});
 }
 
 void MessageHandler::on_response(const middleware::HttpResponse& resp) {
@@ -81,10 +80,8 @@ void MessageHandler::on_response(const middleware::HttpResponse& resp) {
   if (config_.watchdog && degraded_) set_degraded(false);
   if (resp.body.empty()) return;
   const middleware::KvBody kv = middleware::KvBody::parse(resp.body);
-  // The API drains its whole inbox per poll as denm0..denmN; older builds
-  // answered with a single "denm" key — accept either form.
+  // The API drains its whole inbox per poll as denm0..denmN.
   auto hex = kv.get("denm0");
-  if (!hex) hex = kv.get("denm");
   for (std::size_t i = 0; hex; hex = kv.get("denm" + std::to_string(++i))) {
     handle_denm_hex(*hex);
   }
@@ -108,12 +105,7 @@ void MessageHandler::handle_denm_hex(const std::string& hex) {
   ++stats_.emergencies;
   const auto handling = config_.handling_latency +
                         rng_.uniform_time(sim::SimTime::zero(), config_.handling_jitter);
-  const auto cause = denm.situation->event_type.cause_code;
-  sched_.post_in(handling, [this, cause] {
-    bus_.publish("v2x_emergency",
-                 std::string{"DENM cause "} + std::to_string(cause) + " (" +
-                     std::string{its::describe_cause(cause)} + ")");
-  });
+  sched_.post_in(handling, [this] { bus_.v2x_emergency.publish(EmergencyStop{}); });
 }
 
 }  // namespace rst::vehicle

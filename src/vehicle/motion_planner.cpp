@@ -3,27 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
-#include "rst/vehicle/message_handler.hpp"
-
 namespace rst::vehicle {
 
-MotionPlanner::MotionPlanner(sim::Scheduler& sched, middleware::MessageBus& bus, Config config,
+MotionPlanner::MotionPlanner(sim::Scheduler& sched, VehicleBus& bus, Config config,
                              sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
       config_{config},
       trace_{trace},
       steering_pid_{config.steering_gains, -config.max_steer_rad, config.max_steer_rad} {
-  bus_.subscribe_to<LineDetection>("line_detection",
-                                   [this](const LineDetection& det) { on_line(det); });
-  bus_.subscribe_to<Odometry>("odometry", [this](const Odometry& odo) { on_odometry(odo); });
-  bus_.subscribe_to<std::string>("v2x_emergency",
-                                 [this](const std::string& reason) { emergency_stop(reason); });
+  bus_.line_detection.subscribe([this](const LineDetection& det) { on_line(det); });
+  bus_.odometry.subscribe([this](const Odometry& odo) { on_odometry(odo); });
+  bus_.v2x_emergency.subscribe([this](const EmergencyStop&) { emergency_stop(); });
   // Local (non-V2X) emergencies, e.g. the on-board AEB.
-  bus_.subscribe_to<std::string>("emergency_stop",
-                                 [this](const std::string& reason) { emergency_stop(reason); });
-  bus_.subscribe_to<WatchdogState>(
-      "watchdog", [this](const WatchdogState& state) { degraded_ = state.degraded; });
+  bus_.emergency_stop.subscribe([this](const EmergencyStop&) { emergency_stop(); });
+  bus_.watchdog.subscribe([this](const WatchdogState& state) { degraded_ = state.degraded; });
 }
 
 void MotionPlanner::on_odometry(const Odometry& odo) { current_speed_ = odo.speed_mps; }
@@ -53,18 +47,17 @@ void MotionPlanner::on_line(const LineDetection& det) {
   const double speed_error = target - current_speed_;
   cmd.throttle01 = std::clamp(config_.cruise_throttle + config_.speed_kp * speed_error, 0.0, 1.0);
   ++commands_;
-  bus_.publish("drive_cmd", cmd);
+  bus_.drive_cmd.publish(cmd);
 }
 
-void MotionPlanner::emergency_stop(const std::string& reason) {
+void MotionPlanner::emergency_stop() {
   if (emergency_latched_) return;
   emergency_latched_ = true;
   if (trace_) trace_->record_event(sched_.now(), sim::Stage::EmergencyStop);
-  (void)reason;
   DriveCommand cmd;
   cmd.power_cut = true;
   ++commands_;
-  bus_.publish("drive_cmd", cmd);
+  bus_.drive_cmd.publish(cmd);
 }
 
 }  // namespace rst::vehicle

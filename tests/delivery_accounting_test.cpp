@@ -120,7 +120,7 @@ TEST(HttpNodeDown, WindowOpeningInFlightLosesRequest) {
 
   int status = -1;
   sim::SimTime responded_at;
-  lan.request("obu", {"POST", "/denm", ""}, [&](const middleware::HttpResponse& resp) {
+  lan.request("obu", {"/denm", ""}, [&](const middleware::HttpResponse& resp) {
     status = resp.status;
     responded_at = sched.now();
   });
@@ -149,7 +149,7 @@ TEST(HttpNodeDown, WindowClosedBeforeDispatchServes) {
 
   int status = -1;
   sched.post_at(sim::SimTime::microseconds(350), [&] {
-    lan.request("obu", {"POST", "/denm", ""},
+    lan.request("obu", {"/denm", ""},
                 [&](const middleware::HttpResponse& resp) { status = resp.status; });
   });
   sched.run();
@@ -177,7 +177,7 @@ TEST(HttpNodeDown, ChaosWindowMidRunLosesOnlyCoveredRequests) {
   int lost = 0;
   for (int i = 0; i < 10; ++i) {
     sched.post_at(sim::SimTime::milliseconds(10 * i), [&] {
-      lan.request("rsu", {"POST", "/trigger", ""},
+      lan.request("rsu", {"/trigger", ""},
                   [&](const middleware::HttpResponse& resp) {
                     (resp.status == 200 ? served : lost) += 1;
                   });

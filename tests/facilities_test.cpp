@@ -232,7 +232,7 @@ TEST(ServiceLifetime, DestroyedCaServiceNeverFires) {
 TEST(ServiceLifetime, DestroyedHazardServiceNeverScans) {
   Rig rig;
   auto& a = rig.add_station(1, {0, 0});
-  middleware::MessageBus bus{rig.sched, rig.rng.child("bus")};
+  roadside::EdgeBus bus{rig.sched, rig.rng.child("bus")};
   middleware::HttpLan lan{rig.sched, rig.rng.child("lan")};
   middleware::HttpHost edge{lan, "edge"};
   roadside::HazardServiceConfig config;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "rst/middleware/message_bus.hpp"
 #include "rst/vehicle/control_module.hpp"
 #include "rst/vehicle/lidar.hpp"
 #include "rst/vehicle/motion_planner.hpp"
@@ -15,7 +14,7 @@ using namespace rst::sim::literals;
 struct Rig {
   sim::Scheduler sched;
   sim::RandomStream rng{404, "lidar_test"};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  VehicleBus bus{sched, rng.child("bus")};
   VehicleDynamics dyn{sched, {}, rng.child("dyn")};
   ScanningLidar lidar{sched, bus, dyn, rng.child("lidar")};
 
@@ -61,7 +60,7 @@ TEST(Lidar, PeriodicScansPublishOnBus) {
   Rig rig;
   rig.lidar.add_target({[] { return geo::Vec2{0, 4}; }, 0.15});
   int scans = 0;
-  rig.bus.subscribe_to<LidarScan>("lidar_scan", [&](const LidarScan& s) {
+  rig.bus.lidar_scan.subscribe([&](const LidarScan& s) {
     if (!s.detections.empty()) ++scans;
   });
   rig.lidar.start();

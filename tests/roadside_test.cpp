@@ -140,7 +140,7 @@ struct EdgeRig {
   sim::Scheduler sched;
   sim::RandomStream rng{11, "edge"};
   geo::LocalFrame frame{{41.1780, -8.6080}};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  EdgeBus bus{sched, rng.child("bus")};
   middleware::HttpLan lan{sched, rng.child("lan")};
   middleware::HttpHost edge_host{lan, "edge"};
   middleware::HttpHost rsu_host{lan, "rsu"};
@@ -172,7 +172,7 @@ TEST(ObjectDetection, PublishesBatchesAtConfiguredRate) {
   geo::Vec2 pos{0, 5};
   rig.camera.add_object({1, [&] { return pos; }, Presentation::StopSign, "car"});
   int batches = 0;
-  rig.bus.subscribe_to<DetectionBatch>("detections", [&](const DetectionBatch& b) {
+  rig.bus.detections.subscribe([&](const DetectionBatch& b) {
     if (!b.detections.empty()) ++batches;
   });
   rig.detection.start();
@@ -188,7 +188,7 @@ TEST(ObjectDetection, RangeRateTracksApproach) {
   geo::Vec2 pos{0, 0};
   rig.camera.add_object({1, [&] { return pos; }, Presentation::StopSign, "car"});
   std::vector<double> range_rates;
-  rig.bus.subscribe_to<DetectionBatch>("detections", [&](const DetectionBatch& b) {
+  rig.bus.detections.subscribe([&](const DetectionBatch& b) {
     for (const auto& d : b.detections) {
       if (d.range_rate_mps != 0) range_rates.push_back(d.range_rate_mps);
     }
@@ -264,7 +264,7 @@ struct CpaRig {
   sim::Scheduler sched;
   sim::RandomStream rng{21, "cpa_rig"};
   geo::LocalFrame frame{{41.1780, -8.6080}};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  EdgeBus bus{sched, rng.child("bus")};
   middleware::HttpLan lan{sched, rng.child("lan")};
   middleware::HttpHost edge_host{lan, "edge"};
   middleware::HttpHost rsu_host{lan, "rsu"};
@@ -386,7 +386,7 @@ TEST(HazardCamPairs, TwoCamVehiclesOnCollisionCourseTriggerDenm) {
   sim::Scheduler sched;
   sim::RandomStream rng{31, "campair"};
   geo::LocalFrame frame{{41.1780, -8.6080}};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  EdgeBus bus{sched, rng.child("bus")};
   middleware::HttpLan lan{sched, rng.child("lan")};
   middleware::HttpHost edge_host{lan, "edge"};
   middleware::HttpHost rsu_host{lan, "rsu"};

@@ -1,9 +1,11 @@
 // Counts heap allocations to prove the scheduler's hot paths are
 // allocation-free in steady state:
 //   - post_at / post_in with a small callback never allocate once the
-//     event heap has reached its high-water capacity, and
+//     event heap has reached its high-water capacity,
 //   - schedule_at reuses pooled handle-state nodes instead of hitting
-//     the global heap per event.
+//     the global heap per event, and
+//   - a bus delivery of a hot vehicle topic fits the inline callback.
+// It also bounds the allocations of one whole emergency-brake trial.
 //
 // This test overrides the global operator new/delete, which is why it
 // lives in its own binary (each rst_test is a separate executable).
@@ -14,7 +16,9 @@
 #include <new>
 #include <vector>
 
+#include "rst/core/testbed.hpp"
 #include "rst/sim/scheduler.hpp"
+#include "rst/vehicle/vehicle_bus.hpp"
 
 namespace {
 
@@ -38,9 +42,11 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+// Kept out of line: inlined into gtest's test factories at -O2, GCC's
+// -Wmismatched-new-delete mistakes the free() for a mismatched release.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -131,6 +137,49 @@ TEST(SchedulerAlloc, RearmingAWarmTimerIsAllocationFree) {
     EXPECT_EQ(scope.count(), 0u) << "re-arming a timer allocated";
   }
   EXPECT_EQ(fired, 1100u);
+}
+
+TEST(SchedulerAlloc, PublishingOnAWarmTopicIsAllocationFree) {
+  namespace vehicle = rst::vehicle;
+  Scheduler sched;
+  vehicle::VehicleBus bus{sched, rst::sim::RandomStream{7, "alloc"}};
+  std::uint64_t delivered = 0;
+  bus.odometry.subscribe([&](const vehicle::Odometry&) { ++delivered; });
+  bus.line_detection.subscribe([&](const vehicle::LineDetection&) { ++delivered; });
+  bus.drive_cmd.subscribe([&](const vehicle::DriveCommand&) { ++delivered; });
+  const auto publish_all = [&] {
+    bus.odometry.publish(vehicle::Odometry{.speed_mps = 1.2, .position = {0.5, 3.0}});
+    bus.line_detection.publish(vehicle::LineDetection{.lateral_offset_m = 0.01});
+    bus.drive_cmd.publish(vehicle::DriveCommand{.throttle01 = 0.3});
+    sched.run();
+  };
+  for (int i = 0; i < 100; ++i) publish_all();  // warm-up
+
+  {
+    CountScope scope;
+    for (int i = 0; i < 1000; ++i) publish_all();
+    EXPECT_EQ(scope.count(), 0u) << "publishing on a warm topic allocated";
+  }
+  EXPECT_EQ(delivered, 3u * 1100u);
+}
+
+TEST(SchedulerAlloc, BrakeTrialLoopStaysUnderItsAllocationBound) {
+  // The loop allocated 646 times when the bound was set (2,606 with the
+  // string-keyed bus); the bound leaves 10% headroom.
+  constexpr std::size_t kBound = 710;
+  rst::core::TestbedConfig config;
+  config.seed = 401;
+  rst::core::TestbedScenario scenario{config};
+  scenario.start_services();
+  rst::core::TrialResult result;
+  std::size_t allocations = 0;
+  {
+    CountScope scope;
+    result = scenario.run_emergency_brake_trial();
+    allocations = scope.count();
+  }
+  EXPECT_TRUE(result.stopped_by_denm);
+  EXPECT_LE(allocations, kBound);
 }
 
 TEST(SchedulerAlloc, PooledHandlesReuseNodes) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "rst/middleware/message_bus.hpp"
 #include "rst/vehicle/control_module.hpp"
 #include "rst/vehicle/dynamics.hpp"
 #include "rst/vehicle/line_detection.hpp"
@@ -160,7 +159,7 @@ TEST(Dynamics, NeverReverses) {
 struct PipelineRig {
   sim::Scheduler sched;
   sim::RandomStream rng{9, "pipe"};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  VehicleBus bus{sched, rng.child("bus")};
   Track track = Track::straight({0, 0}, {0, 30});
   VehicleDynamics dyn{sched, {}, rng.child("dyn")};
   LineCameraSensor sensor{sched, bus, track, dyn, rng.child("cam")};
@@ -188,7 +187,7 @@ TEST(Pipeline, FollowsAClosedCircuitLap) {
   // autonomously"; the line follower must hold a rounded-rectangle loop.
   sim::Scheduler sched;
   sim::RandomStream rng{77, "loop"};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  VehicleBus bus{sched, rng.child("bus")};
   Track track = Track::loop({0, 0}, 8.0, 5.0);
   VehicleDynamics dyn{sched, {}, rng.child("dyn")};
   LineCameraSensor sensor{sched, bus, track, dyn, rng.child("cam")};
@@ -226,7 +225,7 @@ TEST(Pipeline, EmergencyStopLatchesAndCutsPower) {
   rig.control.start();
   rig.sched.run_until(2_s);
   EXPECT_FALSE(rig.planner.stopped());
-  rig.bus.publish("v2x_emergency", std::string{"test"});
+  rig.bus.v2x_emergency.publish(EmergencyStop{});
   rig.sched.run_until(4_s);
   EXPECT_TRUE(rig.planner.stopped());
   EXPECT_TRUE(rig.dyn.power_cut());
@@ -239,7 +238,7 @@ TEST(Pipeline, EmergencyStopLatchesAndCutsPower) {
 TEST(Pipeline, ControlModuleLatchesAtPwmEdges) {
   sim::Scheduler sched;
   sim::RandomStream rng{10, "pwm"};
-  middleware::MessageBus bus{sched, rng.child("bus")};
+  VehicleBus bus{sched, rng.child("bus")};
   VehicleDynamics dyn{sched, {}, rng.child("dyn")};
   dyn.reset({0, 0}, 0.0, 1.0);
   dyn.start();
@@ -250,7 +249,7 @@ TEST(Pipeline, ControlModuleLatchesAtPwmEdges) {
 
   DriveCommand cmd;
   cmd.power_cut = true;
-  bus.publish("drive_cmd", cmd);
+  bus.drive_cmd.publish(cmd);
   sched.run_until(30_ms);
   EXPECT_TRUE(dyn.power_cut());
   EXPECT_EQ(control.commands_applied(), 1u);
