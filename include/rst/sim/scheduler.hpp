@@ -88,7 +88,7 @@ class EventHandle {
 /// Hot-path design: callbacks are stored in a small-buffer-optimized
 /// move-only wrapper (no heap allocation for typical captures), handle
 /// state comes from a recycling slab pool, and the fire-and-forget
-/// `post_at`/`post_in` path skips handle-state allocation entirely.
+/// `post_at`/`post_in` path and `Timer` skip handle state entirely.
 /// Cancelled entries are purged eagerly whenever they surface at the top
 /// of the heap, so cancel-heavy workloads (EDCA backoff, DCC gates, CBF
 /// timers) do not accumulate dead entries ahead of live ones.
@@ -130,13 +130,16 @@ class Scheduler {
   [[nodiscard]] std::uint64_t purged_events() const { return purged_; }
 
  private:
+  friend class Timer;
+
   /// Callback + handle state live out-of-line in recycled slots so the
   /// heap entries stay trivially copyable: sifting moves 24-byte PODs
   /// instead of invoking a callback-move per swap.
   struct Slot {
     Callback cb;
-    std::shared_ptr<EventHandle::State> state;  // null on the post_* path
+    std::shared_ptr<EventHandle::State> state;  // null on the post_* and Timer paths
     Slot* next_free{nullptr};
+    bool cancelled{false};  // set by Timer::cancel; purged like a cancelled handle
   };
   struct Entry {
     SimTime when;
@@ -152,8 +155,9 @@ class Scheduler {
   static constexpr std::size_t kSlotSlab = 128;
 
   void check_not_past(SimTime when) const;
-  /// Pushes an entry; `state` may be null (fire-and-forget path).
-  void push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state);
+  /// Pushes an entry and returns its slot; `state` may be null
+  /// (fire-and-forget and Timer paths).
+  Slot* push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state);
   /// Discards cancelled entries at the front of the heap.
   void purge_cancelled_front();
   Slot* acquire_slot(Callback&& cb, std::shared_ptr<EventHandle::State>&& state);
@@ -176,6 +180,12 @@ class Scheduler {
 /// inside its callback to keep a cadence. Destroying the timer cancels it:
 /// the callback never runs after its owner is gone. The scheduled event
 /// refers to the timer, so it is neither copyable nor movable.
+///
+/// A re-arm costs what a `post_at` costs (one slot, one heap push): the
+/// timer keeps a pointer to its pending slot and cancels by marking it, so
+/// no handle state is built. Lifetime rule: destroy a Timer before its
+/// Scheduler, since cancelling writes into the scheduler's slots. Owners
+/// get this by declaring the scheduler before the components.
 class Timer {
  public:
   Timer(Scheduler& sched, Scheduler::Callback cb) : sched_{sched}, cb_{std::move(cb)} {}
@@ -183,18 +193,22 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
   ~Timer() { cancel(); }
 
-  /// Fires the callback at absolute time `when` (>= now()).
+  /// Fires the callback at absolute time `when` (>= now()). A time in the
+  /// past throws std::invalid_argument and keeps any pending firing.
   void arm_at(SimTime when);
   /// Fires the callback after `delay` (>= 0).
   void arm_in(SimTime delay) { arm_at(sched_.now() + delay); }
-  void cancel() { handle_.cancel(); }
+  void cancel() {
+    if (pending_) pending_->cancelled = true;
+    pending_ = nullptr;
+  }
   /// True while a firing is pending (false inside the callback itself).
-  [[nodiscard]] bool armed() const { return handle_.pending(); }
+  [[nodiscard]] bool armed() const { return pending_ != nullptr; }
 
  private:
   Scheduler& sched_;
   Scheduler::Callback cb_;
-  EventHandle handle_;
+  Scheduler::Slot* pending_{nullptr};  // slot of the queued firing, if any
 };
 
 }  // namespace rst::sim

@@ -16,9 +16,11 @@ namespace rst::sim {
 /// here and is what the experiment harness mines for interval measurements.
 ///
 /// Every record is a typed POD event (`record_event` / `span_begin` /
-/// `span_end`) written into a pre-sized ring buffer: one allocation the
-/// first time an event is recorded (the buffer), zero thereafter. When the
-/// buffer is full new events are counted in `events_dropped()` and
+/// `span_end`) appended to a buffer of at most `set_event_capacity` events.
+/// The first recorded event reserves min(capacity, 16384) events; at the
+/// default capacity that is one allocation, then none. A larger capacity
+/// doubles the buffer as it fills, so growth past 16,384 events moves it.
+/// When the buffer is full new events are counted in `events_dropped()` and
 /// discarded, so the earliest (pipeline-critical) stages are always kept.
 class Trace {
  public:
@@ -39,19 +41,23 @@ class Trace {
   }
 
   /// Typed events in recording order (the mining surface for the
-  /// experiment harness — no strings, no substring matching).
+  /// experiment harness — no strings, no substring matching). Recording may
+  /// move the buffer, so hold an index, not a reference or pointer, across
+  /// a record.
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// First event of `stage` at or after `from`; nullptr if none.
+  /// First event of `stage` at or after `from`; nullptr if none. The pointer
+  /// is valid until the next record (which may move the buffer).
   [[nodiscard]] const TraceEvent* find_event(Stage stage, SimTime from = SimTime::zero()) const;
   /// As above, additionally filtered on the emitting station.
   [[nodiscard]] const TraceEvent* find_event(Stage stage, SimTime from,
                                              std::uint32_t station) const;
 
-  /// Events discarded because the ring buffer was full.
+  /// Events discarded because the buffer was at capacity.
   [[nodiscard]] std::uint64_t events_dropped() const { return events_dropped_; }
-  /// Resizes the typed buffer capacity. Only effective before the first
-  /// recorded event (the buffer is allocated once, on first use).
+  /// Sets the most events kept (default 16,384); later ones are dropped.
+  /// The buffer reserves up to 16,384 events on first use and doubles up to
+  /// the capacity from there.
   void set_event_capacity(std::size_t capacity) { event_capacity_ = capacity; }
 
   /// Chrome trace_event-format JSON (the "JSON Object Format" with a
@@ -70,8 +76,10 @@ class Trace {
   void push_event(SimTime when, Stage stage, Phase phase, std::uint32_t station, std::uint64_t a,
                   double value, std::uint16_t detail);
 
+  static constexpr std::size_t kDefaultCapacity = 16384;
+
   std::vector<TraceEvent> events_;
-  std::size_t event_capacity_{16384};
+  std::size_t event_capacity_{kDefaultCapacity};
   std::uint64_t events_dropped_{0};
   bool echo_{false};
 };

@@ -346,6 +346,10 @@ TrialResult TestbedScenario::run_emergency_brake_trial(sim::SimTime timeout) {
   double odometer_at_halt = 0;
   double odometer_at_detection = 0;
   double speed_at_detection = 0;
+  // Trace index of the first event not yet examined for the detection.
+  // Starting at 0 finds what find_event(HazardDecision, t_start) would,
+  // an event recorded before the loop included, with each event read once.
+  std::size_t scan = 0;
 
   // 1 kHz supervision loop: records the geometric Action-Point crossing
   // (step 1), the odometer reading at the detection instant, and the
@@ -360,14 +364,15 @@ TrialResult TestbedScenario::run_emergency_brake_trial(sim::SimTime timeout) {
         result.t_cross_actual = sched_.now();
       }
     }
-    if (!detection_seen) {
-      if (const auto* d = trace_.find_event(sim::Stage::HazardDecision, t_start)) {
-        detection_seen = true;
-        speed_at_detection = dynamics_->speed_mps();
-        // Back out the small travel since the detection instant.
-        odometer_at_detection = dynamics_->odometer_m() -
-                                speed_at_detection * (sched_.now() - d->when).to_seconds();
-      }
+    const auto& events = trace_.events();
+    for (; !detection_seen && scan < events.size(); ++scan) {
+      const sim::TraceEvent& d = events[scan];
+      if (d.stage != sim::Stage::HazardDecision || d.when < t_start) continue;
+      detection_seen = true;
+      speed_at_detection = dynamics_->speed_mps();
+      // Back out the small travel since the detection instant.
+      odometer_at_detection =
+          dynamics_->odometer_m() - speed_at_detection * (sched_.now() - d.when).to_seconds();
     }
     if (dynamics_->power_cut() && dynamics_->stopped()) {
       halted = true;

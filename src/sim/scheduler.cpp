@@ -82,6 +82,7 @@ Scheduler::Slot* Scheduler::acquire_slot(Callback&& cb,
 void Scheduler::release_slot(Slot* s) noexcept {
   s->cb = Callback{};
   s->state.reset();
+  s->cancelled = false;
   s->next_free = free_slots_;
   free_slots_ = s;
 }
@@ -90,17 +91,19 @@ void Scheduler::check_not_past(SimTime when) const {
   if (when < now_) throw std::invalid_argument{"Scheduler::schedule_at: time in the past"};
 }
 
-void Scheduler::push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state) {
+Scheduler::Slot* Scheduler::push(SimTime when, Callback&& cb,
+                                 std::shared_ptr<EventHandle::State> state) {
   Slot* slot = acquire_slot(std::move(cb), std::move(state));
   heap_.push_back(Entry{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   purge_cancelled_front();  // keep dead entries from lingering ahead of live ones
+  return slot;  // live, so the purge above never releases it
 }
 
 void Scheduler::purge_cancelled_front() {
   while (!heap_.empty()) {
     Slot* s = heap_.front().slot;
-    if (!s->state || !s->state->cancelled) break;
+    if (!s->cancelled && (!s->state || !s->state->cancelled)) break;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     release_slot(s);
@@ -167,8 +170,16 @@ std::size_t Scheduler::run_until(SimTime deadline) {
 }
 
 void Timer::arm_at(SimTime when) {
-  handle_.cancel();
-  handle_ = sched_.schedule_at(when, [this] { cb_(); });
+  sched_.check_not_past(when);  // before cancelling, so a rejected time keeps the firing
+  cancel();
+  // step() releases the slot before the callback runs, so the callback
+  // forgets it first; a re-arm from cb_ may then take that same slot.
+  pending_ = sched_.push(when,
+                         [this] {
+                           pending_ = nullptr;
+                           cb_();
+                         },
+                         nullptr);
 }
 
 }  // namespace rst::sim

@@ -1,5 +1,6 @@
 #include "rst/sim/trace.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -54,10 +55,14 @@ char phase_char(Phase phase) {
 
 void Trace::push_event(SimTime when, Stage stage, Phase phase, std::uint32_t station,
                        std::uint64_t a, double value, std::uint16_t detail) {
-  if (events_.capacity() == 0 && event_capacity_ > 0) events_.reserve(event_capacity_);
   if (events_.size() >= event_capacity_) {
     ++events_dropped_;
     return;
+  }
+  if (events_.size() == events_.capacity()) {
+    // A large capacity is reserved in steps, not up front: a short run
+    // with a big ring would otherwise map the whole ring on its first event.
+    events_.reserve(std::min(event_capacity_, std::max(kDefaultCapacity, 2 * events_.capacity())));
   }
   TraceEvent ev;
   ev.when = when;

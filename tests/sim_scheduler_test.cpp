@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace rst::sim {
@@ -93,8 +94,14 @@ TEST(Timer, CancelStopsTheNextFiring) {
   EXPECT_EQ(fired, 2);
   timer.cancel();
   EXPECT_FALSE(timer.armed());
+  timer.cancel();  // idempotent: the dead entry is marked once
+  const auto purged = sched.purged_events();
   sched.run_until(100_ms);
   EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sched.executed_events(), 2u);
+  // The cancelled 30 ms firing is discarded and counted exactly once.
+  EXPECT_EQ(sched.purged_events(), purged + 1);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(Timer, ArmingAnArmedTimerFiresOnceAtTheNewTime) {
@@ -124,6 +131,24 @@ TEST(Timer, DestroyingAnArmedTimerRunsNothing) {
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sched.executed_events(), 0u);
   EXPECT_EQ(sched.purged_events(), purged + 1);
+  // The released slot serves later events without being counted again.
+  sched.post_in(5_ms, [] {});
+  sched.run();
+  EXPECT_EQ(sched.executed_events(), 1u);
+  EXPECT_EQ(sched.purged_events(), purged + 1);
+}
+
+TEST(Timer, ArmingInThePastThrowsAndKeepsThePendingFiring) {
+  Scheduler sched;
+  std::vector<SimTime> fired;
+  Timer timer{sched, [&] { fired.push_back(sched.now()); }};
+  timer.arm_at(5_ms);
+  sched.run_until(2_ms);
+  EXPECT_THROW(timer.arm_at(1_ms), std::invalid_argument);
+  EXPECT_TRUE(timer.armed());
+  sched.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{5_ms}));
+  EXPECT_EQ(sched.purged_events(), 0u);
 }
 
 TEST(Timer, FiresInArmOrderAmongEqualTimestamps) {

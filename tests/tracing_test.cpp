@@ -62,6 +62,34 @@ TEST(TraceTyped, RingCapacityDropsNewestAndCounts) {
   EXPECT_EQ(trace.events_dropped(), 0u);
 }
 
+TEST(TraceTyped, CapacityAboveTheDefaultKeepsEveryEventUpToIt) {
+  // The first record reserves 16,384 events, not the whole capacity; past
+  // that the buffer grows (and moves) up to the capacity, and nothing below
+  // the capacity is dropped or altered by the growth.
+  Trace trace;
+  trace.set_event_capacity(40000);
+  for (int i = 0; i <= 40000; ++i) {
+    trace.record_event(SimTime::microseconds(i), Stage::CamTx, 7,
+                       static_cast<std::uint64_t>(i), 0.5 * i, 3);
+    if (i == 0) EXPECT_LE(trace.events().capacity(), 16384u);
+  }
+  EXPECT_LE(trace.events().capacity(), 40000u);
+  ASSERT_EQ(trace.events().size(), 40000u);
+  EXPECT_EQ(trace.events_dropped(), 1u);
+  for (int i : {0, 1, 16383, 16384, 39999}) {
+    const TraceEvent& ev = trace.events()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(ev.when, SimTime::microseconds(i));
+    EXPECT_EQ(ev.stage, Stage::CamTx);
+    EXPECT_EQ(ev.station, 7u);
+    EXPECT_EQ(ev.a, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(ev.value, 0.5 * i);
+    EXPECT_EQ(ev.detail, 3u);
+  }
+  const TraceEvent* mid = trace.find_event(Stage::CamTx, SimTime::microseconds(20000));
+  ASSERT_NE(mid, nullptr);
+  EXPECT_EQ(mid->a, 20000u);
+}
+
 TEST(TraceTyped, EveryStageHasAUniqueName) {
   // The echo and the Chrome export both name events by stage_name.
   std::set<std::string_view> names;
