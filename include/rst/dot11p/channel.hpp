@@ -8,6 +8,7 @@
 #include "rst/sim/random.hpp"
 
 namespace rst::geo {
+class CrossingIds;
 class ObstacleGrid;
 }
 
@@ -16,9 +17,24 @@ namespace rst::dot11p {
 /// Deterministic (position-only) part of a propagation model.
 class PathLossModel {
  public:
+  /// How far past its cap a loss must lie before `loss_db_capped` may give
+  /// up on it. Far above the rounding of any sum of dB terms near a power
+  /// floor, so a link given up on is one the exact loss culls as well.
+  static constexpr double kCapMarginDb = 1e-6;
+
   virtual ~PathLossModel() = default;
   /// Path loss in dB between transmitter and receiver positions.
   [[nodiscard]] virtual double loss_db(geo::Vec2 tx, geo::Vec2 rx) const = 0;
+
+  /// `loss_db(tx, rx)`, except that it may return +infinity when that loss
+  /// exceeds `cap_db` by more than `kCapMarginDb`. The medium passes the
+  /// loss that puts a link at the power floor, so a model may stop working
+  /// on a link as soon as it knows the link is culled. Every other answer
+  /// keeps the bits of `loss_db`.
+  [[nodiscard]] virtual double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db) const {
+    (void)cap_db;
+    return loss_db(tx, rx);
+  }
 
   /// Lower bound on the loss between any two positions `distance_m` apart.
   /// The spatial index inverts this to derive a conservative culling radius:
@@ -93,26 +109,34 @@ struct Wall {
 /// City-scale obstacle maps (the scenario generator emits four walls per
 /// building) make this the inner loop of every link-budget evaluation. By
 /// default the walls are held in a `geo::ObstacleGrid` ray index: a query
-/// walks only the grid cells along the tx-rx ray, deduplicates the walls it
-/// finds there and applies the same bounding-box reject and exact
-/// `segments_intersect` test, in the same ascending-wall order, as the
-/// brute-force scan — so `loss_db` and `walls_crossed` are
+/// walks only the grid cells along the tx-rx ray and applies the same
+/// bounding-box reject and exact `segments_intersect` test as the
+/// brute-force scan to each wall it finds there, collecting the distinct
+/// crossing walls; the loss adds their attenuations in ascending wall
+/// order, as the scan does. So `loss_db` and `walls_crossed` are
 /// bit-identical to the O(walls) path at O(cells-along-ray) cost
 /// (obstacle_index_test proves it on random soups and adversarial rays).
 /// `use_index = false` keeps the brute-force scan, as the equivalence
 /// baseline and for tiny wall sets.
 ///
-/// The index is immutable after construction and queries use per-thread
-/// scratch only, so media on different threads may share one model and
+/// `loss_db_capped` stops early: it skips the walk when the base loss is
+/// already past the cap, and ends it as soon as the walls found so far are.
+/// Walls only add loss, so the exact loss is past the cap too.
+///
+/// The index is immutable after construction and queries keep their state
+/// on the stack, so media on different threads may share one model and
 /// evaluate link budgets through it concurrently without locks.
 class ObstacleShadowingModel final : public PathLossModel {
  public:
   /// `index_cell_m == 0` derives the grid cell size from the wall geometry
-  /// (`geo::ObstacleGrid::derive_cell_size`).
+  /// (`geo::ObstacleGrid::derive_cell_size`). Throws std::invalid_argument
+  /// for a wall whose `obstruction_loss_db` is negative or not finite: the
+  /// early stop and `min_loss_db` both rely on walls only adding loss.
   ObstacleShadowingModel(std::unique_ptr<PathLossModel> base, std::vector<Wall> walls,
                          bool use_index = true, double index_cell_m = 0.0);
   ~ObstacleShadowingModel() override;
   [[nodiscard]] double loss_db(geo::Vec2 tx, geo::Vec2 rx) const override;
+  [[nodiscard]] double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db) const override;
   /// Walls only ever add loss, so the base model's bound stays valid.
   [[nodiscard]] double min_loss_db(double distance_m) const override;
 
@@ -123,9 +147,10 @@ class ObstacleShadowingModel final : public PathLossModel {
   [[nodiscard]] bool index_enabled() const { return grid_ != nullptr; }
   /// Null when the model runs brute force.
   [[nodiscard]] const geo::ObstacleGrid* index() const { return grid_.get(); }
-  /// Queries served through the ray index so far — the engagement proof for
-  /// benches and CI (relaxed counter: queries may come from several
-  /// threads sharing the model). Always 0 in brute-force mode.
+  /// Ray walks through the index so far — the engagement proof for benches
+  /// and CI (relaxed counter: queries may come from several threads sharing
+  /// the model). A capped query whose base loss is already past its cap
+  /// walks nothing and is not counted. Always 0 in brute-force mode.
   [[nodiscard]] std::uint64_t index_queries() const {
     return index_queries_.load(std::memory_order_relaxed);
   }
@@ -135,8 +160,15 @@ class ObstacleShadowingModel final : public PathLossModel {
     double min_x, min_y, max_x, max_y;
   };
 
-  template <typename OnWall>
-  void for_each_crossing(geo::Vec2 tx, geo::Vec2 rx, OnWall&& on_wall) const;
+  /// Adds each wall crossing ray tx-rx to `found` and calls `on_new(i)` for
+  /// it once, in walk order through the index or ascending on a scan.
+  /// `on_new` returns false to stop; the result is false when it stopped.
+  template <typename OnNew>
+  bool collect_crossings(geo::Vec2 tx, geo::Vec2 rx, geo::CrossingIds& found,
+                         OnNew&& on_new) const;
+  /// `base_db` plus the attenuation of every wall in `found`, in ascending
+  /// wall order.
+  [[nodiscard]] double ascending_sum(double base_db, const geo::CrossingIds& found) const;
 
   std::unique_ptr<PathLossModel> base_;
   std::vector<Wall> walls_;

@@ -148,7 +148,9 @@ class Medium {
   /// from begin_transmission, so recorded positions are never staler than
   /// one period (covered by the speed-bound query padding).
   void maybe_reindex();
-  /// Deterministic link budget via the epoch-validated (tx, rx) cache.
+  /// Deterministic link budget via the epoch-validated (tx, rx) cache. The
+  /// path loss is capped at the power floor, so a link the model gives up
+  /// on reads -inf; every other budget is exact.
   [[nodiscard]] double cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot);
   /// Admits one receiver into transmission `t`: floor check, counter-keyed
   /// power draw, interference accounting and carrier sense.

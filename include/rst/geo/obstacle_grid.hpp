@@ -29,21 +29,57 @@ struct Segment {
   Vec2 b;
 };
 
+/// The distinct ids of the segments a ray query found crossing, kept
+/// ascending. A grid walk offers a segment once per cell it shares with the
+/// ray, so `insert` drops repeats. A ray crosses few segments: the first
+/// `kInline` ids live in the object, and only a longer list reaches the
+/// heap, so a query needs no scratch shared across calls or threads.
+class CrossingIds {
+ public:
+  /// Adds `id` in order; false when it was already held.
+  bool insert(std::uint32_t id) {
+    std::uint32_t* const first = spill_.empty() ? inline_ : spill_.data();
+    std::uint32_t* const last = first + size_;
+    std::uint32_t* const at = std::lower_bound(first, last, id);
+    if (at != last && *at == id) return false;
+    if (size_ < kInline) {
+      std::copy_backward(at, last, last + 1);
+      *at = id;
+    } else {
+      const auto offset = at - first;
+      if (spill_.empty()) spill_.assign(inline_, inline_ + kInline);
+      spill_.insert(spill_.begin() + offset, id);
+    }
+    ++size_;
+    return true;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const std::uint32_t* begin() const {
+    return spill_.empty() ? inline_ : spill_.data();
+  }
+  [[nodiscard]] const std::uint32_t* end() const { return begin() + size_; }
+
+ private:
+  static constexpr std::size_t kInline = 128;
+
+  std::uint32_t inline_[kInline];  // left uninitialized: only [0, size_) is read
+  std::vector<std::uint32_t> spill_;  // every id, once there are more than kInline
+  std::size_t size_{0};
+};
+
 /// Static-obstacle ray-acceleration structure: segments bucketed into a
 /// uniform cell grid (same floor/key conventions as `SpatialGrid`), queried
 /// by a supercover walk that visits only the cells a tx->rx ray passes
-/// through. Candidates are deduplicated (a segment spans every cell its
-/// bounding box overlaps) and yielded in ascending segment-index order, so a
-/// caller applying the exact `segments_intersect` test per candidate gets
-/// answers — including floating-point accumulation order — bit-identical to
-/// a brute-force scan in index order, at O(cells-along-ray) instead of
-/// O(segments).
+/// through, at O(cells-along-ray) instead of O(segments). A caller applies
+/// the exact `segments_intersect` test to each candidate and collects the
+/// crossings in a `CrossingIds`; summing over them in ascending id order
+/// reproduces a brute-force scan in index order bit for bit.
 ///
-/// The structure is immutable after construction: queries touch only const
-/// data plus per-thread scratch, so concurrent readers (scenarios on
-/// different threads sharing one index) need no locks. Steady-state
-/// queries are allocation-free once each querying thread's scratch has
-/// reached its high-water capacity (obstacle_alloc_test).
+/// The structure is immutable after construction and a query keeps its
+/// state on the caller's stack, so concurrent readers (scenarios on
+/// different threads sharing one index) need no locks. A query allocates
+/// nothing unless a ray crosses more segments than `CrossingIds` holds
+/// inline (obstacle_alloc_test).
 class ObstacleGrid {
  public:
   /// `cell_size_m == 0` derives a size from the segment geometry
@@ -63,23 +99,22 @@ class ObstacleGrid {
   [[nodiscard]] static double derive_cell_size(const std::vector<Segment>& segments);
 
   /// Visits a superset of the stored segments crossing ray a->b — every
-  /// segment binned in a cell the ray walk passes through — exactly once, in
-  /// ascending index order. Callers must re-apply the exact intersection
-  /// test; candidates that merely share a cell with the ray are included.
+  /// segment binned in a cell the ray walk passes through — in walk order.
+  /// A segment binned in several of those cells is visited once per cell.
+  /// Callers must re-apply the exact intersection test; candidates that
+  /// merely share a cell with the ray are included. `visit(id)` returns
+  /// false to stop the walk; the result is false when it stopped.
   template <typename Visit>
-  void for_each_candidate(Vec2 a, Vec2 b, Visit&& visit) const {
-    if (segments_.empty()) return;
-    std::vector<std::uint32_t>& seen = query_scratch();
-    seen.clear();
-    walk_ray_cells(a, b, [&](std::uint64_t key) {
+  bool for_each_candidate(Vec2 a, Vec2 b, Visit&& visit) const {
+    if (segments_.empty()) return true;
+    return walk_ray_cells(a, b, [&](std::uint64_t key) {
       const auto it = cells_.find(key);
-      if (it == cells_.end()) return;
+      if (it == cells_.end()) return true;
       for (std::uint32_t i = it->second.begin; i != it->second.end; ++i) {
-        seen.push_back(ids_[i]);
+        if (!visit(ids_[i])) return false;
       }
+      return true;
     });
-    dedup_ascending(seen);
-    for (const std::uint32_t id : seen) visit(id);
   }
 
   /// Number of stored segments crossing ray a->b (exact test applied).
@@ -98,13 +133,14 @@ class ObstacleGrid {
   }
 
   /// Supercover walk: invokes `cell` for (at least) every grid cell that
-  /// contains a point of segment a->b under the floor mapping. Walks the
+  /// contains a point of segment a->b under the floor mapping, until `cell`
+  /// returns false (then the walk returns false). Walks the
   /// x-columns the segment spans and, per column, the y-band the segment
   /// covers there, padded by an epsilon far above interpolation rounding —
   /// floating-point error can only add candidate cells, never lose the cell
   /// holding a true crossing.
   template <typename Cell>
-  void walk_ray_cells(Vec2 a, Vec2 b, Cell&& cell) const {
+  bool walk_ray_cells(Vec2 a, Vec2 b, Cell&& cell) const {
     if (b.x < a.x) {
       const Vec2 tmp = a;
       a = b;
@@ -134,14 +170,12 @@ class ObstacleGrid {
       }
       const std::int32_t cy0 = cell_coord(lo - eps);
       const std::int32_t cy1 = cell_coord(hi + eps);
-      for (std::int32_t cy = cy0; cy <= cy1; ++cy) cell(key(cx, cy));
+      for (std::int32_t cy = cy0; cy <= cy1; ++cy) {
+        if (!cell(key(cx, cy))) return false;
+      }
     }
+    return true;
   }
-
-  /// Per-thread candidate scratch: concurrent queries never share it, and
-  /// it keeps its high-water capacity so warmed threads stop allocating.
-  [[nodiscard]] static std::vector<std::uint32_t>& query_scratch();
-  static void dedup_ascending(std::vector<std::uint32_t>& ids);
 
   double cell_size_m_{0.0};
   std::vector<Segment> segments_;

@@ -78,8 +78,11 @@ struct FaultPlan {
 
 /// Parses one plan-file clause `kind:target:start_ms:end_ms:severity`
 /// (target may be empty or "*"). Throws std::invalid_argument on malformed
-/// input. The textual times are milliseconds; values written by
-/// format_fault_clause round-trip exactly.
+/// input, including a severity its kind cannot take: a non-finite value, a
+/// probability outside [0, 1] (camera-drop, yolo-*, http-loss), a negative
+/// radio-attenuation, gnss-drift or http-stall, or a stall past
+/// SimTime::kMaxMilliseconds. The textual times are milliseconds; values
+/// written by format_fault_clause round-trip exactly.
 [[nodiscard]] FaultClause parse_fault_clause(const std::string& text);
 /// Inverse of parse_fault_clause (exact round trip for sub-day windows).
 [[nodiscard]] std::string format_fault_clause(const FaultClause& clause);

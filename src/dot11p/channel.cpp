@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "rst/geo/obstacle_grid.hpp"
 
@@ -69,6 +72,10 @@ ObstacleShadowingModel::ObstacleShadowingModel(std::unique_ptr<PathLossModel> ba
     : base_{std::move(base)}, walls_{std::move(walls)} {
   boxes_.reserve(walls_.size());
   for (const auto& w : walls_) {
+    if (!(std::isfinite(w.obstruction_loss_db) && w.obstruction_loss_db >= 0.0)) {
+      throw std::invalid_argument{"obstacle wall: obstruction_loss_db must be finite and >= 0, got " +
+                                  std::to_string(w.obstruction_loss_db)};
+    }
     boxes_.push_back({std::min(w.a.x, w.b.x), std::min(w.a.y, w.b.y),
                       std::max(w.a.x, w.b.x), std::max(w.a.y, w.b.y)});
   }
@@ -93,37 +100,41 @@ struct RayBox {
 };
 }  // namespace
 
-/// Visits the index of every wall crossing ray tx-rx in ascending wall
-/// order, through the grid when enabled or a full scan otherwise. Both
-/// paths apply the same box reject and exact test in the same order, so any
-/// crossing-order-sensitive accumulation downstream is path-invariant.
-template <typename OnWall>
-void ObstacleShadowingModel::for_each_crossing(geo::Vec2 tx, geo::Vec2 rx, OnWall&& on_wall) const {
+template <typename OnNew>
+bool ObstacleShadowingModel::collect_crossings(geo::Vec2 tx, geo::Vec2 rx,
+                                               geo::CrossingIds& found, OnNew&& on_new) const {
   const RayBox ray{tx, rx};
-  const auto crosses = [&](std::size_t i) {
+  const auto visit = [&](std::uint32_t i) {
     const auto& box = boxes_[i];
     if (box.max_x < ray.min_x || box.min_x > ray.max_x || box.max_y < ray.min_y ||
         box.min_y > ray.max_y) {
-      return false;
+      return true;
     }
-    return geo::segments_intersect(tx, rx, walls_[i].a, walls_[i].b);
+    if (!geo::segments_intersect(tx, rx, walls_[i].a, walls_[i].b) || !found.insert(i)) {
+      return true;
+    }
+    return on_new(i);
   };
   if (grid_) {
     index_queries_.fetch_add(1, std::memory_order_relaxed);
-    grid_->for_each_candidate(tx, rx, [&](std::uint32_t i) {
-      if (crosses(i)) on_wall(static_cast<std::size_t>(i));
-    });
-  } else {
-    for (std::size_t i = 0; i < walls_.size(); ++i) {
-      if (crosses(i)) on_wall(i);
-    }
+    return grid_->for_each_candidate(tx, rx, visit);
   }
+  for (std::uint32_t i = 0; i < walls_.size(); ++i) {
+    if (!visit(i)) return false;
+  }
+  return true;
+}
+
+double ObstacleShadowingModel::ascending_sum(double base_db, const geo::CrossingIds& found) const {
+  double loss = base_db;
+  for (const std::uint32_t i : found) loss += walls_[i].obstruction_loss_db;
+  return loss;
 }
 
 std::size_t ObstacleShadowingModel::walls_crossed(geo::Vec2 tx, geo::Vec2 rx) const {
-  std::size_t crossed = 0;
-  for_each_crossing(tx, rx, [&](std::size_t) { ++crossed; });
-  return crossed;
+  geo::CrossingIds found;
+  collect_crossings(tx, rx, found, [](std::uint32_t) { return true; });
+  return found.size();
 }
 
 double ObstacleShadowingModel::min_loss_db(double distance_m) const {
@@ -131,9 +142,26 @@ double ObstacleShadowingModel::min_loss_db(double distance_m) const {
 }
 
 double ObstacleShadowingModel::loss_db(geo::Vec2 tx, geo::Vec2 rx) const {
-  double loss = base_->loss_db(tx, rx);
-  for_each_crossing(tx, rx, [&](std::size_t i) { loss += walls_[i].obstruction_loss_db; });
-  return loss;
+  return loss_db_capped(tx, rx, std::numeric_limits<double>::infinity());
+}
+
+double ObstacleShadowingModel::loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db) const {
+  constexpr double kGiveUp = std::numeric_limits<double>::infinity();
+  const double base = base_->loss_db(tx, rx);
+  const double limit = cap_db + kCapMarginDb;
+  if (base > limit) return kGiveUp;
+  // Adding a non-negative wall loss never lowers a rounded sum, so the
+  // ascending sum over the walls found so far bounds the final one from
+  // below: once it passes the limit, the exact loss does too. The running
+  // sum (walk order) only decides when that check is worth making; on the
+  // ascending scan the two sums are the same.
+  geo::CrossingIds found;
+  double running = base;
+  const bool finished = collect_crossings(tx, rx, found, [&](std::uint32_t i) {
+    running += walls_[i].obstruction_loss_db;
+    return !(running > limit && ascending_sum(base, found) > limit);
+  });
+  return finished ? ascending_sum(base, found) : kGiveUp;
 }
 
 }  // namespace rst::dot11p

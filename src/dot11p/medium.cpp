@@ -176,11 +176,18 @@ double Medium::cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot) {
     return entry.mean_dbm;
   }
   ++stats_.budget_cache_misses;
-  const double loss = channel_.path_loss->loss_db(tx.pos, rx.pos);
+  const double gains_dbm = tx.radio->config().tx_power_dbm + tx.radio->config().antenna_gain_dbi +
+                           rx.radio->config().antenna_gain_dbi;
+  // A model may answer +inf for a loss past the cap, making this budget
+  // -inf, which the floor check culls. The cap leaves out fault
+  // attenuation: that is never negative, so a link culled without it is
+  // culled in every fault window too, and a cached -inf stays valid until
+  // an endpoint moves.
+  const double loss =
+      channel_.path_loss->loss_db_capped(tx.pos, rx.pos, gains_dbm - channel_.power_floor_dbm);
   entry.tx_epoch = tx.epoch;
   entry.rx_epoch = rx.epoch;
-  entry.mean_dbm = tx.radio->config().tx_power_dbm + tx.radio->config().antenna_gain_dbi +
-                   rx.radio->config().antenna_gain_dbi - loss;
+  entry.mean_dbm = gains_dbm - loss;
   return entry.mean_dbm;
 }
 

@@ -63,31 +63,20 @@ ObstacleGrid::ObstacleGrid(std::vector<Segment> segments, double cell_size_m)
   for (std::uint32_t id = 0; id < segments_.size(); ++id) {
     for_each_cell_of(segments_[id], [&](std::uint64_t k) { ids_[cells_[k].end++] = id; });
   }
-  // Bins are filled in ascending segment id, so each cell's id list is
-  // sorted — the dedup merge below stays a sort of a nearly-sorted list.
 }
 
 std::int32_t ObstacleGrid::cell_coord(double v) const {
   return static_cast<std::int32_t>(std::floor(v / cell_size_m_));
 }
 
-std::vector<std::uint32_t>& ObstacleGrid::query_scratch() {
-  thread_local std::vector<std::uint32_t> seen;
-  return seen;
-}
-
-void ObstacleGrid::dedup_ascending(std::vector<std::uint32_t>& ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-}
-
 std::size_t ObstacleGrid::crossings(Vec2 a, Vec2 b) const {
-  std::size_t n = 0;
+  CrossingIds found;
   for_each_candidate(a, b, [&](std::uint32_t id) {
     const Segment& s = segments_[id];
-    if (segments_intersect(a, b, s.a, s.b)) ++n;
+    if (segments_intersect(a, b, s.a, s.b)) found.insert(id);
+    return true;
   });
-  return n;
+  return found.size();
 }
 
 }  // namespace rst::geo

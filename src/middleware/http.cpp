@@ -34,17 +34,19 @@ void HttpLan::request(const std::string& hostname, HttpRequest req, ResponseCall
   const auto leg = [this] {
     return config_.one_way_latency + rng_.uniform_time(sim::SimTime::zero(), config_.one_way_jitter);
   };
-  auto processing = config_.server_processing +
-                    rng_.uniform_time(sim::SimTime::zero(), config_.server_processing_jitter);
-  if (faults_) {
-    // Stall windows hold the response on the server for `severity` ms.
-    processing = processing + sim::SimTime::from_milliseconds(
-                                  faults_->severity(sim::FaultKind::HttpStall, "lan"));
-  }
+  const auto processing = config_.server_processing +
+                          rng_.uniform_time(sim::SimTime::zero(), config_.server_processing_jitter);
+  // Stall windows hold the response on the server for `severity` ms.
+  const auto stall = faults_ ? sim::SimTime::from_milliseconds(
+                                   faults_->severity(sim::FaultKind::HttpStall, "lan"))
+                             : sim::SimTime::zero();
   const auto uplink = leg();
   const auto downlink = leg();
+  // A stall that would carry the response past the end of the clock holds
+  // the request for good: it is never served, and nothing is scheduled.
+  if (stall > sim::SimTime::max() - sched_.now() - uplink - processing - downlink) return;
 
-  const auto elapsed = uplink + processing;
+  const auto elapsed = uplink + (processing + stall);
   sched_.post_in(elapsed, [this, hostname, req = std::move(req), cb, downlink, elapsed] {
     // Re-check node faults at dispatch time: a NodeDown window that opened
     // while the request was in flight means the host crashed before it

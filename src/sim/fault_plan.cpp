@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace rst::sim {
@@ -14,6 +15,41 @@ constexpr std::array<std::string_view, kFaultKindCount> kKindNames = {
     "yolo-miss",      "yolo-misclassify",  "yolo-confidence",
     "http-loss",      "http-stall",        "gnss-drift",     "node-down",
 };
+
+/// Checks a parsed severity against what its kind means by it: every value
+/// must be finite, probabilities lie in [0, 1], dB and rates are >= 0, and
+/// a stall must fit a SimTime. Returns `value` unchanged.
+double severity(FaultKind kind, const std::string& text, double value) {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  switch (kind) {
+    case FaultKind::CameraDrop:
+    case FaultKind::YoloMiss:
+    case FaultKind::YoloMisclassify:
+    case FaultKind::YoloConfidence:
+    case FaultKind::HttpLoss:
+      lo = 0.0;
+      hi = 1.0;
+      break;
+    case FaultKind::RadioAttenuation:
+    case FaultKind::GnssDrift:
+      lo = 0.0;
+      break;
+    case FaultKind::HttpStall:
+      lo = 0.0;
+      hi = static_cast<double>(SimTime::kMaxMilliseconds);
+      break;
+    case FaultKind::RadioBlackout:
+    case FaultKind::CameraFreeze:
+    case FaultKind::NodeDown:
+      break;  // severity ignored; finite only
+  }
+  if (!(std::isfinite(value) && value >= lo && value <= hi)) {
+    throw std::invalid_argument{"fault clause: " + std::string{fault_kind_name(kind)} +
+                                " severity out of range '" + text + "'"};
+  }
+  return value;
+}
 
 }  // namespace
 
@@ -77,7 +113,7 @@ FaultClause parse_fault_clause(const std::string& text) {
   clause.target = fields[1] == "*" ? std::string{} : fields[1];
   clause.start = time(fields[2], "start");
   clause.end = time(fields[3], "end");
-  clause.severity = number(fields[4], "severity");
+  clause.severity = severity(*kind, fields[4], number(fields[4], "severity"));
   if (clause.end < clause.start) {
     throw std::invalid_argument{"fault clause: window ends before it starts in '" + text + "'"};
   }

@@ -533,6 +533,25 @@ TEST(LineSession, BadSpecYieldsError) {
   }
 }
 
+TEST(LineSession, OverflowingFaultSeverityIsAnErrorAndTheEngineServesOn) {
+  // A stall whose nanosecond count overflows SimTime is refused when the
+  // spec is parsed, before any trial runs, and the session serves on.
+  CampaignEngine engine{{}};
+  LineSession session{engine};
+  const std::string bad = session.handle_text(
+      "CAMPAIGN trials=2 seed=1\nfault = http-stall:lan:0:1000:1e300\nEND\n");
+  EXPECT_EQ(bad.rfind("ERROR ", 0), 0u) << bad;
+  EXPECT_NE(bad.find("http-stall"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("DONE\n"), std::string::npos);
+  EXPECT_EQ(engine.trials_executed(), 0u);
+  EXPECT_EQ(engine.store().count(), 0u);
+
+  const std::string good = session.handle_text(format_campaign_request(small_campaign(2)));
+  EXPECT_EQ(good.rfind("OK id=", 0), 0u) << good;
+  EXPECT_NE(good.find("STATS hits=0 misses=2 executed=2\n"), std::string::npos) << good;
+  EXPECT_EQ(engine.trials_executed(), 2u);
+}
+
 TEST(LineSession, CampaignHeaderNumbersAreStrictDecimals) {
   // A sign, an overflow or an empty value is a bad token, never a wrapped
   // or saturated number.

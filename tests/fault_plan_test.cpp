@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -43,6 +44,14 @@ TEST(FaultPlan, ParsesClauses) {
   // "*" and an empty field both mean any target of the kind.
   EXPECT_EQ(parse_fault_clause("http-loss:*:0:1000:0.3").target, "");
   EXPECT_EQ(parse_fault_clause("http-loss::0:1000:0.3").target, "");
+
+  // Each severity range's edges are accepted.
+  EXPECT_EQ(parse_fault_clause("http-loss:lan:0:10:0").severity, 0.0);
+  EXPECT_EQ(parse_fault_clause("http-loss:lan:0:10:1").severity, 1.0);
+  EXPECT_EQ(parse_fault_clause("radio-attenuation:medium:0:10:0").severity, 0.0);
+  EXPECT_EQ(parse_fault_clause("http-stall:lan:0:10:9223372036854").severity,
+            static_cast<double>(SimTime::kMaxMilliseconds));
+  EXPECT_EQ(parse_fault_clause("radio-blackout:medium:0:10:-7").severity, -7.0);
 }
 
 TEST(FaultPlan, RejectsMalformedClauses) {
@@ -52,6 +61,59 @@ TEST(FaultPlan, RejectsMalformedClauses) {
   EXPECT_THROW((void)parse_fault_clause("http-loss:*:500:100:1"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_clause("http-loss:*:zero:100:1"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_clause(""), std::invalid_argument);
+  // A severity its kind cannot take.
+  const char* const bad_severity[] = {
+      // A stall whose nanosecond count overflows SimTime.
+      "http-stall:lan:0:100000:1e300",
+      "http-stall:lan:0:100000:9223372036855",
+      "http-stall:lan:0:100000:-1",
+      // Non-finite values, for every kind.
+      "radio-blackout:medium:0:10:nan",
+      "node-down:obu:0:10:inf",
+      "camera-freeze:camera:0:10:-inf",
+      "radio-attenuation:medium:0:10:nan",
+      "gnss-drift:gnss:0:10:inf",
+      // Probabilities outside [0, 1].
+      "http-loss:lan:0:10:1.5",
+      "http-loss:lan:0:10:-0.1",
+      "camera-drop:camera:0:10:1.01",
+      "yolo-miss:yolo:0:10:2",
+      "yolo-misclassify:yolo:0:10:-1",
+      "yolo-confidence:yolo:0:10:1.5",
+      // Negative dB and rates.
+      "radio-attenuation:medium:0:10:-3",
+      "gnss-drift:gnss:0:10:-0.5",
+  };
+  for (const char* text : bad_severity) {
+    EXPECT_THROW((void)parse_fault_clause(text), std::invalid_argument) << text;
+  }
+  // A config file reports the clause instead of running it.
+  core::TestbedConfig config;
+  EXPECT_THROW((void)core::apply_config_overrides(config, "fault = http-stall:lan:0:100000:1e300\n"),
+               std::invalid_argument);
+}
+
+TEST(FaultPlan, RadioAttenuationIsNeverNegative) {
+  // Clauses built in code skip the parser's range check; the injector
+  // still never reports a negative or NaN attenuation, so a faulted link
+  // budget is never above the unfaulted one.
+  Scheduler sched;
+  RandomStream rng{6, "atten"};
+  FaultPlan plan;
+  plan.clauses.push_back({FaultKind::RadioAttenuation, "medium", 0_ms, 100_ms, -12.0});
+  plan.clauses.push_back({FaultKind::RadioAttenuation, "", 50_ms, 100_ms,
+                          std::numeric_limits<double>::quiet_NaN()});
+  FaultInjector inj{sched, rng.child("faults"), plan};
+  for (const SimTime t : {0_ms, 10_ms, 60_ms, 99_ms, 100_ms, 200_ms}) {
+    sched.run_until(t);
+    EXPECT_EQ(inj.radio_attenuation_db("medium"), 0.0) << t.to_string();
+  }
+}
+
+bool is_probability(FaultKind kind) {
+  return kind == FaultKind::CameraDrop || kind == FaultKind::YoloMiss ||
+         kind == FaultKind::YoloMisclassify || kind == FaultKind::YoloConfidence ||
+         kind == FaultKind::HttpLoss;
 }
 
 FaultClause random_clause(std::mt19937& gen) {
@@ -63,7 +125,8 @@ FaultClause random_clause(std::mt19937& gen) {
   c.target = kTargets[gen() % kTargets.size()];
   c.start = SimTime::from_milliseconds(ms(gen));
   c.end = c.start + SimTime::from_milliseconds(ms(gen));
-  c.severity = sev(gen);
+  // Severities stay inside what the kind accepts.
+  c.severity = is_probability(c.kind) ? sev(gen) / 400.0 : sev(gen);
   return c;
 }
 
@@ -295,6 +358,20 @@ TEST(FaultPlan, PollLoopRetryCadenceUnderTotalLoss) {
   EXPECT_GE(stats.retries, stats.polls - 3);
   EXPECT_LE(stats.retries, stats.failed_polls);
   EXPECT_GE(scenario.lan().requests_lost(), stats.polls - 1);
+}
+
+// The largest stall the parser accepts still fits the clock on its own, but
+// not once added to the time and the LAN latencies: such a request is held
+// for good instead of scheduling its response at an overflowed time.
+TEST(FaultPlan, StallAtTheParseLimitHoldsRequestsForGood) {
+  core::TestbedConfig config;
+  config.seed = 93;
+  config.fault_plan.clauses.push_back(
+      parse_fault_clause("http-stall:lan:0:100000:9223372036854"));
+  core::TestbedScenario scenario{config};
+  const core::TrialResult r = scenario.run_emergency_brake_trial(3_s);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_GT(scenario.lan().requests_sent(), 0u);
 }
 
 }  // namespace

@@ -3,15 +3,20 @@
 // deterministic budget is already below the power floor — links the
 // full fan-out drops anyway — so delivery logs (including the exact RSSI
 // and SINR bits) and medium statistics must match between the two modes
-// on any topology, static or moving.
+// on any topology, static or moving. The same holds for a path-loss model
+// that gives up on links past the floor (loss_db_capped) against the same
+// model evaluated in full.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "rst/dot11p/channel.hpp"
 #include "rst/dot11p/medium.hpp"
 #include "rst/dot11p/radio.hpp"
 #include "rst/sim/random.hpp"
@@ -87,13 +92,16 @@ struct RunResult {
   Medium::Stats stats;
 };
 
-RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial) {
+/// `path_loss` null means plain log-distance at the topology's exponent.
+RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial,
+                       std::shared_ptr<const PathLossModel> path_loss = nullptr) {
   sim::Scheduler sched;
   sim::RandomStream rng{seed, "equiv_run"};
 
   ChannelModel channel;
   channel.path_loss =
-      std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent));
+      path_loss ? std::move(path_loss)
+                : std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent));
   channel.shadowing_sigma_db = topo.shadowing_sigma_db;
   channel.spatial_index = spatial;
   channel.power_floor_dbm = topo.power_floor_dbm;
@@ -161,6 +169,67 @@ TEST(MediumEquivalence, SpatialIndexNeverChangesOutcomes) {
   }
   // The property is vacuous if no topology ever culled a link.
   EXPECT_GT(topologies_with_culling, 50);
+}
+
+/// Forwards `loss_db` and `min_loss_db` and keeps the default
+/// `loss_db_capped`, so every link is evaluated in full.
+class Uncapped final : public PathLossModel {
+ public:
+  explicit Uncapped(std::shared_ptr<const PathLossModel> inner) : inner_{std::move(inner)} {}
+  [[nodiscard]] double loss_db(geo::Vec2 tx, geo::Vec2 rx) const override {
+    return inner_->loss_db(tx, rx);
+  }
+  [[nodiscard]] double min_loss_db(double distance_m) const override {
+    return inner_->min_loss_db(distance_m);
+  }
+
+ private:
+  std::shared_ptr<const PathLossModel> inner_;
+};
+
+/// Walls scattered over the topology's area, drawn from their own stream.
+std::shared_ptr<const ObstacleShadowingModel> make_walls(const Topology& topo, std::uint64_t seed) {
+  sim::RandomStream rng{seed, "equiv_walls"};
+  double extent = 0.0;
+  for (const auto& node : topo.nodes) {
+    extent = std::max({extent, std::abs(node.start.x), std::abs(node.start.y)});
+  }
+  std::vector<Wall> walls;
+  const auto n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::Vec2 a{rng.uniform(-extent, extent), rng.uniform(-extent, extent)};
+    const geo::Vec2 b{a.x + rng.uniform(-extent, extent) / 2, a.y + rng.uniform(-extent, extent) / 2};
+    walls.push_back({a, b, rng.uniform(0.0, 30.0)});
+  }
+  return std::make_shared<ObstacleShadowingModel>(
+      std::make_unique<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent)),
+      std::move(walls));
+}
+
+TEST(MediumEquivalence, CappedWallLossNeverChangesOutcomes) {
+  int topologies_capped = 0;
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    const Topology topo = make_topology(seed);
+    const bool spatial = seed % 2 == 0;
+    const auto capped = make_walls(topo, seed);
+    const auto full = make_walls(topo, seed);
+    const RunResult a = run_scenario(topo, seed, spatial, capped);
+    const RunResult b = run_scenario(topo, seed, spatial, std::make_shared<Uncapped>(full));
+
+    ASSERT_EQ(a.logs, b.logs) << "delivery logs diverged at seed " << seed;
+    EXPECT_EQ(a.stats.frames_transmitted, b.stats.frames_transmitted) << seed;
+    EXPECT_EQ(a.stats.deliveries, b.stats.deliveries) << seed;
+    EXPECT_EQ(a.stats.dropped_half_duplex, b.stats.dropped_half_duplex) << seed;
+    EXPECT_EQ(a.stats.dropped_below_sensitivity, b.stats.dropped_below_sensitivity) << seed;
+    EXPECT_EQ(a.stats.dropped_error, b.stats.dropped_error) << seed;
+    EXPECT_EQ(a.stats.culled_below_floor, b.stats.culled_below_floor) << seed;
+    EXPECT_EQ(a.stats.budget_cache_hits, b.stats.budget_cache_hits) << seed;
+    EXPECT_EQ(a.stats.budget_cache_misses, b.stats.budget_cache_misses) << seed;
+    // Fewer ray walks means the cap really skipped links.
+    ASSERT_LE(capped->index_queries(), full->index_queries()) << seed;
+    if (capped->index_queries() < full->index_queries()) ++topologies_capped;
+  }
+  EXPECT_GT(topologies_capped, 50);
 }
 
 class MediumDetach : public ::testing::TestWithParam<bool> {};

@@ -1,13 +1,13 @@
 // Counts heap allocations to prove the indexed obstacle query path —
-// supercover cell walk, CSR bin lookups, per-thread candidate scratch,
-// dedup and the exact intersection test — is allocation-free once the
-// querying thread's scratch has reached its high-water capacity.
+// supercover cell walk, CSR bin lookups, the exact intersection test and
+// the on-stack crossing set, uncapped and capped — is allocation-free.
 //
 // Like medium_alloc_test, this overrides the global operator new/delete
 // and therefore lives in its own binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -78,8 +78,8 @@ TEST(ObstacleAlloc, IndexedQueryPathIsAllocationFreeInSteadyState) {
   ASSERT_TRUE(model.index_enabled());
 
   // The query mix, worst rays included: the full-map diagonal and the
-  // longest axis-aligned streets maximise cells visited and candidates
-  // collected, so scratch reaches its high-water capacity during warm-up.
+  // longest axis-aligned streets maximise cells visited and walls crossed.
+  // The capped queries stop part way along the same rays.
   const auto query_round = [&] {
     double sink = 0.0;
     sink += model.loss_db({0.0, 0.0}, {1600.0, 1600.0});
@@ -91,6 +91,11 @@ TEST(ObstacleAlloc, IndexedQueryPathIsAllocationFreeInSteadyState) {
       sink += model.loss_db({t, 10.0}, {1600.0 - t, 1590.0});
       sink += static_cast<double>(model.walls_crossed({t, t}, {800.0, 800.0}));
       sink += model.walls_crossed({10.0, t}, {1590.0, 1600.0 - t}) > 0 ? 1.0 : 0.0;
+      const double cap = 60.0 + 4.0 * i;
+      const double capped = model.loss_db_capped({t, 10.0}, {1600.0 - t, 1590.0}, cap);
+      sink += std::isinf(capped) ? 1.0 : capped;
+      sink += model.loss_db_capped({0.0, 0.0}, {1600.0, 1600.0}, 150.0 + 10.0 * i) > 1e300 ? 1.0
+                                                                                           : 0.0;
     }
     return sink;
   };
@@ -98,6 +103,8 @@ TEST(ObstacleAlloc, IndexedQueryPathIsAllocationFreeInSteadyState) {
   const double warm = query_round();
   ASSERT_EQ(query_round(), warm);  // deterministic: same rays, same bits
   ASSERT_GT(model.index_queries(), 0u);
+  // The full-map diagonal touches four walls of each of the 16 buildings.
+  ASSERT_EQ(model.walls_crossed({0.0, 0.0}, {1600.0, 1600.0}), 64u);
 
   {
     CountScope scope;

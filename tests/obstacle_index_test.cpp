@@ -8,7 +8,9 @@
 //     answers — walls_crossed and bitwise loss_db — match on ~200
 //     random wall soups and a battery of adversarial rays (collinear with a
 //     wall, endpoint-touching, axis-aligned along a cell boundary,
-//     zero-length), across cell sizes including the derived default.
+//     zero-length), across cell sizes including the derived default; and
+//     loss_db_capped returns either loss_db's bits or +inf, the latter only
+//     for a loss past the cap plus kCapMarginDb.
 //  3. End-to-end: the four PR 6 city experiment fingerprints and a full
 //     city run are bit-identical with the index on and off,
 //     and the index engagement counter proves the fast path actually ran.
@@ -17,9 +19,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "rst/core/config_io.hpp"
@@ -151,9 +155,25 @@ std::vector<std::pair<Vec2, Vec2>> adversarial_rays(const std::vector<Wall>& wal
   return rays;
 }
 
+/// Caps around `loss`: far below, just below, at the margin, exactly at,
+/// just above and far above it, and no cap at all; then one just above the
+/// base loss and one every 20 dB up to `loss`, which stop a walk part way.
+std::vector<double> caps_around(double loss, double base) {
+  const double m = dot11p::PathLossModel::kCapMarginDb;
+  std::vector<double> caps{loss - 60.0, loss - 15.0,  loss - 1.0, loss - 2.0 * m,
+                           loss - m,    loss - m / 2, loss,       std::nextafter(loss, 1e300),
+                           loss + m,    loss + 40.0,  std::numeric_limits<double>::infinity()};
+  caps.push_back(base + 0.5);
+  for (double c = base + 20.0; c < loss; c += 20.0) caps.push_back(c);
+  return caps;
+}
+
 TEST(ObstacleIndex, IndexedMatchesBruteForceOnRandomSoups) {
   std::mt19937_64 rng{0xc0ffee};
   const double cell_sizes[] = {0.0, 7.0, 25.0, 250.0};  // 0 = derived
+  const dot11p::LogDistanceModel base_model = dot11p::LogDistanceModel::its_g5(2.5);
+  std::size_t given_up = 0;
+  std::size_t exact = 0;
   int soups = 0;
   for (int rep = 0; rep < 200; ++rep) {
     const int n = 1 + static_cast<int>(rng() % 64);
@@ -177,14 +197,69 @@ TEST(ObstacleIndex, IndexedMatchesBruteForceOnRandomSoups) {
       // Bitwise: the indexed walk must reproduce the exact accumulation.
       ASSERT_EQ(brute_loss, index_loss)
           << "soup " << rep << " cell " << cell_m << " crossed " << brute_crossed;
+      // Capped, both ways: the exact bits, or +inf for a loss past the cap
+      // plus the margin.
+      for (const double cap : caps_around(brute_loss, base_model.loss_db(a, b))) {
+        for (const auto* model : {brute.get(), indexed.get()}) {
+          const double capped = model->loss_db_capped(a, b, cap);
+          if (std::isinf(capped)) {
+            ASSERT_GT(capped, 0.0);
+            ASSERT_GT(brute_loss, cap + dot11p::PathLossModel::kCapMarginDb)
+                << "gave up within the margin: soup " << rep << " cap " << cap;
+            ++given_up;
+          } else {
+            ASSERT_EQ(capped, brute_loss)
+                << "soup " << rep << " cap " << cap << " index " << model->index_enabled();
+            ++exact;
+          }
+        }
+      }
     }
   }
   ASSERT_EQ(soups, 200);
+  // Both answers must occur, or the capped property says nothing.
+  EXPECT_GT(given_up, 1000u);
+  EXPECT_GT(exact, 1000u);
+}
+
+TEST(ObstacleIndex, RayCrossingManyWallsMatchesBruteForce) {
+  // More crossings than CrossingIds keeps inline, each wall binned in two
+  // cells along the ray: the spilled set must still dedup and sum in order.
+  std::mt19937_64 rng{99};
+  std::uniform_real_distribution<double> loss{0.0, 3.0};
+  std::vector<Wall> walls;
+  for (int i = 0; i < 300; ++i) {
+    const double x = 1.0 + i;
+    walls.push_back({{x, -5.0}, {x, 5.0}, loss(rng)});
+  }
+  const auto brute = make_model(walls, false);
+  const auto indexed = make_model(walls, true);
+  const Vec2 a{0.0, 0.0};
+  const Vec2 b{301.0, 0.0};
+  EXPECT_EQ(brute->walls_crossed(a, b), 300u);
+  EXPECT_EQ(indexed->walls_crossed(a, b), 300u);
+  EXPECT_EQ(indexed->index()->crossings(a, b), 300u);
+  const double full = brute->loss_db(a, b);
+  EXPECT_EQ(indexed->loss_db(a, b), full);
+  EXPECT_EQ(indexed->loss_db_capped(a, b, full), full);
+  EXPECT_TRUE(std::isinf(indexed->loss_db_capped(a, b, full - 1.0)));
+}
+
+TEST(ObstacleIndex, WallLossMustBeFiniteAndNonNegative) {
+  for (const double bad : {-0.5, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<Wall> walls{{{0, 0}, {10, 0}, 20.0}, {{0, 5}, {10, 5}, bad}};
+    for (const bool use_index : {true, false}) {
+      EXPECT_THROW((void)make_model(walls, use_index), std::invalid_argument) << bad;
+    }
+  }
+  EXPECT_NO_THROW((void)make_model({{{0, 0}, {10, 0}, 0.0}}, true));
 }
 
 TEST(ObstacleIndex, GridCandidatesSupersetCrossings) {
-  // The grid may over-report candidates but never miss a crossing, and
-  // candidates arrive deduplicated in ascending id order.
+  // The grid may over-report candidates but never miss a crossing. A
+  // segment binned in several cells on the ray may repeat; crossings()
+  // counts it once.
   std::mt19937_64 rng{42};
   const std::vector<Wall> walls = random_soup(rng, 48, 200.0, 16.0);
   std::vector<geo::Segment> segments;
@@ -195,9 +270,18 @@ TEST(ObstacleIndex, GridCandidatesSupersetCrossings) {
     const Vec2 a{pos(rng), pos(rng)};
     const Vec2 b{pos(rng), pos(rng)};
     std::vector<std::uint32_t> candidates;
-    grid.for_each_candidate(a, b, [&](std::uint32_t id) { candidates.push_back(id); });
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-      ASSERT_LT(candidates[i - 1], candidates[i]) << "not ascending/deduplicated";
+    ASSERT_TRUE(grid.for_each_candidate(a, b, [&](std::uint32_t id) {
+      candidates.push_back(id);
+      return true;
+    }));
+    if (!candidates.empty()) {
+      // A visitor that stops ends the walk at once.
+      std::size_t visited = 0;
+      ASSERT_FALSE(grid.for_each_candidate(a, b, [&](std::uint32_t) {
+        ++visited;
+        return false;
+      }));
+      ASSERT_EQ(visited, 1u);
     }
     std::size_t brute_crossings = 0;
     for (std::uint32_t id = 0; id < segments.size(); ++id) {
@@ -224,8 +308,21 @@ TEST(ObstacleIndex, DerivedCellSizeAndCounters) {
   (void)indexed->loss_db({-5, 5}, {50, 5});
   EXPECT_EQ(indexed->index_queries(), 2u);
 
+  // A capped link whose base loss is already past the cap walks nothing;
+  // one that crosses a wall past the cap walks and gives up.
+  const Vec2 tx{15, -5};
+  const Vec2 rx{15, 5};  // crosses the first wall
+  const double base = dot11p::LogDistanceModel::its_g5(2.5).loss_db(tx, rx);
+  EXPECT_TRUE(std::isinf(indexed->loss_db_capped(tx, rx, base - 1.0)));
+  EXPECT_EQ(indexed->index_queries(), 2u);
+  EXPECT_TRUE(std::isinf(indexed->loss_db_capped(tx, rx, base + 1.0)));
+  EXPECT_EQ(indexed->index_queries(), 3u);
+  EXPECT_EQ(indexed->loss_db_capped(tx, rx, base + 20.0), base + 20.0);
+  EXPECT_EQ(indexed->index_queries(), 4u);
+
   const auto brute = make_model(walls, false);
   (void)brute->walls_crossed({-5, 5}, {50, 5});
+  (void)brute->loss_db_capped(tx, rx, base + 1.0);
   EXPECT_EQ(brute->index_queries(), 0u);
   EXPECT_EQ(brute->index(), nullptr);
 
