@@ -61,6 +61,7 @@ LinkResult measure_link(double distance_m, bool nlos, std::uint64_t seed,
   rsu_config.name = "rsu";
   core::ItsStation rsu{sched,        medium, lan, frame, rsu_config,
                        [] { return its::EgoState{{0, 0}, 0, 0}; },
+                       [] { return geo::Vec2{0, 0}; },
                        rng.child("rsu"), nullptr};
 
   core::ItsStationConfig obu_config;
@@ -68,6 +69,7 @@ LinkResult measure_link(double distance_m, bool nlos, std::uint64_t seed,
   obu_config.name = "obu";
   core::ItsStation obu{sched,        medium, lan, frame, obu_config,
                        [distance_m] { return its::EgoState{{distance_m, 0}, 0, 0}; },
+                       [distance_m] { return geo::Vec2{distance_m, 0}; },
                        rng.child("obu"), nullptr};
 
   constexpr int kMessages = 200;

@@ -56,12 +56,14 @@ Result run_load(int n_background, Policy with_dcc, std::uint64_t seed) {
   rsu_config.name = "rsu";
   core::ItsStation rsu{sched,        medium, lan, frame, rsu_config,
                        [] { return its::EgoState{{0, 0}, 0, 0}; },
+                       [] { return geo::Vec2{0, 0}; },
                        rng.child("rsu"), nullptr};
   core::ItsStationConfig obu_config;
   obu_config.station_id = 42;
   obu_config.name = "obu";
   core::ItsStation obu{sched,        medium, lan, frame, obu_config,
                        [] { return its::EgoState{{30, 0}, 0, 0}; },
+                       [] { return geo::Vec2{30, 0}; },
                        rng.child("obu"), nullptr};
 
   // Background stations: 10 Hz CAMs each, scattered within ~80 m.

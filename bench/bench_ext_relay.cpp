@@ -54,12 +54,14 @@ RelayResult run(bool with_relay, std::uint64_t seed) {
   rsu_config.name = "rsu";
   core::ItsStation rsu{sched,        medium, lan, frame, rsu_config,
                        [rsu_pos] { return its::EgoState{rsu_pos, 0, 0}; },
+                       [rsu_pos] { return rsu_pos; },
                        rng.child("rsu"), nullptr};
   core::ItsStationConfig obu_config;
   obu_config.station_id = 42;
   obu_config.name = "obu";
   core::ItsStation obu{sched,        medium, lan, frame, obu_config,
                        [obu_pos] { return its::EgoState{obu_pos, 0, 0}; },
+                       [obu_pos] { return obu_pos; },
                        rng.child("obu"), nullptr};
   std::unique_ptr<core::ItsStation> relay;
   if (with_relay) {
@@ -68,7 +70,8 @@ RelayResult run(bool with_relay, std::uint64_t seed) {
     relay_config.name = "relay";
     relay = std::make_unique<core::ItsStation>(
         sched, medium, lan, frame, relay_config,
-        [relay_pos] { return its::EgoState{relay_pos, 0, 0}; }, rng.child("relay"), nullptr);
+        [relay_pos] { return its::EgoState{relay_pos, 0, 0}; }, [relay_pos] { return relay_pos; },
+        rng.child("relay"), nullptr);
   }
 
   constexpr int kMessages = 100;

@@ -52,10 +52,13 @@ struct ItsStationConfig {
 /// OpenC2X-style HTTP API through which applications integrate.
 class ItsStation {
  public:
+  /// `ego` is what the station advertises (GN position vectors, GBC area
+  /// checks); `antenna` is where its radio physically is, which the medium
+  /// propagates from. They differ when the station advertises a GNSS fix.
   ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware::HttpLan& lan,
              const geo::LocalFrame& frame, ItsStationConfig config,
-             its::GeoNetRouter::EgoProvider ego, sim::RandomStream rng,
-             sim::Trace* trace = nullptr);
+             its::GeoNetRouter::EgoProvider ego, dot11p::Radio::PositionProvider antenna,
+             sim::RandomStream rng, sim::Trace* trace = nullptr);
   ItsStation(const ItsStation&) = delete;
   ItsStation& operator=(const ItsStation&) = delete;
 

@@ -119,39 +119,54 @@ class Medium {
     std::uint32_t index;  // into t->receivers / t->rx_power_dbm
   };
 
-  /// Medium-side per-radio state. Slots are reused through a free list, so
-  /// a slot index stays valid for the whole attach..detach lifetime.
-  struct Slot {
-    Radio* radio{nullptr};
-    geo::Vec2 pos{};               // last recorded position
-    std::uint32_t epoch{0};        // bumped whenever `pos` is re-recorded
-    std::uint64_t tx_frames{0};    // frames sent since attach (draw key)
-    double interference_mw{0.0};   // running sum of in-flight rx powers here
-    double cull_radius_m{-1.0};    // cached inverted budget as transmitter
-    double cull_budget_db{0.0};    // budget the radius was derived from
-    std::vector<ActiveRx> active;  // in-flight transmissions hearing us
-    std::vector<Transmission*> own;  // our own in-flight transmissions
-  };
-
   struct CachedBudget {
     std::uint32_t tx_epoch;
     std::uint32_t rx_epoch;
     double mean_dbm;
   };
 
+  /// A budget computed without the cache map, keyed like a map entry.
+  struct UnmappedBudget {
+    std::uint64_t key;
+    CachedBudget budget;
+  };
+
+  /// Medium-side per-radio state. Slots are reused through a free list, so
+  /// a slot index stays valid for the whole attach..detach lifetime.
+  struct Slot {
+    Radio* radio{nullptr};
+    geo::Vec2 pos{};               // last recorded position
+    std::uint32_t epoch{0};        // bumped whenever `pos` is re-recorded
+    std::uint64_t moved_in{0};     // serial of the transmission whose setup last moved us
+    std::uint64_t tx_frames{0};    // frames sent since attach (draw key)
+    double interference_mw{0.0};   // running sum of in-flight rx powers here
+    double cull_radius_m{-1.0};    // cached inverted budget as transmitter
+    double cull_budget_db{0.0};    // budget the radius was derived from
+    std::vector<ActiveRx> active;  // in-flight transmissions hearing us
+    std::vector<Transmission*> own;  // our own in-flight transmissions
+    /// Budgets of lookups that skipped the map because we had just moved;
+    /// only valid until we move again, so every move clears them.
+    std::vector<UnmappedBudget> unmapped;
+  };
+
   void finish_transmission(const std::shared_ptr<Transmission>& t);
 
   /// Re-reads a radio's position; bumps its epoch (and moves its grid bin)
-  /// when it changed. Returns the slot's recorded position.
+  /// when it changed, and records that the current transmission moved it.
+  /// Returns the slot's recorded position.
   geo::Vec2 refresh_slot(std::uint32_t slot_id);
   /// Amortised full reposition sweep: runs at most once per reindex period,
   /// from begin_transmission, so recorded positions are never staler than
   /// one period (covered by the speed-bound query padding).
   void maybe_reindex();
-  /// Deterministic link budget via the epoch-validated (tx, rx) cache. The
-  /// path loss is capped at the power floor, so a link the model gives up
-  /// on reads -inf; every other budget is exact.
+  /// Deterministic link budget via the epoch-validated (tx, rx) cache. A
+  /// pair with an endpoint that moved during this transmission's setup
+  /// skips the map. Hits and misses are counted as if every lookup went
+  /// through the map.
   [[nodiscard]] double cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot);
+  /// The budget itself. The path loss is capped at the power floor, so a
+  /// link the model gives up on reads -inf; every other budget is exact.
+  [[nodiscard]] double link_budget_dbm(const Slot& tx, const Slot& rx) const;
   /// Admits one receiver into transmission `t`: floor check, counter-keyed
   /// power draw, interference accounting and carrier sense.
   void admit_receiver(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot);
@@ -172,6 +187,7 @@ class Medium {
   std::size_t attached_count_{0};
   std::vector<std::shared_ptr<Transmission>> pool_;  // finished transmissions for reuse
   std::unordered_map<std::uint64_t, CachedBudget> budget_cache_;
+  std::uint64_t tx_serial_{0};  // transmissions begun; Slot::moved_in refers to it
   std::unique_ptr<geo::SpatialGrid> grid_;
   std::vector<std::uint32_t> scratch_candidates_;
   sim::SimTime last_reindex_{};

@@ -89,11 +89,18 @@ class Ldm {
   [[nodiscard]] std::optional<PerceivedObject> perceived_object(std::uint32_t id) const;
 
   /// Drops expired entries; called internally on every mutation but
-  /// also callable explicitly (e.g. before a bulk query).
+  /// also callable explicitly (e.g. before a bulk query). Before the
+  /// earliest instant at which an entry can expire it returns at once.
   void garbage_collect();
 
-  void set_vehicle_entry_lifetime(sim::SimTime t) { vehicle_lifetime_ = t; }
-  void set_perceived_object_lifetime(sim::SimTime t) { object_lifetime_ = t; }
+  void set_vehicle_entry_lifetime(sim::SimTime t) {
+    vehicle_lifetime_ = t;
+    next_expiry_ = sim::SimTime{};
+  }
+  void set_perceived_object_lifetime(sim::SimTime t) {
+    object_lifetime_ = t;
+    next_expiry_ = sim::SimTime{};
+  }
   [[nodiscard]] sim::SimTime perceived_object_lifetime() const { return object_lifetime_; }
   /// Perceived objects dropped by expiry since construction.
   [[nodiscard]] std::uint64_t perceived_objects_expired() const { return objects_expired_; }
@@ -114,6 +121,9 @@ class Ldm {
   std::map<std::pair<StationId, std::uint16_t>, LdmEventEntry> events_;
   std::map<std::uint32_t, PerceivedObject> objects_;
   std::uint64_t objects_expired_{0};
+  /// No entry expires before this instant: every insert and refresh
+  /// lowers it, a sweep recomputes it, a lifetime change resets it.
+  sim::SimTime next_expiry_{};
   std::vector<std::pair<std::uint64_t, Subscriber>> subscribers_;
   std::uint64_t next_subscriber_id_{1};
 };

@@ -118,12 +118,6 @@ struct VehicleFlow {
   double phase_m{0.0};
 };
 
-/// Position along a flow at simulation time `t` (pure function — vehicle
-/// motion needs no events).
-[[nodiscard]] geo::Vec2 flow_position(const VehicleFlow& flow, sim::SimTime t);
-/// Unit heading (radians clockwise from north) at time `t`.
-[[nodiscard]] double flow_heading_rad(const VehicleFlow& flow, sim::SimTime t);
-
 /// The generated static topology, before any station is constructed.
 struct RoadNetwork {
   /// Intersection grid, row-major: index = iy * cols + ix.
@@ -173,6 +167,8 @@ class CityScenario {
 
   [[nodiscard]] std::size_t vehicle_count() const { return vehicles_.size(); }
   [[nodiscard]] core::ItsStation& vehicle(std::size_t i);
+  /// Where vehicle `i` is on its flow now (a pure function of the time:
+  /// vehicle motion needs no events).
   [[nodiscard]] geo::Vec2 vehicle_position(std::size_t i) const;
 
   /// Adds one extra vehicle station following `flow`; call before start().

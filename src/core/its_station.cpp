@@ -4,13 +4,15 @@ namespace rst::core {
 
 ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware::HttpLan& lan,
                        const geo::LocalFrame& frame, ItsStationConfig config,
-                       its::GeoNetRouter::EgoProvider ego, sim::RandomStream rng, sim::Trace* trace)
+                       its::GeoNetRouter::EgoProvider ego,
+                       dot11p::Radio::PositionProvider antenna, sim::RandomStream rng,
+                       sim::Trace* trace)
     : sched_{sched},
       config_{std::move(config)},
       rng_{rng.child("station." + config_.name)},
       trace_{trace} {
-  radio_ = std::make_unique<dot11p::Radio>(
-      medium, config_.radio, [ego] { return ego().position; }, rng_.child("radio"), config_.name);
+  radio_ = std::make_unique<dot11p::Radio>(medium, config_.radio, std::move(antenna),
+                                           rng_.child("radio"), config_.name);
   router_ = std::make_unique<its::GeoNetRouter>(
       sched_, *radio_, frame, its::GnAddress::from_station(config_.station_id), ego,
       config_.geonet, rng_.child("gn"), trace_);

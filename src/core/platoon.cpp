@@ -27,8 +27,8 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
   rsu_config.radio = config_.radio;
   rsu_ = std::make_unique<ItsStation>(
       sched_, *medium_, *lan_, frame_, rsu_config,
-      [pos = config_.rsu_position] { return its::EgoState{pos, 0.0, 0.0}; }, rng_.child("rsu"),
-      &trace_);
+      [pos = config_.rsu_position] { return its::EgoState{pos, 0.0, 0.0}; },
+      [pos = config_.rsu_position] { return pos; }, rng_.child("rsu"), &trace_);
 
   for (int i = 0; i < config_.n_vehicles; ++i) {
     auto unit = std::make_unique<Unit>();
@@ -52,7 +52,7 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
     unit->obu = std::make_unique<ItsStation>(
         sched_, *medium_, *lan_, frame_, obu_config,
         [dyn] { return its::EgoState{dyn->position(), dyn->speed_mps(), dyn->heading_rad()}; },
-        rng_.child("obu" + std::to_string(i)), &trace_);
+        [dyn] { return dyn->position(); }, rng_.child("obu" + std::to_string(i)), &trace_);
 
     vehicle::MessageHandlerConfig handler_config;
     handler_config.poll_period = config_.poll_period;

@@ -154,11 +154,12 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
         const geo::Vec2 pos = gnss_ ? gnss_->position() : dynamics_->position();
         return its::EgoState{pos, dynamics_->speed_mps(), dynamics_->heading_rad()};
       },
-      rng_.child("obu"), &trace_);
+      // The antenna itself is where the vehicle is.
+      [this] { return dynamics_->position(); }, rng_.child("obu"), &trace_);
   rsu_ = std::make_unique<ItsStation>(
       sched_, *medium_, *lan_, frame_, config_.rsu,
-      [pos = config_.rsu_position] { return its::EgoState{pos, 0.0, 0.0}; }, rng_.child("rsu"),
-      &trace_);
+      [pos = config_.rsu_position] { return its::EgoState{pos, 0.0, 0.0}; },
+      [pos = config_.rsu_position] { return pos; }, rng_.child("rsu"), &trace_);
 
   if (config_.cpm_enable) {
     obu_->ldm().set_perceived_object_lifetime(config_.cpm_object_lifetime);

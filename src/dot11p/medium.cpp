@@ -65,6 +65,7 @@ void Medium::attach(Radio* radio) {
   // Epochs stay monotone across slot reuse so budget-cache entries written
   // by a previous occupant of this slot can never validate again.
   ++slot.epoch;
+  slot.unmapped.clear();
   slot.tx_frames = 0;
   slot.interference_mw = 0.0;
   slot.cull_radius_m = -1.0;
@@ -153,6 +154,8 @@ geo::Vec2 Medium::refresh_slot(std::uint32_t slot_id) {
     if (grid_) grid_->move(slot_id, slot.pos, now_pos);
     slot.pos = now_pos;
     ++slot.epoch;  // any movement invalidates this endpoint's cached budgets
+    slot.moved_in = tx_serial_;
+    slot.unmapped.clear();
   }
   return slot.pos;
 }
@@ -167,28 +170,53 @@ void Medium::maybe_reindex() {
 
 double Medium::cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot) {
   const std::uint64_t key = (static_cast<std::uint64_t>(tx_slot) << 32) | rx_slot;
-  const Slot& tx = slots_[tx_slot];
-  const Slot& rx = slots_[rx_slot];
+  Slot& tx = slots_[tx_slot];
+  Slot& rx = slots_[rx_slot];
+  const bool rx_moved = rx.moved_in == tx_serial_;
+  if (rx_moved || tx.moved_in == tx_serial_) {
+    // The move came after this pair's previous lookup (a pair is looked up
+    // once per transmission), so no stored budget for it can be valid: a
+    // miss, whatever the map holds. The mover keeps the budget instead of
+    // the map, for the case that it stops and the pair is asked again.
+    ++stats_.budget_cache_misses;
+    const CachedBudget budget{tx.epoch, rx.epoch, link_budget_dbm(tx, rx)};
+    (rx_moved ? rx : tx).unmapped.push_back({key, budget});
+    return budget.mean_dbm;
+  }
+  const auto current = [&](const CachedBudget& b) {
+    return b.tx_epoch == tx.epoch && b.rx_epoch == rx.epoch;
+  };
   auto [it, inserted] = budget_cache_.try_emplace(key);
   CachedBudget& entry = it->second;
-  if (!inserted && entry.tx_epoch == tx.epoch && entry.rx_epoch == rx.epoch) {
+  if (!inserted && current(entry)) {
     ++stats_.budget_cache_hits;
     return entry.mean_dbm;
   }
+  for (const Slot* mover : {&tx, &rx}) {
+    for (const UnmappedBudget& u : mover->unmapped) {
+      if (u.key == key && current(u.budget)) {
+        ++stats_.budget_cache_hits;
+        entry = u.budget;
+        return entry.mean_dbm;
+      }
+    }
+  }
   ++stats_.budget_cache_misses;
+  entry = {tx.epoch, rx.epoch, link_budget_dbm(tx, rx)};
+  return entry.mean_dbm;
+}
+
+double Medium::link_budget_dbm(const Slot& tx, const Slot& rx) const {
   const double gains_dbm = tx.radio->config().tx_power_dbm + tx.radio->config().antenna_gain_dbi +
                            rx.radio->config().antenna_gain_dbi;
   // A model may answer +inf for a loss past the cap, making this budget
   // -inf, which the floor check culls. The cap leaves out fault
   // attenuation: that is never negative, so a link culled without it is
-  // culled in every fault window too, and a cached -inf stays valid until
+  // culled in every fault window too, and a stored -inf stays valid until
   // an endpoint moves.
   const double loss =
       channel_.path_loss->loss_db_capped(tx.pos, rx.pos, gains_dbm - channel_.power_floor_dbm);
-  entry.tx_epoch = tx.epoch;
-  entry.rx_epoch = rx.epoch;
-  entry.mean_dbm = gains_dbm - loss;
-  return entry.mean_dbm;
+  return gains_dbm - loss;
 }
 
 std::uint64_t Medium::link_key(std::uint64_t tx_mac, std::uint64_t rx_mac,
@@ -213,6 +241,7 @@ void Medium::release_transmission(const std::shared_ptr<Transmission>& t) {
 }
 
 void Medium::begin_transmission(Radio* tx, Frame frame, std::size_t psdu_bytes) {
+  ++tx_serial_;
   std::shared_ptr<Transmission> t = acquire_transmission();
   t->tx = tx;
   t->tx_slot = tx->medium_slot();

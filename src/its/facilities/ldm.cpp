@@ -1,8 +1,29 @@
 #include "rst/its/facilities/ldm.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace rst::its {
+
+namespace {
+
+/// a + b, saturated at SimTime::max(). `a` is a time on the clock, so it
+/// is never negative and a negative `b` cannot overflow.
+sim::SimTime saturating_add(sim::SimTime a, sim::SimTime b) {
+  return b > sim::SimTime::zero() && a > sim::SimTime::max() - b ? sim::SimTime::max() : a + b;
+}
+
+/// The first instant `now` at which `now - since >= lifetime`.
+sim::SimTime first_at(sim::SimTime since, sim::SimTime lifetime) {
+  return saturating_add(since, lifetime);
+}
+
+/// The first instant `now` at which `now - since > lifetime`.
+sim::SimTime first_past(sim::SimTime since, sim::SimTime lifetime) {
+  return saturating_add(first_at(since, lifetime), sim::SimTime::nanoseconds(1));
+}
+
+}  // namespace
 
 Ldm::Ldm(sim::Scheduler& sched, const geo::LocalFrame& frame) : sched_{sched}, frame_{frame} {}
 
@@ -33,6 +54,7 @@ void Ldm::update_from_cam(const Cam& cam) {
                       ? cam.high_frequency.heading.value_01deg * 0.1 * M_PI / 180.0
                       : 0.0;
   e.last_update = sched_.now();
+  next_expiry_ = std::min(next_expiry_, first_past(e.last_update, vehicle_lifetime_));
   ++e.cam_count;
   notify({.kind = LdmUpdateKind::Vehicle, .station = cam.header.station_id});
 }
@@ -55,6 +77,7 @@ void Ldm::update_from_denm(const Denm& denm) {
   e.event_position = frame_.to_local(gp);
   e.received = sched_.now();
   e.expires = sched_.now() + sim::SimTime::seconds(denm.management.validity_duration_s);
+  next_expiry_ = std::min(next_expiry_, first_past(e.expires, sim::SimTime::zero()));
   notify({.kind = LdmUpdateKind::Event, .action = denm.management.action_id});
 }
 
@@ -64,6 +87,7 @@ void Ldm::update_perceived_object(PerceivedObject object) {
   // timestamp (defaulting to now) so fused remote percepts retain their age.
   object.observed = sched_.now();
   if (object.measured == sim::SimTime{}) object.measured = sched_.now();
+  next_expiry_ = std::min(next_expiry_, first_at(object.observed, object_lifetime_));
   const std::uint32_t id = object.object_id;
   objects_[id] = std::move(object);
   notify({.kind = LdmUpdateKind::PerceivedObject, .object = id});
@@ -71,13 +95,26 @@ void Ldm::update_perceived_object(PerceivedObject object) {
 
 void Ldm::garbage_collect() {
   const sim::SimTime now = sched_.now();
-  std::erase_if(vehicles_, [&](const auto& kv) { return now - kv.second.last_update > vehicle_lifetime_; });
-  std::erase_if(events_, [&](const auto& kv) { return now > kv.second.expires; });
+  if (now < next_expiry_) return;  // a sweep now would erase nothing
+  next_expiry_ = sim::SimTime::max();
+  std::erase_if(vehicles_, [&](const auto& kv) {
+    if (now - kv.second.last_update > vehicle_lifetime_) return true;
+    next_expiry_ = std::min(next_expiry_, first_past(kv.second.last_update, vehicle_lifetime_));
+    return false;
+  });
+  std::erase_if(events_, [&](const auto& kv) {
+    if (now > kv.second.expires) return true;
+    next_expiry_ = std::min(next_expiry_, first_past(kv.second.expires, sim::SimTime::zero()));
+    return false;
+  });
   // Perceived objects use a half-open lifetime window (alive for
   // observed <= t < observed + lifetime), matching the fault-window
   // convention: an object exactly at the boundary is already stale.
-  objects_expired_ += static_cast<std::uint64_t>(std::erase_if(
-      objects_, [&](const auto& kv) { return now - kv.second.observed >= object_lifetime_; }));
+  objects_expired_ += static_cast<std::uint64_t>(std::erase_if(objects_, [&](const auto& kv) {
+    if (now - kv.second.observed >= object_lifetime_) return true;
+    next_expiry_ = std::min(next_expiry_, first_at(kv.second.observed, object_lifetime_));
+    return false;
+  }));
 }
 
 std::optional<LdmVehicleEntry> Ldm::vehicle(StationId id) const {

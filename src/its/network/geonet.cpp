@@ -85,6 +85,33 @@ GnPacket GnPacket::decode(const std::vector<std::uint8_t>& buf) {
   return v;
 }
 
+namespace {
+
+/// The GN packet of the frame buffer this thread decoded last, or nullopt
+/// when those bytes do not decode. A broadcast reaches all its receivers
+/// as one shared buffer, so they decode it once between them and share one
+/// payload buffer. Holding `frame` keeps the buffer, and with it the key,
+/// alive.
+struct DecodeMemo {
+  Bytes frame;
+  std::optional<GnPacket> packet;
+};
+
+const std::optional<GnPacket>& decode_memoized(const Bytes& frame) {
+  thread_local DecodeMemo memo;
+  if (frame.storage_id() == nullptr || frame.storage_id() != memo.frame.storage_id()) {
+    try {
+      memo.packet = GnPacket::decode(frame);
+    } catch (const asn1::DecodeError&) {
+      memo.packet.reset();
+    }
+    memo.frame = frame;  // only once the entry matches it: other exceptions propagate
+  }
+  return memo.packet;
+}
+
+}  // namespace
+
 GeoNetRouter::GeoNetRouter(sim::Scheduler& sched, dot11p::Radio& radio, const geo::LocalFrame& frame,
                            GnAddress address, EgoProvider ego, GeoNetConfig config,
                            sim::RandomStream rng, sim::Trace* trace)
@@ -323,8 +350,8 @@ void GeoNetRouter::remember(GnAddress src, std::uint16_t seq) {
 
 void GeoNetRouter::update_location_table(const LongPositionVector& pv) {
   if (pv.address == address_) return;
-  const bool fresh = !location_table_.contains(pv.address.value);
-  auto& entry = location_table_[pv.address.value];
+  const auto [it, fresh] = location_table_.try_emplace(pv.address.value);
+  LocationTableEntry& entry = it->second;
   entry.position_vector = pv;
   entry.last_update = sched_.now();
   ++entry.packets_received;
@@ -342,13 +369,10 @@ void GeoNetRouter::prune_tables() {
 }
 
 void GeoNetRouter::on_frame(const dot11p::Frame& f, const dot11p::RxInfo& info) {
-  GnPacket pkt;
-  try {
-    pkt = GnPacket::decode(f.payload);
-  } catch (const asn1::DecodeError&) {
-    return;  // not a GN packet / corrupted beyond the CRC model
-  }
-  if (pkt.source.address == address_) return;  // echo of our own origination
+  const std::optional<GnPacket>& decoded = decode_memoized(f.payload);
+  if (!decoded) return;  // not a GN packet / corrupted beyond the CRC model
+  if (decoded->source.address == address_) return;  // echo of our own origination
+  GnPacket pkt = *decoded;  // our copy; the payload buffer stays shared
 
   // Lifetime check (EN 302 636-4-1 §10.3.3): a packet older than its
   // lifetime is dropped, not processed or forwarded. Source timestamps are

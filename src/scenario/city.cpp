@@ -95,51 +95,24 @@ std::string format_city_spec(const CitySpec& spec) {
 
 namespace {
 
-double loop_length(const VehicleFlow& flow) {
-  if (flow.waypoints.size() < 2) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < flow.waypoints.size(); ++i) {
-    const geo::Vec2 a = flow.waypoints[i];
-    const geo::Vec2 b = flow.waypoints[(i + 1) % flow.waypoints.size()];
-    total += (b - a).norm();
-  }
-  return total;
-}
+/// A flow's closed loop (the last waypoint joins the first), measured once:
+/// the segment lengths in waypoint order and their sum.
+struct FlowLoop {
+  std::vector<double> segment_m;
+  double total_m{0.0};
 
-/// Point and direction at arc length `s` along the closed loop.
-std::pair<geo::Vec2, geo::Vec2> loop_at(const VehicleFlow& flow, double s) {
-  const std::size_t n = flow.waypoints.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const geo::Vec2 a = flow.waypoints[i];
-    const geo::Vec2 b = flow.waypoints[(i + 1) % n];
-    const double len = (b - a).norm();
-    if (s <= len || i + 1 == n) {
-      if (len <= 0.0) return {a, {0.0, 1.0}};
-      const double f = std::clamp(s / len, 0.0, 1.0);
-      return {a + (b - a) * f, (b - a) / len};
+  explicit FlowLoop(const VehicleFlow& flow) {
+    const std::size_t n = flow.waypoints.size();
+    if (n < 2) return;
+    segment_m.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      segment_m.push_back((flow.waypoints[(i + 1) % n] - flow.waypoints[i]).norm());
+      total_m += segment_m.back();
     }
-    s -= len;
   }
-  return {flow.waypoints.front(), {0.0, 1.0}};
-}
+};
 
 }  // namespace
-
-geo::Vec2 flow_position(const VehicleFlow& flow, sim::SimTime t) {
-  if (flow.waypoints.empty()) return {};
-  const double total = loop_length(flow);
-  if (flow.speed_mps <= 0.0 || total <= 0.0) return flow.waypoints.front();
-  const double s = std::fmod(flow.phase_m + flow.speed_mps * t.to_seconds(), total);
-  return loop_at(flow, s < 0 ? s + total : s).first;
-}
-
-double flow_heading_rad(const VehicleFlow& flow, sim::SimTime t) {
-  if (flow.waypoints.size() < 2) return 0.0;
-  const double total = loop_length(flow);
-  if (flow.speed_mps <= 0.0 || total <= 0.0) return 0.0;
-  const double s = std::fmod(flow.phase_m + flow.speed_mps * t.to_seconds(), total);
-  return geo::heading_from_vector(loop_at(flow, s < 0 ? s + total : s).second);
-}
 
 // --- Generator --------------------------------------------------------------
 
@@ -219,7 +192,7 @@ RoadNetwork generate_road_network(const CitySpec& spec) {
       const double y0 = by * spec.block_m, y1 = (by + 1) * spec.block_m;
       flow.waypoints = {{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}};
     }
-    flow.phase_m = flow_rng.uniform(0.0, std::max(1.0, loop_length(flow)));
+    flow.phase_m = flow_rng.uniform(0.0, std::max(1.0, FlowLoop{flow}.total_m));
     net.flows.push_back(std::move(flow));
   }
   return net;
@@ -229,7 +202,8 @@ RoadNetwork generate_road_network(const CitySpec& spec) {
 
 class CityScenario::VehicleEntry {
  public:
-  VehicleEntry(CityScenario& city, VehicleFlow flow, std::size_t index) : flow_{std::move(flow)} {
+  VehicleEntry(CityScenario& city, VehicleFlow flow, std::size_t index)
+      : flow_{std::move(flow)}, loop_{flow_}, sched_{city.sched_} {
     core::ItsStationConfig cfg;
     cfg.station_id = kVehicleIdBase + static_cast<its::StationId>(index);
     cfg.station_type = its::StationType::PassengerCar;
@@ -244,26 +218,69 @@ class CityScenario::VehicleEntry {
       cfg.cpm.interval = city.spec_.cpm_interval;
       cfg.cpm.redundancy_window = city.spec_.cpm_redundancy_window;
     }
-    auto* sched = &city.sched_;
-    const VehicleFlow* route = &flow_;
     station_ = std::make_unique<core::ItsStation>(
         city.sched_, *city.medium_, *city.lan_, city.frame_, cfg,
-        [sched, route] {
-          return its::EgoState{flow_position(*route, sched->now()),
-                               route->speed_mps > 0 ? route->speed_mps : 0.0,
-                               flow_heading_rad(*route, sched->now())};
+        [this] {
+          const Pose pose = pose_now();
+          return its::EgoState{pose.position, speed_mps(), geo::heading_from_vector(pose.direction)};
         },
-        city.rng_.child(cfg.name));
+        [this] { return pose_now().position; }, city.rng_.child(cfg.name));
     if (city.spec_.cpm_enable) {
       station_->ldm().set_perceived_object_lifetime(city.spec_.cpm_object_lifetime);
     }
   }
+  VehicleEntry(const VehicleEntry&) = delete;
+  VehicleEntry& operator=(const VehicleEntry&) = delete;
 
   [[nodiscard]] core::ItsStation& station() { return *station_; }
-  [[nodiscard]] const VehicleFlow& flow() const { return flow_; }
+  [[nodiscard]] geo::Vec2 position() const { return pose_now().position; }
+  /// CAM vehicle data at the current time.
+  [[nodiscard]] its::CaVehicleData cam_data() const {
+    const Pose pose = pose_now();
+    its::CaVehicleData data;
+    data.position = pose.position;
+    data.heading_rad = geo::heading_from_vector(pose.direction);
+    data.speed_mps = speed_mps();
+    return data;
+  }
 
  private:
+  /// Point on the loop and the unit direction of travel there.
+  struct Pose {
+    geo::Vec2 position;
+    geo::Vec2 direction;
+  };
+
+  [[nodiscard]] double speed_mps() const { return flow_.speed_mps > 0 ? flow_.speed_mps : 0.0; }
+
+  /// The one walk over the loop: the arc length travelled by now, wrapped
+  /// into [0, loop), located segment by segment.
+  [[nodiscard]] Pose pose_now() const {
+    const auto& wp = flow_.waypoints;
+    const double total = loop_.total_m;
+    if (flow_.speed_mps <= 0.0 || total <= 0.0) {
+      return {wp.empty() ? geo::Vec2{} : wp.front(), {0.0, 1.0}};
+    }
+    double s = std::fmod(flow_.phase_m + flow_.speed_mps * sched_.now().to_seconds(), total);
+    if (s < 0) s += total;
+    const std::size_t n = wp.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double len = loop_.segment_m[i];
+      if (s <= len || i + 1 == n) {
+        const geo::Vec2 a = wp[i];
+        const geo::Vec2 b = wp[(i + 1) % n];
+        if (len <= 0.0) return {a, {0.0, 1.0}};
+        const double f = std::clamp(s / len, 0.0, 1.0);
+        return {a + (b - a) * f, (b - a) / len};
+      }
+      s -= len;
+    }
+    return {wp.front(), {0.0, 1.0}};
+  }
+
   VehicleFlow flow_;
+  FlowLoop loop_;
+  const sim::Scheduler& sched_;
   std::unique_ptr<core::ItsStation> station_;
 };
 
@@ -309,8 +326,8 @@ CityScenario::CityScenario(CitySpec spec)
     }
     const geo::Vec2 pos = net_.rsu_positions[i];
     rsus_.push_back(std::make_unique<core::ItsStation>(
-        sched_, *medium_, *lan_, frame_, cfg,
-        [pos] { return its::EgoState{pos, 0.0, 0.0}; }, rng_.child(cfg.name)));
+        sched_, *medium_, *lan_, frame_, cfg, [pos] { return its::EgoState{pos, 0.0, 0.0}; },
+        [pos] { return pos; }, rng_.child(cfg.name)));
     if (spec_.cpm_enable) {
       rsus_.back()->ldm().set_perceived_object_lifetime(spec_.cpm_object_lifetime);
     }
@@ -326,9 +343,7 @@ CityScenario::~CityScenario() = default;
 
 core::ItsStation& CityScenario::vehicle(std::size_t i) { return vehicles_[i]->station(); }
 
-geo::Vec2 CityScenario::vehicle_position(std::size_t i) const {
-  return flow_position(vehicles_[i]->flow(), sched_.now());
-}
+geo::Vec2 CityScenario::vehicle_position(std::size_t i) const { return vehicles_[i]->position(); }
 
 std::size_t CityScenario::add_vehicle(VehicleFlow flow) {
   if (started_) throw std::logic_error{"CityScenario: add_vehicle after start()"};
@@ -362,19 +377,11 @@ void CityScenario::start() {
     });
   }
   for (auto& veh : vehicles_) {
-    auto* station = &veh->station();
-    auto* sched = &sched_;
-    const VehicleFlow* flow = &veh->flow();
+    VehicleEntry* entry = veh.get();
     const sim::SimTime offset = phase_rng.uniform_time(sim::SimTime::zero(), spec_.obu_cam_interval);
-    sched_.post_in(offset, [station, sched, flow] {
-      station->start_cam([sched, flow] {
-        its::CaVehicleData data;
-        data.position = flow_position(*flow, sched->now());
-        data.heading_rad = flow_heading_rad(*flow, sched->now());
-        data.speed_mps = flow->speed_mps > 0 ? flow->speed_mps : 0.0;
-        return data;
-      });
-      if (station->cpm()) station->cpm()->start();
+    sched_.post_in(offset, [entry] {
+      entry->station().start_cam([entry] { return entry->cam_data(); });
+      if (entry->station().cpm()) entry->station().cpm()->start();
     });
   }
 }

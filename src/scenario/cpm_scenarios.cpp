@@ -181,6 +181,7 @@ BlindIntersectionReport run_blind_intersection(std::uint64_t seed, bool cpm_enab
       sched,          medium,
       lan,            frame,
       observer_cfg,   [observer_pos] { return its::EgoState{observer_pos, 0.0, 0.0}; },
+      [observer_pos] { return observer_pos; },
       rng.child("a"), &trace};
 
   // Vehicle B: northbound along x=0 at 8 m/s, frozen in place once its
@@ -209,6 +210,7 @@ BlindIntersectionReport run_blind_intersection(std::uint64_t seed, bool cpm_enab
                      [&b_position, &b_state] {
                        return its::EgoState{b_position(), b_state.braked ? 0.0 : 8.0, 0.0};
                      },
+                     b_position,
                      rng.child("b"),
                      &trace};
 

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "rst/scenario/city.hpp"
@@ -165,6 +169,121 @@ TEST(CityCoverage, CitySpecFormatParseRoundTrips) {
   // The medium has one serial path: a spec still carrying the retired
   // partition key must fail loudly instead of running silently.
   EXPECT_THROW((void)scenario::parse_city_spec("partitions = 4\n"), std::invalid_argument);
+}
+
+// The loop walk as it read before each vehicle measured its loop once:
+// the reference the scenario's single walk must match bit for bit.
+double reference_loop_length(const scenario::VehicleFlow& flow) {
+  if (flow.waypoints.size() < 2) return 0.0;
+  double total = 0.0;
+  for (std::size_t i = 0; i < flow.waypoints.size(); ++i) {
+    const geo::Vec2 a = flow.waypoints[i];
+    const geo::Vec2 b = flow.waypoints[(i + 1) % flow.waypoints.size()];
+    total += (b - a).norm();
+  }
+  return total;
+}
+
+std::pair<geo::Vec2, geo::Vec2> reference_loop_at(const scenario::VehicleFlow& flow, double s) {
+  const std::size_t n = flow.waypoints.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::Vec2 a = flow.waypoints[i];
+    const geo::Vec2 b = flow.waypoints[(i + 1) % n];
+    const double len = (b - a).norm();
+    if (s <= len || i + 1 == n) {
+      if (len <= 0.0) return {a, {0.0, 1.0}};
+      const double f = std::clamp(s / len, 0.0, 1.0);
+      return {a + (b - a) * f, (b - a) / len};
+    }
+    s -= len;
+  }
+  return {flow.waypoints.front(), {0.0, 1.0}};
+}
+
+geo::Vec2 reference_position(const scenario::VehicleFlow& flow, sim::SimTime t) {
+  if (flow.waypoints.empty()) return {};
+  const double total = reference_loop_length(flow);
+  if (flow.speed_mps <= 0.0 || total <= 0.0) return flow.waypoints.front();
+  const double s = std::fmod(flow.phase_m + flow.speed_mps * t.to_seconds(), total);
+  return reference_loop_at(flow, s < 0 ? s + total : s).first;
+}
+
+double reference_heading_rad(const scenario::VehicleFlow& flow, sim::SimTime t) {
+  if (flow.waypoints.size() < 2) return 0.0;
+  const double total = reference_loop_length(flow);
+  if (flow.speed_mps <= 0.0 || total <= 0.0) return 0.0;
+  const double s = std::fmod(flow.phase_m + flow.speed_mps * t.to_seconds(), total);
+  return geo::heading_from_vector(reference_loop_at(flow, s < 0 ? s + total : s).second);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(CityFlow, PoseMatchesTheReferenceWalkBitForBit) {
+  CitySpec spec = small_city();
+  spec.buildings = false;
+  CityScenario city{spec};
+  std::mt19937_64 rng{2024};
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>{lo, hi}(rng);
+  };
+  std::vector<scenario::VehicleFlow> flows;
+  for (int i = 0; i < 120; ++i) {
+    scenario::VehicleFlow flow;
+    const int n = 1 + i % 6;  // 1 to 6 waypoints
+    for (int k = 0; k < n; ++k) flow.waypoints.push_back({uniform(-400, 400), uniform(-400, 400)});
+    if (n >= 3 && i % 4 == 1) flow.waypoints[2] = flow.waypoints[1];  // a zero-length segment
+    flow.speed_mps = i % 7 == 0 ? 0.0 : uniform(0.5, 30.0);
+    switch (i % 5) {
+      case 0: flow.phase_m = uniform(0.0, 2000.0); break;
+      case 1: flow.phase_m = -uniform(0.0, 5000.0); break;
+      case 2: flow.phase_m = uniform(1e9, 1e13); break;
+      case 3: flow.phase_m = -uniform(1e9, 1e13); break;
+      default: flow.phase_m = 0.0; break;
+    }
+    flows.push_back(flow);
+    ASSERT_EQ(city.add_vehicle(std::move(flow)), flows.size() - 1);
+  }
+  // At t = 0 these sit exactly on a segment end (the first segment is 50 m
+  // long, the second 0 m), or start on a zero-length first segment: there
+  // `s <= len` decides which segment, and so which heading, answers.
+  for (const double phase : {0.0, 50.0, 100.0, 150.0}) {
+    scenario::VehicleFlow flow;
+    flow.waypoints = {{0.0, 0.0}, {30.0, 40.0}, {30.0, 40.0}, {-10.0, 5.0}};
+    flow.speed_mps = 5.0;
+    flow.phase_m = phase;
+    flows.push_back(flow);
+    ASSERT_EQ(city.add_vehicle(std::move(flow)), flows.size() - 1);
+    scenario::VehicleFlow parked_start;
+    parked_start.waypoints = {{7.0, 7.0}, {7.0, 7.0}, {7.0, 57.0}};
+    parked_start.speed_mps = 2.0;
+    parked_start.phase_m = phase;
+    flows.push_back(parked_start);
+    ASSERT_EQ(city.add_vehicle(std::move(parked_start)), flows.size() - 1);
+  }
+
+  std::vector<std::int64_t> times_ns{0};
+  for (int k = 0; k < 40; ++k) {
+    times_ns.push_back(std::uniform_int_distribution<std::int64_t>{0, 600'000'000'000}(rng));
+  }
+  std::sort(times_ns.begin(), times_ns.end());
+  for (const std::int64_t ns : times_ns) {
+    const auto t = sim::SimTime::nanoseconds(ns);
+    city.scheduler().run_until(t);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const geo::Vec2 want = reference_position(flows[i], t);
+      const geo::Vec2 got = city.vehicle_position(i);
+      ASSERT_TRUE(same_bits(got.x, want.x) && same_bits(got.y, want.y))
+          << "vehicle " << i << " at " << ns << " ns";
+      const geo::Vec2 antenna = city.vehicle(i).radio().position();
+      ASSERT_TRUE(same_bits(antenna.x, want.x) && same_bits(antenna.y, want.y)) << i;
+      const its::EgoState ego = city.vehicle(i).router().ego();
+      ASSERT_TRUE(same_bits(ego.position.x, want.x) && same_bits(ego.position.y, want.y)) << i;
+      ASSERT_TRUE(same_bits(ego.heading_rad, reference_heading_rad(flows[i], t)))
+          << "vehicle " << i << " heading at " << ns << " ns";
+    }
+  }
 }
 
 }  // namespace

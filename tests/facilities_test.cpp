@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <random>
+#include <tuple>
+#include <vector>
 
 #include "rst/its/facilities/ca_basic_service.hpp"
 #include "rst/its/facilities/den_basic_service.hpp"
@@ -689,6 +693,180 @@ TEST(DenService, BuildDenmClampsValidityAndRoundsHeading) {
   a.den->trigger(r3);
   ASSERT_EQ(sent.size(), 3u);
   EXPECT_EQ(sent[2].management.validity_duration_s, 1u);
+}
+
+/// The LDM's expiry rules with a full sweep on every mutation and every
+/// explicit garbage_collect(): the reference for an LDM that skips sweeps.
+class SweepingLdmModel {
+ public:
+  explicit SweepingLdmModel(const sim::Scheduler& sched) : sched_{sched} {}
+
+  using Update = std::tuple<LdmUpdateKind, StationId, ActionId, std::uint32_t>;
+  struct Vehicle {
+    sim::SimTime last_update;
+    std::uint64_t cam_count{0};
+  };
+
+  void cam(StationId id) {
+    sweep();
+    Vehicle& v = vehicles[id];
+    v.last_update = sched_.now();
+    ++v.cam_count;
+    log.emplace_back(LdmUpdateKind::Vehicle, id, ActionId{}, 0);
+  }
+  void denm(ActionId action, std::uint32_t validity_s, bool termination) {
+    sweep();
+    const auto key = std::make_pair(action.originating_station, action.sequence_number);
+    if (termination) {
+      if (events.erase(key) > 0) log.emplace_back(LdmUpdateKind::EventRemoved, 0, action, 0);
+      return;
+    }
+    events[key] = sched_.now() + sim::SimTime::seconds(validity_s);
+    log.emplace_back(LdmUpdateKind::Event, 0, action, 0);
+  }
+  void object(std::uint32_t id) {
+    sweep();
+    objects[id] = sched_.now();
+    log.emplace_back(LdmUpdateKind::PerceivedObject, 0, ActionId{}, id);
+  }
+  void sweep() {
+    const sim::SimTime now = sched_.now();
+    std::erase_if(vehicles, [&](const auto& kv) { return now - kv.second.last_update > vehicle_lifetime; });
+    std::erase_if(events, [&](const auto& kv) { return now > kv.second; });
+    expired += std::erase_if(objects, [&](const auto& kv) { return now - kv.second >= object_lifetime; });
+  }
+
+  sim::SimTime vehicle_lifetime{sim::SimTime::milliseconds(1100)};
+  sim::SimTime object_lifetime{sim::SimTime::milliseconds(1500)};
+  std::map<StationId, Vehicle> vehicles;
+  std::map<std::pair<StationId, std::uint16_t>, sim::SimTime> events;  // expiry
+  std::map<std::uint32_t, sim::SimTime> objects;                        // observed
+  std::uint64_t expired{0};
+  std::vector<Update> log;
+
+ private:
+  const sim::Scheduler& sched_;
+};
+
+TEST(Ldm, SkippedSweepsMatchAModelThatAlwaysSweeps) {
+  sim::Scheduler sched;
+  geo::LocalFrame frame{{41.1780, -8.6080}};
+  Ldm ldm{sched, frame};
+  SweepingLdmModel model{sched};
+  std::vector<SweepingLdmModel::Update> log;
+  ldm.subscribe([&log](const LdmUpdate& u) { log.emplace_back(u.kind, u.station, u.action, u.object); });
+
+  const sim::SimTime lifetimes[] = {sim::SimTime::zero(), sim::SimTime::nanoseconds(1),
+                                    sim::SimTime::milliseconds(300), sim::SimTime::milliseconds(1100),
+                                    -sim::SimTime::milliseconds(1), sim::SimTime::max()};
+  std::mt19937_64 rng{424242};
+  const auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<std::uint64_t>(n)); };
+
+  // Instants at which some entry sits exactly at, or one tick past, its
+  // expiry boundary.
+  const auto boundaries = [&] {
+    std::vector<sim::SimTime> out;
+    const auto add = [&out](sim::SimTime since, sim::SimTime life) {
+      if (life > sim::SimTime::seconds(100'000)) return;  // unreachable
+      for (const std::int64_t d : {-1, 0, 1}) out.push_back(since + life + sim::SimTime::nanoseconds(d));
+    };
+    for (const auto& [id, v] : model.vehicles) add(v.last_update, model.vehicle_lifetime);
+    for (const auto& [key, expires] : model.events) add(expires, sim::SimTime::zero());
+    for (const auto& [id, observed] : model.objects) add(observed, model.object_lifetime);
+    return out;
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    // Advance time: not at all, by a tick, by a stretch, or to a boundary.
+    sim::SimTime next = sched.now();
+    switch (pick(5)) {
+      case 0: break;
+      case 1: next = next + sim::SimTime::nanoseconds(1); break;
+      case 2: next = next + sim::SimTime::milliseconds(1 + pick(400)); break;
+      default: {
+        const auto b = boundaries();
+        if (!b.empty()) next = std::max(next, b[static_cast<std::size_t>(pick(static_cast<int>(b.size())))]);
+      }
+    }
+    sched.run_until(next);
+
+    switch (pick(9)) {
+      case 0:
+      case 1: {
+        Cam cam;
+        cam.header.station_id = static_cast<StationId>(1 + pick(4));
+        ldm.update_from_cam(cam);
+        model.cam(cam.header.station_id);
+        break;
+      }
+      case 2:
+      case 3: {
+        Denm denm;
+        denm.management.action_id = {900, static_cast<std::uint16_t>(1 + pick(4))};
+        denm.management.validity_duration_s = static_cast<std::uint32_t>(pick(3));
+        if (pick(3) == 0) denm.management.termination = Termination::IsCancellation;
+        ldm.update_from_denm(denm);
+        model.denm(denm.management.action_id, denm.management.validity_duration_s,
+                   denm.is_termination());
+        break;
+      }
+      case 4:
+      case 5: {
+        PerceivedObject object;
+        object.object_id = static_cast<std::uint32_t>(1 + pick(4));
+        ldm.update_perceived_object(object);
+        model.object(object.object_id);
+        break;
+      }
+      case 6:
+        ldm.garbage_collect();
+        model.sweep();
+        break;
+      case 7: {
+        const sim::SimTime t = lifetimes[pick(6)];
+        ldm.set_vehicle_entry_lifetime(t);
+        model.vehicle_lifetime = t;
+        break;
+      }
+      default: {
+        const sim::SimTime t = lifetimes[pick(6)];
+        ldm.set_perceived_object_lifetime(t);
+        model.object_lifetime = t;
+        break;
+      }
+    }
+
+    // What the readers see must match the model's live entries.
+    const sim::SimTime now = sched.now();
+    std::vector<std::tuple<StationId, std::uint64_t, sim::SimTime>> want_vehicles;
+    for (const auto& [id, v] : model.vehicles) {
+      if (now - v.last_update <= model.vehicle_lifetime) want_vehicles.emplace_back(id, v.cam_count, v.last_update);
+    }
+    std::vector<std::tuple<StationId, std::uint64_t, sim::SimTime>> got_vehicles;
+    for (const auto& v : ldm.vehicles()) got_vehicles.emplace_back(v.station_id, v.cam_count, v.last_update);
+    ASSERT_EQ(got_vehicles, want_vehicles) << "step " << step;
+
+    std::vector<std::pair<ActionId, sim::SimTime>> want_events;
+    for (const auto& [key, expires] : model.events) {
+      if (now <= expires) want_events.emplace_back(ActionId{key.first, key.second}, expires);
+    }
+    std::vector<std::pair<ActionId, sim::SimTime>> got_events;
+    for (const auto& e : ldm.events()) got_events.emplace_back(e.action_id, e.expires);
+    ASSERT_EQ(got_events, want_events) << "step " << step;
+
+    std::vector<std::pair<std::uint32_t, sim::SimTime>> want_objects;
+    for (const auto& [id, observed] : model.objects) {
+      if (now - observed < model.object_lifetime) want_objects.emplace_back(id, observed);
+    }
+    std::vector<std::pair<std::uint32_t, sim::SimTime>> got_objects;
+    for (const auto& o : ldm.perceived_objects()) got_objects.emplace_back(o.object_id, o.observed);
+    ASSERT_EQ(got_objects, want_objects) << "step " << step;
+
+    ASSERT_EQ(ldm.perceived_objects_expired(), model.expired) << "step " << step;
+    ASSERT_EQ(log, model.log) << "step " << step;
+  }
+  // The walk must have reached the cases that matter.
+  EXPECT_GT(model.expired, 100u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <thread>
 
 #include "rst/its/network/btp.hpp"
 #include "rst/its/network/geonet.hpp"
@@ -362,6 +364,157 @@ TEST(GeoNet, PositionVectorReflectsEgoState) {
   ASSERT_EQ(b.delivered.size(), 1u);
   EXPECT_NEAR(b.delivered[0].second.source_position.x, 12.0, 0.2);
   EXPECT_NEAR(b.delivered[0].second.source_position.y, 34.0, 0.2);
+}
+
+// --- One decode per frame -------------------------------------------------
+
+/// An SHB frame built outside any router, so a test sees every buffer the
+/// receive path makes.
+dot11p::Frame raw_shb(std::uint32_t source_id, sim::SimTime now, Bytes payload) {
+  GnPacket pkt;
+  pkt.type = GnPacketType::Shb;
+  pkt.source.address = GnAddress::from_station(source_id);
+  pkt.source.timestamp_ms = static_cast<std::uint32_t>(now.count_ns() / 1'000'000);
+  pkt.forwarder = pkt.source;
+  pkt.payload = std::move(payload);
+  dot11p::Frame f;
+  f.payload = pkt.encode();
+  return f;
+}
+
+TEST(GeoNetDecodeMemo, ShbHeardByNRoutersDecodesOnePayload) {
+  constexpr std::size_t kReceivers = 8;
+  Rig rig;
+  auto& sender = rig.add_node(1, {0, 0});
+  std::vector<Bytes> delivered;
+  for (std::size_t i = 0; i < kReceivers; ++i) {
+    auto& node = rig.add_node(static_cast<std::uint32_t>(10 + i), {10.0 + 4.0 * i, 5.0});
+    node.router->set_delivery_handler(
+        [&delivered](const Bytes& pdu, const GnDeliveryMeta&) { delivered.push_back(pdu); });
+  }
+  const Bytes btp = payload_bytes();
+  const auto buffers_before = Bytes::buffer_count();
+  sender.radio->send(raw_shb(1, rig.sched.now(), btp));
+  rig.sched.run_until(1_s);
+
+  // The frame, and one payload shared by every receiver: not one per router.
+  EXPECT_EQ(Bytes::buffer_count() - buffers_before, 2u);
+  ASSERT_EQ(delivered.size(), kReceivers);
+  for (const Bytes& pdu : delivered) {
+    EXPECT_EQ(pdu, btp);
+    EXPECT_EQ(pdu.storage_id(), delivered.front().storage_id());
+  }
+}
+
+TEST(GeoNetDecodeMemo, GarbageThenValidFramesReachTheSameRouters) {
+  Rig rig;
+  auto& sender = rig.add_node(1, {0, 0});
+  std::vector<Node*> receivers;
+  for (std::uint32_t i = 0; i < 4; ++i) receivers.push_back(&rig.add_node(10 + i, {15.0 + 5.0 * i, 0}));
+
+  // Two garbage frames and two valid SHBs of equal size but other bytes:
+  // each frame is judged by its own bytes, never by the one before it.
+  const std::vector<std::uint8_t> first{0x11, 0x22, 0x33};
+  const std::vector<std::uint8_t> second{0x44, 0x55, 0x66};
+  dot11p::Frame garbage;
+  garbage.payload = std::vector<std::uint8_t>{0xFF, 0x00, 0x01};
+  sender.radio->send(garbage);
+  rig.sched.run_until(100_ms);
+  sender.radio->send(raw_shb(1, rig.sched.now(), first));
+  rig.sched.run_until(200_ms);
+  dot11p::Frame more_garbage;
+  more_garbage.payload = std::vector<std::uint8_t>{0xFF, 0x00, 0x01};
+  sender.radio->send(more_garbage);
+  rig.sched.run_until(300_ms);
+  sender.radio->send(raw_shb(1, rig.sched.now(), second));
+  rig.sched.run_until(400_ms);
+
+  for (const Node* node : receivers) {
+    ASSERT_EQ(node->delivered.size(), 2u);
+    EXPECT_EQ(node->delivered[0].first, first);
+    EXPECT_EQ(node->delivered[1].first, second);
+    EXPECT_EQ(node->router->stats().delivered_up, 2u);
+  }
+}
+
+TEST(GeoNetDecodeMemo, ForwardersStampTheirOwnPositionVector) {
+  // B and C both hear A's TSB (hop limit 2) and both forward it. They
+  // share one decoded packet, so each must stamp its own copy.
+  Rig rig;
+  auto& a = rig.add_node(1, {0, 0});
+  auto& b = rig.add_node(2, {20, 0});
+  auto& c = rig.add_node(3, {0, 25});
+  std::vector<GnPacket> on_air;
+  dot11p::Radio sniffer{*rig.medium, {}, [] { return geo::Vec2{5, 5}; }, rig.rng.child("sniffer"),
+                        "sniffer"};
+  sniffer.set_receive_callback([&on_air](const dot11p::Frame& f, const dot11p::RxInfo&) {
+    on_air.push_back(GnPacket::decode(f.payload));
+  });
+  a.router->send_tsb(payload_bytes(), 2, dot11p::AccessCategory::Video);
+  rig.sched.run_until(1_s);
+
+  EXPECT_EQ(b.router->stats().forwarded, 1u);
+  EXPECT_EQ(c.router->stats().forwarded, 1u);
+  std::set<std::uint64_t> forwarders;
+  for (const GnPacket& pkt : on_air) {
+    EXPECT_EQ(pkt.source.address, GnAddress::from_station(1));
+    if (pkt.forwarder.address == pkt.source.address) continue;  // A's own frame
+    EXPECT_EQ(pkt.remaining_hop_limit, 1);
+    forwarders.insert(pkt.forwarder.address.value);
+    const Node& fwd = pkt.forwarder.address == GnAddress::from_station(2) ? b : c;
+    const geo::GeoPosition gp = rig.frame.to_geo(fwd.router->ego().position);
+    EXPECT_EQ(pkt.forwarder.latitude, geo::to_its_tenth_microdegree(gp.latitude_deg));
+    EXPECT_EQ(pkt.forwarder.longitude, geo::to_its_tenth_microdegree(gp.longitude_deg));
+  }
+  EXPECT_EQ(forwarders, (std::set<std::uint64_t>{GnAddress::from_station(2).value,
+                                                 GnAddress::from_station(3).value}));
+}
+
+TEST(GeoNetDecodeMemo, GbcHeardByManyRoutersReachesEachWhole) {
+  // Every router inside the area gets the whole packet, however the
+  // routers before it in the delivery order handled the shared decode.
+  Rig rig;
+  auto& a = rig.add_node(1, {0, 0});
+  std::vector<Node*> inside;
+  for (std::uint32_t i = 0; i < 4; ++i) inside.push_back(&rig.add_node(10 + i, {20.0 + 5.0 * i, 3.0}));
+  a.router->send_gbc(payload_bytes(), geo::GeoArea::circle({30, 0}, 50.0),
+                     dot11p::AccessCategory::Voice);
+  rig.sched.run_until(2_s);
+  for (const Node* node : inside) {
+    ASSERT_EQ(node->delivered.size(), 1u);
+    EXPECT_EQ(node->delivered[0].first, payload_bytes());
+    ASSERT_TRUE(node->delivered[0].second.destination_area.has_value());
+    EXPECT_EQ(node->delivered[0].second.source, GnAddress::from_station(1));
+  }
+}
+
+TEST(GeoNetDecodeMemo, EveryThreadDecodesItsOwnFrames) {
+  // Two scenarios on two threads at once: each thread's receptions come
+  // from its own frames, whatever the other thread decodes meanwhile.
+  const auto run = [](std::uint8_t tag, std::vector<std::vector<std::uint8_t>>& out) {
+    Rig rig;
+    auto& sender = rig.add_node(1, {0, 0});
+    auto& receiver = rig.add_node(2, {20, 0});
+    rig.add_node(3, {0, 20});
+    for (int i = 0; i < 300; ++i) {
+      sender.radio->send(raw_shb(1, rig.sched.now(),
+                                 std::vector<std::uint8_t>{tag, static_cast<std::uint8_t>(i)}));
+      rig.sched.run_until(rig.sched.now() + 5_ms);
+    }
+    for (const auto& d : receiver.delivered) out.push_back(d.first);
+  };
+  std::vector<std::vector<std::uint8_t>> got_a;
+  std::vector<std::vector<std::uint8_t>> got_b;
+  std::thread t1{[&] { run(0xA0, got_a); }};
+  std::thread t2{[&] { run(0xB0, got_b); }};
+  t1.join();
+  t2.join();
+  ASSERT_EQ(got_a.size(), 300u);
+  ASSERT_EQ(got_b.size(), 300u);
+  for (std::size_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(got_a[i], (std::vector<std::uint8_t>{0xA0, static_cast<std::uint8_t>(i)}));
+    EXPECT_EQ(got_b[i], (std::vector<std::uint8_t>{0xB0, static_cast<std::uint8_t>(i)}));
+  }
 }
 
 }  // namespace

@@ -95,5 +95,21 @@ TEST(TestbedGnss, LdmPositionErrorReflectsGnss) {
   EXPECT_GT(gnss_error, 0.05);
 }
 
+TEST(TestbedGnss, RadioPropagatesFromGroundTruth) {
+  // The OBU advertises its GNSS fix (position vectors, CAMs), but the
+  // antenna is where the vehicle is: path loss, carrier sense and RSSI
+  // never see the receiver error.
+  TestbedConfig config;
+  config.seed = 56;
+  config.use_gnss = true;
+  config.gnss.initial_bias_sigma_m = 1.5;
+  TestbedScenario scenario{config};
+  scenario.start_services();
+  scenario.scheduler().run_until(3_s);
+  const geo::Vec2 antenna = scenario.obu().radio().position();
+  EXPECT_EQ(antenna, scenario.dynamics().position());
+  EXPECT_FALSE(antenna == scenario.obu().router().ego().position);
+}
+
 }  // namespace
 }  // namespace rst::core

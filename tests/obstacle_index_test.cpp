@@ -24,6 +24,7 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "rst/core/config_io.hpp"
@@ -488,6 +489,63 @@ TEST(ObstacleIndex, BudgetCacheServesStaticPairsAndInvalidatesOnMotion) {
   EXPECT_EQ(after_move, medium.mean_rx_power_dbm(*radios[2], *radios[0]));
   EXPECT_EQ(r0_rssi.at(radios[1]->mac_address()),
             medium.mean_rx_power_dbm(*radios[1], *radios[0]));
+}
+
+TEST(ObstacleIndex, BudgetCacheHitsOnceTheMoverStops) {
+  // A lookup right after a move skips the cache map. Hits and misses must
+  // still count as if every lookup had stored its budget in the map: a
+  // pair asked again before either end moves hits, also when its last
+  // lookup skipped the map.
+  sim::Scheduler sched;
+  sim::RandomStream rng{7, "budget_cache_stop"};
+  dot11p::ChannelModel channel;
+  std::vector<Wall> walls{{{50.0, -20.0}, {50.0, 20.0}, 15.0}};
+  channel.path_loss = std::make_shared<ObstacleShadowingModel>(
+      std::make_unique<dot11p::LogDistanceModel>(dot11p::LogDistanceModel::its_g5(2.2)), walls);
+  dot11p::Medium medium{sched, rng.child("medium"), channel};
+
+  geo::Vec2 mover{100.0, 50.0};
+  std::vector<std::unique_ptr<dot11p::Radio>> radios;
+  radios.push_back(std::make_unique<dot11p::Radio>(
+      medium, dot11p::RadioConfig{}, [] { return geo::Vec2{0.0, 0.0}; }, rng.child("r0"), "r0"));
+  radios.push_back(std::make_unique<dot11p::Radio>(
+      medium, dot11p::RadioConfig{}, [] { return geo::Vec2{200.0, 0.0}; }, rng.child("r1"), "r1"));
+  radios.push_back(std::make_unique<dot11p::Radio>(
+      medium, dot11p::RadioConfig{}, [&mover] { return mover; }, rng.child("r2"), "r2"));
+  std::map<std::uint64_t, double> r0_rssi;
+  radios[0]->set_receive_callback([&r0_rssi](const dot11p::Frame&, const dot11p::RxInfo& info) {
+    r0_rssi[info.src_mac] = info.rssi_dbm;
+  });
+  const auto beacon = [&](std::size_t i) {
+    sched.post_in(sim::SimTime::microseconds(1), [&medium, &radios, i] {
+      dot11p::Frame f;
+      f.ac = dot11p::AccessCategory::BestEffort;
+      f.src_mac = radios[i]->mac_address();
+      medium.begin_transmission(radios[i].get(), std::move(f), 300);
+    });
+    sched.run();
+  };
+  const auto beacon_round = [&] {
+    for (std::size_t i = 0; i < radios.size(); ++i) beacon(i);
+  };
+  const auto counts = [&medium] {
+    return std::make_pair(medium.stats().budget_cache_hits, medium.stats().budget_cache_misses);
+  };
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;  // hits, misses
+
+  beacon_round();  // six cold pairs
+  EXPECT_EQ(counts(), (Counts{0, 6}));
+  mover = {120.0, 50.0};
+  beacon(0);  // r0->r1 hits; r0->r2 recomputes for the moved end
+  EXPECT_EQ(counts(), (Counts{1, 7}));
+  beacon(0);  // again before anyone moves: both pairs hit
+  EXPECT_EQ(counts(), (Counts{3, 7}));
+  beacon_round();  // r1->r2, r2->r0 and r2->r1 recompute, the rest hit
+  EXPECT_EQ(counts(), (Counts{6, 10}));
+  beacon_round();  // parked: all six pairs hit, at the parked geometry
+  EXPECT_EQ(counts(), (Counts{12, 10}));
+  EXPECT_EQ(r0_rssi.at(radios[2]->mac_address()),
+            medium.mean_rx_power_dbm(*radios[2], *radios[0]));
 }
 
 TEST(ObstacleIndex, CitySpecRoundTripsObstacleIndexKnob) {
