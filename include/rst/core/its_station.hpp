@@ -73,7 +73,6 @@ class ItsStation {
   [[nodiscard]] its::CaBasicService& ca() { return *ca_; }
   [[nodiscard]] its::DenBasicService& den() { return *den_; }
   [[nodiscard]] its::Ldm& ldm() { return *ldm_; }
-  [[nodiscard]] middleware::HttpHost& http() { return *http_; }
   [[nodiscard]] middleware::OpenC2xApi& api() { return *api_; }
   [[nodiscard]] middleware::NtpClock& clock() { return *clock_; }
   [[nodiscard]] const middleware::NtpClock& clock() const { return *clock_; }
@@ -85,10 +84,6 @@ class ItsStation {
   /// Sets the vehicle-data provider feeding the CA service and starts
   /// CAM generation.
   void start_cam(its::CaBasicService::VehicleDataProvider provider);
-
-  /// Textual stack diagnostics (also served as `GET /status` on the HTTP
-  /// API — the OpenC2X web interface's status page).
-  [[nodiscard]] std::string status_report() const;
 
  private:
   sim::Scheduler& sched_;
@@ -106,7 +101,6 @@ class ItsStation {
   std::unique_ptr<its::dcc::ChannelProbe> probe_;
   std::unique_ptr<its::dcc::ReactiveDcc> dcc_;
   std::unique_ptr<middleware::NtpClock> clock_;
-  std::unique_ptr<middleware::HttpHost> http_;
   std::unique_ptr<middleware::OpenC2xApi> api_;
   /// Slot the lazily-installed CAM vehicle-data provider is written into.
   std::shared_ptr<its::CaBasicService::VehicleDataProvider> cam_provider_slot_;

@@ -96,7 +96,6 @@ class PlatoonScenario {
   struct Unit {
     std::unique_ptr<vehicle::VehicleDynamics> dynamics;
     std::unique_ptr<vehicle::VehicleBus> bus;
-    std::unique_ptr<middleware::HttpHost> host;
     std::unique_ptr<vehicle::MessageHandler> handler;
     std::unique_ptr<ItsStation> obu;
     std::unique_ptr<vehicle::CaccController> cacc;

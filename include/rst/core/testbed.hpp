@@ -238,7 +238,6 @@ class TestbedScenario {
   std::unique_ptr<vehicle::LineCameraSensor> line_sensor_;
   std::unique_ptr<vehicle::MotionPlanner> planner_;
   std::unique_ptr<vehicle::ControlModule> control_;
-  std::unique_ptr<middleware::HttpHost> jetson_host_;
   std::unique_ptr<vehicle::MessageHandler> message_handler_;
   std::unique_ptr<middleware::NtpClock> jetson_clock_;
   std::unique_ptr<vehicle::ScanningLidar> lidar_;
@@ -248,7 +247,6 @@ class TestbedScenario {
   std::unique_ptr<roadside::RoadsideCamera> camera_;
   std::unique_ptr<roadside::YoloSimulator> yolo_;
   std::unique_ptr<roadside::ObjectDetectionService> detection_;
-  std::unique_ptr<middleware::HttpHost> edge_host_;
   std::unique_ptr<roadside::HazardAdvertisementService> hazard_;
   std::unique_ptr<middleware::NtpClock> edge_clock_;
 

@@ -58,10 +58,6 @@ class CaBasicService {
   /// Begins periodic generation. Idempotent.
   void start();
 
-  /// Sends one CAM immediately, outside the generation rules (the manual
-  /// CAM trigger of the OpenC2X web interface).
-  void send_now();
-
   /// Feed of BTP payloads arriving on port 2001 (wired by the station).
   void on_btp_payload(const std::vector<std::uint8_t>& cam_bytes, const GnDeliveryMeta& meta);
 

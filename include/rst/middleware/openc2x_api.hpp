@@ -1,33 +1,34 @@
 #pragma once
 
-#include <deque>
 #include <string>
+#include <vector>
 
-#include "rst/its/facilities/ca_basic_service.hpp"
 #include "rst/its/facilities/den_basic_service.hpp"
-#include "rst/its/facilities/ldm.hpp"
 #include "rst/middleware/http.hpp"
-#include "rst/middleware/kv.hpp"
 #include "rst/sim/trace.hpp"
 
 namespace rst::middleware {
 
-/// OpenC2X-style HTTP API bound to a station's facilities layer.
+/// OpenC2X-style API bound to a station's DEN basic service, attached to
+/// the HTTP LAN under the station's hostname for its lifetime.
 ///
 /// Mirrors the integration points the paper uses (§III-D2):
 ///  * `POST /trigger_denm` — the road-side edge node calls this on the RSU
-///    to originate a DENM. Body: kv with cause/subcause/x/y/… fields.
+///    to originate a DENM.
 ///  * `POST /request_denm` — the vehicle's Python-script equivalent polls
-///    this on the OBU. Returns HTTP 200 with an empty body when no DENM is
-///    pending, or the oldest undelivered DENM hex-encoded.
-///  * `GET  /ldm` — textual dump of the LDM (the Web Interface stand-in).
-///  * `POST /trigger_cam` — manual CAM transmission (web-interface button).
-///  * `GET  /cam_table` — the CAM-derived station table of the LDM.
-class OpenC2xApi {
+///    this on the OBU for the DENMs received since its last poll.
+class OpenC2xApi final : public OpenC2xEndpoint {
  public:
-  OpenC2xApi(HttpHost& host, const geo::LocalFrame& frame, its::DenBasicService& den,
-             its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr,
-             its::CaBasicService* ca = nullptr, std::size_t max_inbox = 16);
+  OpenC2xApi(HttpLan& lan, std::string hostname, its::DenBasicService& den,
+             sim::Trace* trace = nullptr, std::size_t max_inbox = 16);
+  ~OpenC2xApi();
+  OpenC2xApi(const OpenC2xApi&) = delete;
+  OpenC2xApi& operator=(const OpenC2xApi&) = delete;
+
+  its::ActionId trigger_denm(const its::DenmRequest& request) override;
+  /// Drains the whole inbox: with the inbox bounded, a one-message-per-poll
+  /// reply could fall behind a bursty sender forever.
+  std::vector<its::Denm> request_denm() override;
 
   /// Number of received DENMs not yet fetched via /request_denm.
   [[nodiscard]] std::size_t pending_denms() const { return inbox_.size(); }
@@ -39,23 +40,12 @@ class OpenC2xApi {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Parses a /trigger_denm body into a DenmRequest (exposed for tests).
-  [[nodiscard]] its::DenmRequest parse_trigger_body(const std::string& body) const;
-
  private:
-  HttpResponse handle_trigger_denm(const HttpRequest& req);
-  HttpResponse handle_request_denm(const HttpRequest& req);
-
-  const geo::LocalFrame& frame_;
+  HttpLan& lan_;
+  std::string hostname_;
   its::DenBasicService& den_;
-  its::CaBasicService* ca_;
-  its::Ldm* ldm_;
   sim::Trace* trace_;
-  struct InboxEntry {
-    its::Denm denm;
-    sim::SimTime received;
-  };
-  std::deque<InboxEntry> inbox_;
+  std::vector<its::Denm> inbox_;
   std::size_t max_inbox_;
   Stats stats_;
 };

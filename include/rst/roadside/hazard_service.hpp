@@ -76,7 +76,7 @@ class HazardAdvertisementService {
  public:
   using Config = HazardServiceConfig;
 
-  HazardAdvertisementService(sim::Scheduler& sched, EdgeBus& bus, middleware::HttpHost& host,
+  HazardAdvertisementService(sim::Scheduler& sched, EdgeBus& bus, middleware::HttpLan& lan,
                              const geo::LocalFrame& frame, geo::Vec2 camera_position,
                              double camera_facing_rad, sim::RandomStream rng, Config config = {},
                              its::Ldm* ldm = nullptr, sim::Trace* trace = nullptr);
@@ -110,7 +110,7 @@ class HazardAdvertisementService {
   [[nodiscard]] bool crossing_detected(const TrackedDetection& det);
 
   sim::Scheduler& sched_;
-  middleware::HttpHost& host_;
+  middleware::HttpLan& lan_;
   const geo::LocalFrame& frame_;
   geo::Vec2 camera_position_;
   double camera_facing_rad_;

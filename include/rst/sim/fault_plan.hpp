@@ -23,8 +23,7 @@ namespace rst::sim {
 ///  * YoloMiss           — probability a visible object goes undetected
 ///  * YoloMisclassify    — probability a detection's label is corrupted
 ///  * YoloConfidence     — confidence collapse fraction (conf *= 1-severity)
-///  * HttpLoss           — LAN request loss probability (composes worst-of
-///                         with the legacy `HttpLanConfig::loss_probability`)
+///  * HttpLoss           — LAN request loss probability
 ///  * HttpStall          — extra server-side stall in milliseconds
 ///  * GnssDrift          — position bias ramp rate in m/s
 ///  * NodeDown           — host crash: every request to the target hostname
@@ -66,9 +65,8 @@ struct FaultClause {
 /// A deterministic chaos schedule: the full description of every fault a
 /// run will experience. Together with the root seed it bit-reproduces a
 /// degraded run — the injector's draws come from named child RNG streams,
-/// never from the components' own streams (except HttpLoss, which shares
-/// the LAN's stream so a plan clause is draw-for-draw equivalent to the
-/// legacy loss knob).
+/// never from the components' own streams (except HttpLoss, which draws
+/// from the LAN's stream).
 struct FaultPlan {
   std::vector<FaultClause> clauses;
 

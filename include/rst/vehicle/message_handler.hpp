@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "rst/its/messages/denm.hpp"
 #include "rst/middleware/http.hpp"
@@ -37,7 +38,7 @@ class MessageHandler {
  public:
   using Config = MessageHandlerConfig;
 
-  MessageHandler(sim::Scheduler& sched, VehicleBus& bus, middleware::HttpHost& host,
+  MessageHandler(sim::Scheduler& sched, VehicleBus& bus, middleware::HttpLan& lan,
                  sim::RandomStream rng, Config config = {}, sim::Trace* trace = nullptr);
   MessageHandler(const MessageHandler&) = delete;
   MessageHandler& operator=(const MessageHandler&) = delete;
@@ -51,7 +52,6 @@ class MessageHandler {
     std::uint64_t polls{0};
     std::uint64_t denms_fetched{0};
     std::uint64_t emergencies{0};
-    std::uint64_t decode_errors{0};
     /// Poll responses that came back failed (lost request / non-200).
     std::uint64_t failed_polls{0};
     /// Polls issued while the previous response had failed — the fixed
@@ -67,13 +67,13 @@ class MessageHandler {
 
  private:
   void poll();
-  void on_response(const middleware::HttpResponse& resp);
-  void handle_denm_hex(const std::string& hex);
+  void on_response(int status, const std::vector<its::Denm>& denms);
+  void handle_denm(const its::Denm& denm);
   void set_degraded(bool degraded);
 
   sim::Scheduler& sched_;
   VehicleBus& bus_;
-  middleware::HttpHost& host_;
+  middleware::HttpLan& lan_;
   sim::RandomStream rng_;
   Config config_;
   sim::Trace* trace_;

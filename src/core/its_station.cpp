@@ -45,9 +45,7 @@ ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware
   }
   clock_ = std::make_unique<middleware::NtpClock>(sched_, rng_.child("clock"), config_.name,
                                                   config_.ntp);
-  http_ = std::make_unique<middleware::HttpHost>(lan, config_.name);
-  api_ = std::make_unique<middleware::OpenC2xApi>(*http_, frame, *den_, ldm_.get(), trace_,
-                                                  ca_.get());
+  api_ = std::make_unique<middleware::OpenC2xApi>(lan, config_.name, *den_, trace_);
 
   mux_.register_port(its::kBtpPortCam,
                      [this](const std::vector<std::uint8_t>& payload,
@@ -61,11 +59,6 @@ ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware
       cpm_->on_btp_payload(payload, meta);
     });
   }
-
-  http_->handle("/status",
-                [this](const middleware::HttpRequest&) {
-                  return middleware::HttpResponse{200, status_report()};
-                });
 
   // OpenC2X-equivalent stack processing between radio delivery and the
   // facilities (decode + dispatch + queueing), then the BTP demux.
@@ -86,58 +79,5 @@ void ItsStation::start_cam(its::CaBasicService::VehicleDataProvider provider) {
   *cam_provider_slot_ = std::move(provider);
   ca_->start();
 }
-
-std::string ItsStation::status_report() const {
-  char line[256];
-  std::string out;
-  std::snprintf(line, sizeof line, "station %u '%s' @ %s (wall %s)\n", config_.station_id,
-                config_.name.c_str(), sched_.now().to_string().c_str(),
-                clock_->now_wall().to_string().c_str());
-  out += line;
-  const auto& radio = radio_->stats();
-  std::snprintf(line, sizeof line, "  radio: tx=%llu rx=%llu queue_drops=%llu busy=%s\n",
-                static_cast<unsigned long long>(radio.tx_frames),
-                static_cast<unsigned long long>(radio.rx_frames),
-                static_cast<unsigned long long>(radio.queue_drops),
-                radio_->cumulative_busy_time().to_string().c_str());
-  out += line;
-  const auto& gn = router_->stats();
-  std::snprintf(line, sizeof line,
-                "  geonet: originated=%llu delivered=%llu forwarded=%llu dup=%llu expired=%llu\n",
-                static_cast<unsigned long long>(gn.originated),
-                static_cast<unsigned long long>(gn.delivered_up),
-                static_cast<unsigned long long>(gn.forwarded),
-                static_cast<unsigned long long>(gn.duplicates_dropped),
-                static_cast<unsigned long long>(gn.lifetime_expired_dropped));
-  out += line;
-  std::snprintf(line, sizeof line, "  btp: dispatched=%llu unknown_port=%llu parse_errors=%llu\n",
-                static_cast<unsigned long long>(mux_.stats().dispatched),
-                static_cast<unsigned long long>(mux_.stats().unknown_port),
-                static_cast<unsigned long long>(mux_.stats().parse_errors));
-  out += line;
-  std::snprintf(line, sizeof line, "  ca: sent=%llu received=%llu t_gen_cam=%s\n",
-                static_cast<unsigned long long>(ca_->stats().cams_sent),
-                static_cast<unsigned long long>(ca_->stats().cams_received),
-                ca_->current_t_gen_cam().to_string().c_str());
-  out += line;
-  std::snprintf(line, sizeof line, "  den: sent=%llu received=%llu repetitions=%llu kaf=%llu\n",
-                static_cast<unsigned long long>(den_->stats().denms_sent),
-                static_cast<unsigned long long>(den_->stats().denms_received),
-                static_cast<unsigned long long>(den_->stats().repetitions),
-                static_cast<unsigned long long>(den_->stats().kaf_retransmissions));
-  out += line;
-  if (cpm_) {
-    std::snprintf(line, sizeof line,
-                  "  cpm: sent=%llu received=%llu published=%llu fused=%llu deduped=%llu\n",
-                  static_cast<unsigned long long>(cpm_->stats().cpms_sent),
-                  static_cast<unsigned long long>(cpm_->stats().cpms_received),
-                  static_cast<unsigned long long>(cpm_->stats().objects_published),
-                  static_cast<unsigned long long>(cpm_->stats().objects_fused),
-                  static_cast<unsigned long long>(cpm_->stats().objects_deduped));
-    out += line;
-  }
-  return out;
-}
-
 
 }  // namespace rst::core

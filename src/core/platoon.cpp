@@ -37,7 +37,6 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
     unit->dynamics->reset({0.0, -config_.spacing_m * i}, 0.0, config_.speed_mps);
     unit->bus =
         std::make_unique<vehicle::VehicleBus>(sched_, rng_.child("bus" + std::to_string(i)));
-    unit->host = std::make_unique<middleware::HttpHost>(*lan_, "jetson" + std::to_string(i));
 
     ItsStationConfig obu_config;
     obu_config.station_id = static_cast<its::StationId>(100 + i);
@@ -58,7 +57,7 @@ PlatoonScenario::PlatoonScenario(PlatoonConfig config)
     handler_config.poll_period = config_.poll_period;
     handler_config.obu_hostname = obu_config.name;
     unit->handler = std::make_unique<vehicle::MessageHandler>(
-        sched_, *unit->bus, *unit->host, rng_.child("handler" + std::to_string(i)), handler_config,
+        sched_, *unit->bus, *lan_, rng_.child("handler" + std::to_string(i)), handler_config,
         &trace_);
 
     Unit* raw = unit.get();

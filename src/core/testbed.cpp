@@ -104,11 +104,10 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
       else aeb_->stop();
     });
   }
-  jetson_host_ = std::make_unique<middleware::HttpHost>(*lan_, "jetson");
   vehicle::MessageHandler::Config mh_config = config_.message_handler;
   mh_config.obu_hostname = config_.obu.name;
   message_handler_ = std::make_unique<vehicle::MessageHandler>(
-      sched_, *vehicle_bus_, *jetson_host_, rng_.child("handler"), mh_config, &trace_);
+      sched_, *vehicle_bus_, *lan_, rng_.child("handler"), mh_config, &trace_);
 
   // --- Road-side infrastructure ---
   roadside::RoadsideCamera::Config cam_config = config_.camera;
@@ -123,7 +122,6 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   yolo_->set_fault_injector(faults_.get());
   detection_ = std::make_unique<roadside::ObjectDetectionService>(
       sched_, *edge_bus_, *camera_, *yolo_, rng_.child("od"), config_.detection, &trace_);
-  edge_host_ = std::make_unique<middleware::HttpHost>(*lan_, "edge");
   roadside::HazardAdvertisementService::Config hz_config = config_.hazard;
   hz_config.rsu_hostname = config_.rsu.name;
   edge_clock_ = std::make_unique<middleware::NtpClock>(sched_, rng_.child("eclock"), "edge",
@@ -179,7 +177,7 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   }
 
   hazard_ = std::make_unique<roadside::HazardAdvertisementService>(
-      sched_, *edge_bus_, *edge_host_, frame_, config_.camera_position, config_.camera_facing_rad,
+      sched_, *edge_bus_, *lan_, frame_, config_.camera_position, config_.camera_facing_rad,
       rng_.child("hazard"), hz_config, &rsu_->ldm(), &trace_);
 
   // Alternative warning bearer: RSU -> vehicle over a cellular network,

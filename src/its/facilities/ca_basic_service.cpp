@@ -22,8 +22,6 @@ void CaBasicService::start() {
   if (!check_timer_.armed()) check_timer_.arm_in(config_.t_gen_cam_min);
 }
 
-void CaBasicService::send_now() { send_cam(provider_()); }
-
 Cam CaBasicService::build_cam(bool include_lf) const {
   const CaVehicleData data = provider_();
   Cam cam;

@@ -3,8 +3,6 @@
 #include <array>
 #include <string_view>
 
-#include "rst/middleware/kv.hpp"
-
 namespace rst::roadside {
 
 namespace {
@@ -21,11 +19,11 @@ bool is_known_road_user(std::string_view label) {
 }  // namespace
 
 HazardAdvertisementService::HazardAdvertisementService(
-    sim::Scheduler& sched, EdgeBus& bus, middleware::HttpHost& host,
+    sim::Scheduler& sched, EdgeBus& bus, middleware::HttpLan& lan,
     const geo::LocalFrame& frame, geo::Vec2 camera_position, double camera_facing_rad,
     sim::RandomStream rng, Config config, its::Ldm* ldm, sim::Trace* trace)
     : sched_{sched},
-      host_{host},
+      lan_{lan},
       frame_{frame},
       camera_position_{camera_position},
       camera_facing_rad_{camera_facing_rad},
@@ -207,39 +205,36 @@ void HazardAdvertisementService::trigger_denm(const TrackedDetection& det,
 
 void HazardAdvertisementService::trigger_denm_at(geo::Vec2 event_position, its::EventType event,
                                                  double event_speed_mps) {
-  middleware::KvBody body;
-  body.set_int("cause", event.cause_code);
-  body.set_int("subcause", event.sub_cause_code);
-  body.set_int("quality", 5);
-  body.set_double("x", event_position.x);
-  body.set_double("y", event_position.y);
-  body.set_int("validity_ms", config_.denm_validity.count_ns() / 1'000'000);
-  body.set_double("radius_m", config_.destination_radius_m);
+  its::DenmRequest request;
+  request.event_type = event;
+  request.information_quality = 5;
+  request.event_position = event_position;
+  request.validity = config_.denm_validity;
+  request.destination_area = geo::GeoArea::circle(event_position, config_.destination_radius_m);
   if (config_.denm_repetition) {
-    body.set_int("repeat_ms", config_.denm_repetition->count_ns() / 1'000'000);
-    body.set_int("repeat_dur_ms", config_.denm_validity.count_ns() / 1'000'000);
+    request.repetition_interval = config_.denm_repetition;
+    request.repetition_duration = config_.denm_validity;
   }
-  if (event_speed_mps != 0) body.set_double("event_speed", event_speed_mps);
+  if (event_speed_mps != 0) request.event_speed_mps = event_speed_mps;
 
   const auto processing =
       rng_.normal_time(config_.processing_mean, config_.processing_sigma, config_.processing_min);
-  sched_.post_in(processing, [this, serialized = body.serialize()] {
+  sched_.post_in(processing, [this, request = std::move(request)]() mutable {
     if (trace_) {
       trace_->record_event(sched_.now(), sim::Stage::TriggerDenm, 0, 0, 0.0,
                            sim::kTriggerIssued);
     }
-    host_.post(config_.rsu_hostname, "/trigger_denm", serialized,
-               [this](const middleware::HttpResponse& resp) {
-                 if (resp.status == 200) {
-                   ++stats_.denms_triggered;
-                 } else {
-                   ++stats_.trigger_failures;
-                   if (trace_) {
-                     trace_->record_event(sched_.now(), sim::Stage::TriggerDenm, 0, 0, 0.0,
-                                          sim::kTriggerFailed);
-                   }
-                 }
-               });
+    lan_.trigger_denm(config_.rsu_hostname, std::move(request), [this](int status, its::ActionId) {
+      if (status == 200) {
+        ++stats_.denms_triggered;
+      } else {
+        ++stats_.trigger_failures;
+        if (trace_) {
+          trace_->record_event(sched_.now(), sim::Stage::TriggerDenm, 0, 0, 0.0,
+                               sim::kTriggerFailed);
+        }
+      }
+    });
   });
 }
 

@@ -1,14 +1,12 @@
 #include "rst/vehicle/message_handler.hpp"
 
-#include "rst/middleware/kv.hpp"
-
 namespace rst::vehicle {
 
-MessageHandler::MessageHandler(sim::Scheduler& sched, VehicleBus& bus, middleware::HttpHost& host,
+MessageHandler::MessageHandler(sim::Scheduler& sched, VehicleBus& bus, middleware::HttpLan& lan,
                                sim::RandomStream rng, Config config, sim::Trace* trace)
     : sched_{sched},
       bus_{bus},
-      host_{host},
+      lan_{lan},
       rng_{rng.child("msg_handler")},
       config_{config},
       trace_{trace},
@@ -26,11 +24,11 @@ void MessageHandler::poll() {
   const std::uint64_t poll_no = ++stats_.polls;
   if (last_poll_failed_) ++stats_.retries;
   if (trace_) trace_->span_begin(sched_.now(), sim::Stage::DenmPoll, 0, poll_no);
-  host_.post(config_.obu_hostname, "/request_denm", {},
-             [this, poll_no](const middleware::HttpResponse& r) {
-               if (trace_) trace_->span_end(sched_.now(), sim::Stage::DenmPoll, 0, poll_no);
-               on_response(r);
-             });
+  lan_.request_denm(config_.obu_hostname,
+                    [this, poll_no](int status, const std::vector<its::Denm>& denms) {
+                      if (trace_) trace_->span_end(sched_.now(), sim::Stage::DenmPoll, 0, poll_no);
+                      on_response(status, denms);
+                    });
   poll_timer_.arm_in(config_.poll_period);
 }
 
@@ -60,8 +58,8 @@ void MessageHandler::set_degraded(bool degraded) {
   bus_.watchdog.publish(WatchdogState{degraded});
 }
 
-void MessageHandler::on_response(const middleware::HttpResponse& resp) {
-  if (resp.status != 200) {
+void MessageHandler::on_response(int status, const std::vector<its::Denm>& denms) {
+  if (status != 200) {
     // Lost request (status 0 after the LAN's loss timeout) or server error.
     // The next scheduled poll is the retry; the watchdog degrades once the
     // silence outlives its timeout. Every poll response always comes back
@@ -78,23 +76,11 @@ void MessageHandler::on_response(const middleware::HttpResponse& resp) {
   last_poll_failed_ = false;
   last_contact_ = sched_.now();
   if (config_.watchdog && degraded_) set_degraded(false);
-  if (resp.body.empty()) return;
-  const middleware::KvBody kv = middleware::KvBody::parse(resp.body);
-  // The API drains its whole inbox per poll as denm0..denmN.
-  auto hex = kv.get("denm0");
-  for (std::size_t i = 0; hex; hex = kv.get("denm" + std::to_string(++i))) {
-    handle_denm_hex(*hex);
-  }
+  // The API drains its whole inbox per poll, oldest first.
+  for (const its::Denm& denm : denms) handle_denm(denm);
 }
 
-void MessageHandler::handle_denm_hex(const std::string& hex) {
-  its::Denm denm;
-  try {
-    denm = its::Denm::decode(middleware::hex_decode(hex));
-  } catch (const std::exception&) {
-    ++stats_.decode_errors;
-    return;
-  }
+void MessageHandler::handle_denm(const its::Denm& denm) {
   ++stats_.denms_fetched;
   if (trace_) {
     trace_->record_event(sched_.now(), sim::Stage::DenmFetch, 0,

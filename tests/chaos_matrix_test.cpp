@@ -325,37 +325,6 @@ void expect_identical_trials(const TrialResult& a, const TrialResult& b) {
   EXPECT_EQ(a.speed_at_detection_mps, b.speed_at_detection_mps);
 }
 
-TEST(ChaosLegacyEquivalence, LossyLanClauseIsBitwiseEqualToTheKnob) {
-  // failure_injection_test's LossyHttpLan scenario, same seed: an HttpLoss
-  // clause draws from the LAN's own stream with p = max(knob, severity), so
-  // a whole-run clause replays the legacy run draw-for-draw.
-  TestbedConfig legacy;
-  legacy.seed = 91;
-  legacy.lan.loss_probability = 0.3;
-  legacy.lan.loss_timeout = 30_ms;
-  const TrialResult a = TestbedScenario{legacy}.run_emergency_brake_trial();
-
-  TestbedConfig plan = with_fault(91, {FaultKind::HttpLoss, "lan", 0_ms, 3'600'000_ms, 0.3});
-  plan.lan.loss_timeout = 30_ms;
-  const TrialResult b = TestbedScenario{plan}.run_emergency_brake_trial();
-
-  ASSERT_TRUE(a.stopped_by_denm);
-  expect_identical_trials(a, b);
-}
-
-TEST(ChaosLegacyEquivalence, DeadLanClauseIsBitwiseEqualToTheKnob) {
-  TestbedConfig legacy;
-  legacy.seed = 92;
-  legacy.lan.loss_probability = 1.0;
-  const TrialResult a = TestbedScenario{legacy}.run_emergency_brake_trial(12_s);
-
-  const TrialResult b = TestbedScenario{with_fault(92, {FaultKind::HttpLoss, "lan", 0_ms,
-                                                        3'600'000_ms, 1.0})}
-                            .run_emergency_brake_trial(12_s);
-  EXPECT_TRUE(a.timed_out);
-  expect_identical_trials(a, b);
-}
-
 TEST(ChaosLegacyEquivalence, FlakyDetectorContractHoldsViaYoloMissClause) {
   // failure_injection_test's FlakyDetector scenario. The legacy knob halves
   // the profile's detection probability inside the detector's own stream; a

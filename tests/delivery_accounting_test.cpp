@@ -104,13 +104,17 @@ middleware::HttpLanConfig quiet_lan() {
   return config;  // deterministic: dispatch at exactly 250us + 400us
 }
 
+/// Serves empty polls and acknowledges triggers, like an idle station.
+struct IdleApi final : middleware::OpenC2xEndpoint {
+  its::ActionId trigger_denm(const its::DenmRequest&) override { return {900, 1}; }
+  std::vector<its::Denm> request_denm() override { return {}; }
+};
+
 TEST(HttpNodeDown, WindowOpeningInFlightLosesRequest) {
   sim::Scheduler sched;
   middleware::HttpLan lan{sched, sim::RandomStream{6, "lan"}, quiet_lan()};
-  middleware::HttpHost host{lan, "obu"};
-  host.handle("/denm", [](const middleware::HttpRequest&) {
-    return middleware::HttpResponse{200, "served"};
-  });
+  IdleApi host;
+  lan.attach("obu", host);
   // Host crashes at 400us — after the request leaves, before it dispatches.
   sim::FaultPlan plan;
   plan.clauses.push_back({sim::FaultKind::NodeDown, "obu", sim::SimTime::microseconds(400),
@@ -120,8 +124,8 @@ TEST(HttpNodeDown, WindowOpeningInFlightLosesRequest) {
 
   int status = -1;
   sim::SimTime responded_at;
-  lan.request("obu", {"/denm", ""}, [&](const middleware::HttpResponse& resp) {
-    status = resp.status;
+  lan.request_denm("obu", [&](int s, const std::vector<its::Denm>&) {
+    status = s;
     responded_at = sched.now();
   });
   sched.run();
@@ -135,10 +139,8 @@ TEST(HttpNodeDown, WindowOpeningInFlightLosesRequest) {
 TEST(HttpNodeDown, WindowClosedBeforeDispatchServes) {
   sim::Scheduler sched;
   middleware::HttpLan lan{sched, sim::RandomStream{8, "lan"}, quiet_lan()};
-  middleware::HttpHost host{lan, "obu"};
-  host.handle("/denm", [](const middleware::HttpRequest&) {
-    return middleware::HttpResponse{200, "served"};
-  });
+  IdleApi host;
+  lan.attach("obu", host);
   // A blip that is over by dispatch time (650us): the host restarted in
   // time to serve the request.
   sim::FaultPlan plan;
@@ -149,8 +151,7 @@ TEST(HttpNodeDown, WindowClosedBeforeDispatchServes) {
 
   int status = -1;
   sched.post_at(sim::SimTime::microseconds(350), [&] {
-    lan.request("obu", {"/denm", ""},
-                [&](const middleware::HttpResponse& resp) { status = resp.status; });
+    lan.request_denm("obu", [&](int s, const std::vector<its::Denm>&) { status = s; });
   });
   sched.run();
   EXPECT_EQ(status, 200);
@@ -163,10 +164,8 @@ TEST(HttpNodeDown, ChaosWindowMidRunLosesOnlyCoveredRequests) {
   // dispatch time) are lost, the rest are served.
   sim::Scheduler sched;
   middleware::HttpLan lan{sched, sim::RandomStream{10, "lan"}, quiet_lan()};
-  middleware::HttpHost host{lan, "rsu"};
-  host.handle("/trigger", [](const middleware::HttpRequest&) {
-    return middleware::HttpResponse{200, "ok"};
-  });
+  IdleApi host;
+  lan.attach("rsu", host);
   sim::FaultPlan plan;
   plan.clauses.push_back({sim::FaultKind::NodeDown, "rsu", sim::SimTime::milliseconds(25),
                           sim::SimTime::milliseconds(55), 1.0});
@@ -177,10 +176,9 @@ TEST(HttpNodeDown, ChaosWindowMidRunLosesOnlyCoveredRequests) {
   int lost = 0;
   for (int i = 0; i < 10; ++i) {
     sched.post_at(sim::SimTime::milliseconds(10 * i), [&] {
-      lan.request("rsu", {"/trigger", ""},
-                  [&](const middleware::HttpResponse& resp) {
-                    (resp.status == 200 ? served : lost) += 1;
-                  });
+      lan.trigger_denm("rsu", its::DenmRequest{}, [&](int status, its::ActionId) {
+        (status == 200 ? served : lost) += 1;
+      });
     });
   }
   sched.run();

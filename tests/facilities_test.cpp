@@ -238,11 +238,10 @@ TEST(ServiceLifetime, DestroyedHazardServiceNeverScans) {
   auto& a = rig.add_station(1, {0, 0});
   roadside::EdgeBus bus{rig.sched, rig.rng.child("bus")};
   middleware::HttpLan lan{rig.sched, rig.rng.child("lan")};
-  middleware::HttpHost edge{lan, "edge"};
   roadside::HazardServiceConfig config;
   config.monitor_cam_pairs = true;
   auto hazard = std::make_unique<roadside::HazardAdvertisementService>(
-      rig.sched, bus, edge, rig.frame, geo::Vec2{0, 8}, M_PI / 2, rig.rng.child("hazard"), config,
+      rig.sched, bus, lan, rig.frame, geo::Vec2{0, 8}, M_PI / 2, rig.rng.child("hazard"), config,
       a.ldm.get());
   hazard->start();
   rig.sched.run_until(1_s);

@@ -16,7 +16,8 @@ using namespace rst::sim::literals;
 TEST(FailureInjection, LossyHttpLanDelaysButDoesNotBreakTheStop) {
   TestbedConfig config;
   config.seed = 91;
-  config.lan.loss_probability = 0.3;  // 30% of HTTP requests vanish
+  // 30% of HTTP requests vanish.
+  config.fault_plan.clauses.push_back({sim::FaultKind::HttpLoss, "lan", 0_ms, 3'600'000_ms, 0.3});
   config.lan.loss_timeout = 30_ms;
   TestbedScenario scenario{config};
   const TrialResult r = scenario.run_emergency_brake_trial();
@@ -29,7 +30,7 @@ TEST(FailureInjection, LossyHttpLanDelaysButDoesNotBreakTheStop) {
 TEST(FailureInjection, FullyDeadLanMeansNoStop) {
   TestbedConfig config;
   config.seed = 92;
-  config.lan.loss_probability = 1.0;
+  config.fault_plan.clauses.push_back({sim::FaultKind::HttpLoss, "lan", 0_ms, 3'600'000_ms, 1.0});
   TestbedScenario scenario{config};
   const TrialResult r = scenario.run_emergency_brake_trial(sim::SimTime::seconds(12));
   EXPECT_FALSE(r.stopped_by_denm);

@@ -341,7 +341,7 @@ TEST(FaultPlan, StreamsAreDeterministicPerKind) {
 TEST(FaultPlan, PollLoopRetryCadenceUnderTotalLoss) {
   core::TestbedConfig config;
   config.seed = 92;
-  config.lan.loss_probability = 1.0;
+  config.fault_plan.clauses.push_back({FaultKind::HttpLoss, "lan", 0_ms, 3'600'000_ms, 1.0});
   config.lan.loss_timeout = 30_ms;
   core::TestbedScenario scenario{config};
   const core::TrialResult r = scenario.run_emergency_brake_trial(5_s);

@@ -2,7 +2,6 @@
 
 #include "rst/core/experiment.hpp"
 #include "rst/core/testbed.hpp"
-#include "rst/middleware/kv.hpp"
 
 namespace rst::core {
 namespace {
@@ -133,31 +132,6 @@ TEST(Experiment, FiveRunCampaignMatchesPaperShape) {
   EXPECT_LT(summary.braking_distance_m.mean(), 0.8);
 }
 
-TEST(Testbed, OpenC2xApiEndpointsServeTheWebInterface) {
-  TestbedConfig config;
-  config.seed = 33;
-  TestbedScenario scenario{config};
-  scenario.start_services();
-  scenario.scheduler().run_until(3_s);
-
-  // /cam_table on the RSU shows the CAM-known protagonist.
-  std::string cam_table;
-  scenario.rsu().http().post(scenario.rsu().name(), "/cam_table", {},
-                             [&](const middleware::HttpResponse& r) { cam_table = r.body; });
-  // /trigger_cam on the OBU forces an extra CAM.
-  const auto cams_before = scenario.obu().ca().stats().cams_sent;
-  int trigger_status = 0;
-  scenario.obu().http().post(scenario.obu().name(), "/trigger_cam", {},
-                             [&](const middleware::HttpResponse& r) { trigger_status = r.status; });
-  scenario.scheduler().run_until(scenario.scheduler().now() + 200_ms);
-
-  const auto kv = middleware::KvBody::parse(cam_table);
-  EXPECT_GE(kv.get_int("count").value_or(0), 1);
-  EXPECT_EQ(kv.get_int("station0.id"), config.obu.station_id);
-  EXPECT_EQ(trigger_status, 200);
-  EXPECT_GT(scenario.obu().ca().stats().cams_sent, cams_before);
-}
-
 TEST(Testbed, CustomBtpPortServicesCanBeRegistered) {
   TestbedConfig config;
   config.seed = 34;
@@ -220,27 +194,6 @@ TEST(Testbed, StationLevelDccStillStopsTheVehicle) {
   EXPECT_EQ(scenario.rsu().dcc()->state(), its::dcc::DccState::Relaxed);
   EXPECT_LT(r.meas_total_ms, 170.0);
   EXPECT_GT(scenario.rsu().dcc()->stats().passed, 0u);
-}
-
-TEST(Testbed, StatusEndpointReportsTheStack) {
-  TestbedConfig config;
-  config.seed = 35;
-  TestbedScenario scenario{config};
-  const TrialResult r = scenario.run_emergency_brake_trial();
-  ASSERT_TRUE(r.stopped_by_denm);
-  std::string status;
-  scenario.obu().http().post(scenario.obu().name(), "/status", {},
-                             [&](const middleware::HttpResponse& resp) { status = resp.body; });
-  scenario.scheduler().run_until(scenario.scheduler().now() + 100_ms);
-  EXPECT_NE(status.find("station 42 'obu'"), std::string::npos);
-  EXPECT_NE(status.find("radio: tx="), std::string::npos);
-  EXPECT_NE(status.find("den: sent=0 received=1"), std::string::npos);
-  // The direct API produces the same sections (contents are a live
-  // snapshot, so only the shape is compared).
-  const std::string direct = scenario.obu().status_report();
-  for (const char* section : {"radio:", "geonet:", "btp:", "ca:", "den:"}) {
-    EXPECT_NE(direct.find(section), std::string::npos) << section;
-  }
 }
 
 TEST(Testbed, ConfigValidationRejectsNonsense) {

@@ -2,12 +2,13 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rst/middleware/http.hpp"
-#include "rst/middleware/kv.hpp"
 #include "rst/middleware/message_bus.hpp"
 #include "rst/middleware/ntp.hpp"
+#include "rst/sim/fault_plan.hpp"
 
 namespace rst::middleware {
 namespace {
@@ -99,25 +100,38 @@ TEST(Topic, SubscribingWhileADeliveryIsPendingKeepsIt) {
   for (std::size_t i = 1; i < calls.size(); ++i) EXPECT_EQ(calls[i], 0);
 }
 
+/// Stands in for a station's OpenC2X API: serves a canned inbox and numbers
+/// the DENMs it is asked to trigger.
+struct FakeApi final : OpenC2xEndpoint {
+  std::vector<its::Denm> inbox;
+  std::vector<its::DenmRequest> triggered;
+
+  its::ActionId trigger_denm(const its::DenmRequest& request) override {
+    triggered.push_back(request);
+    return {42, static_cast<std::uint16_t>(triggered.size())};
+  }
+  std::vector<its::Denm> request_denm() override { return std::exchange(inbox, {}); }
+};
+
 TEST(Http, RequestResponseRoundTrip) {
   sim::Scheduler sched;
   HttpLan lan{sched, sim::RandomStream{6, "lan"}};
-  HttpHost server{lan, "obu"};
-  HttpHost client{lan, "jetson"};
-  server.handle("/request_denm", [](const HttpRequest& req) {
-    return HttpResponse{200, "payload:" + req.body};
-  });
+  FakeApi server;
+  server.inbox.emplace_back().management.action_id = {7, 3};
+  lan.attach("obu", server);
   int status = 0;
-  std::string body;
+  std::vector<its::Denm> denms;
   sim::SimTime responded_at;
-  client.post("obu", "/request_denm", "hello", [&](const HttpResponse& r) {
-    status = r.status;
-    body = r.body;
+  lan.request_denm("obu", [&](int s, std::vector<its::Denm> d) {
+    status = s;
+    denms = std::move(d);
     responded_at = sched.now();
   });
   sched.run();
   EXPECT_EQ(status, 200);
-  EXPECT_EQ(body, "payload:hello");
+  ASSERT_EQ(denms.size(), 1u);
+  EXPECT_EQ(denms[0].management.action_id.sequence_number, 3);
+  EXPECT_TRUE(server.inbox.empty());
   // Two legs + processing: sub-ms to a few ms on the LAN.
   EXPECT_GT(responded_at, 500_us);
   EXPECT_LT(responded_at, 5_ms);
@@ -126,20 +140,8 @@ TEST(Http, RequestResponseRoundTrip) {
 TEST(Http, UnknownHostGives404) {
   sim::Scheduler sched;
   HttpLan lan{sched, sim::RandomStream{7, "lan"}};
-  HttpHost client{lan, "jetson"};
   int status = -1;
-  client.post("ghost", "/x", "", [&](const HttpResponse& r) { status = r.status; });
-  sched.run();
-  EXPECT_EQ(status, 404);
-}
-
-TEST(Http, UnknownPathGives404) {
-  sim::Scheduler sched;
-  HttpLan lan{sched, sim::RandomStream{8, "lan"}};
-  HttpHost server{lan, "obu"};
-  HttpHost client{lan, "jetson"};
-  int status = -1;
-  client.post("obu", "/nope", "", [&](const HttpResponse& r) { status = r.status; });
+  lan.request_denm("ghost", [&](int s, const std::vector<its::Denm>&) { status = s; });
   sched.run();
   EXPECT_EQ(status, 404);
 }
@@ -147,67 +149,93 @@ TEST(Http, UnknownPathGives404) {
 TEST(Http, LossyLanTimesOutWithStatusZero) {
   sim::Scheduler sched;
   HttpLanConfig config;
-  config.loss_probability = 1.0;
   config.loss_timeout = 50_ms;
   HttpLan lan{sched, sim::RandomStream{9, "lan"}, config};
-  HttpHost server{lan, "obu"};
-  HttpHost client{lan, "jetson"};
-  server.handle("/x", [](const HttpRequest&) { return HttpResponse{200, {}}; });
+  sim::FaultPlan plan;
+  plan.clauses.push_back({sim::FaultKind::HttpLoss, "lan", 0_ms, 3'600'000_ms, 1.0});
+  sim::FaultInjector faults{sched, sim::RandomStream{9, "faults"}, plan};
+  lan.set_fault_injector(&faults);
+  FakeApi server;
+  lan.attach("obu", server);
   int status = -1;
-  client.post("obu", "/x", "", [&](const HttpResponse& r) { status = r.status; });
+  sim::SimTime responded_at;
+  lan.request_denm("obu", [&](int s, const std::vector<its::Denm>&) {
+    status = s;
+    responded_at = sched.now();
+  });
   sched.run();
   EXPECT_EQ(status, 0);
-  EXPECT_EQ(sched.now(), 50_ms);
+  // The injector's window-boundary events run the clock on past the reply.
+  EXPECT_EQ(responded_at, 50_ms);
 }
 
-TEST(Http, HostDetachOnDestruction) {
+TEST(Http, ExchangeTimesFollowTheLanDrawOrder) {
+  // Polls to the OBU and triggers to the RSU, interleaved; one pair inside
+  // an http-loss window, one trigger while the RSU is down.
+  const sim::FaultClause loss{sim::FaultKind::HttpLoss, "lan", 10_ms, 20_ms, 0.5};
+  const sim::FaultClause rsu_down{sim::FaultKind::NodeDown, "rsu", 30_ms, 40_ms, 1.0};
+  struct Call {
+    sim::SimTime at;
+    bool trigger;
+  };
+  const std::vector<Call> calls{{0_ms, false}, {2_ms, true},  {12_ms, false}, {13_ms, true},
+                                {15_ms, false}, {32_ms, true}, {33_ms, false}, {45_ms, true}};
+
   sim::Scheduler sched;
-  HttpLan lan{sched, sim::RandomStream{10, "lan"}};
-  HttpHost client{lan, "jetson"};
-  int status = -1;
-  {
-    HttpHost server{lan, "obu"};
-    server.handle("/x", [](const HttpRequest&) { return HttpResponse{200, {}}; });
+  HttpLan lan{sched, sim::RandomStream{12, "lan"}};
+  sim::FaultInjector faults{sched, sim::RandomStream{12, "faults"}, sim::FaultPlan{{loss, rsu_down}}};
+  lan.set_fault_injector(&faults);
+  FakeApi obu;
+  FakeApi rsu;
+  lan.attach("obu", obu);
+  lan.attach("rsu", rsu);
+  std::vector<std::pair<int, sim::SimTime>> done(calls.size(), {-1, {}});
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    sched.post_at(calls[i].at, [&, i] {
+      if (calls[i].trigger) {
+        lan.trigger_denm("rsu", its::DenmRequest{}, [&, i](int status, its::ActionId) {
+          done[i] = {status, sched.now()};
+        });
+      } else {
+        lan.request_denm("obu", [&, i](int status, const std::vector<its::Denm>&) {
+          done[i] = {status, sched.now()};
+        });
+      }
+    });
   }
-  client.post("obu", "/x", "", [&](const HttpResponse& r) { status = r.status; });
   sched.run();
-  EXPECT_EQ(status, 404);
-}
 
-TEST(Kv, ParseSerializeRoundTrip) {
-  KvBody kv;
-  kv.set("denm", "deadbeef");
-  kv.set_int("cause", 97);
-  kv.set_double("x", 1.52);
-  const KvBody parsed = KvBody::parse(kv.serialize());
-  EXPECT_EQ(parsed.get("denm"), "deadbeef");
-  EXPECT_EQ(parsed.get_int("cause"), 97);
-  EXPECT_NEAR(*parsed.get_double("x"), 1.52, 1e-9);
-  EXPECT_FALSE(parsed.get("missing").has_value());
-}
-
-TEST(Kv, MalformedFragmentsSkipped) {
-  const KvBody kv = KvBody::parse("a=1;;garbage;=nokey;b=2;");
-  EXPECT_EQ(kv.get_int("a"), 1);
-  EXPECT_EQ(kv.get_int("b"), 2);
-  EXPECT_FALSE(kv.get("garbage").has_value());
-}
-
-TEST(Kv, NonNumericValuesReturnNullopt) {
-  const KvBody kv = KvBody::parse("a=xyz");
-  EXPECT_FALSE(kv.get_int("a").has_value());
-  EXPECT_FALSE(kv.get_double("a").has_value());
-  EXPECT_EQ(kv.get("a"), "xyz");
-}
-
-TEST(Hex, EncodeDecodeRoundTrip) {
-  const std::vector<std::uint8_t> data{0x00, 0xff, 0xde, 0xad, 0x12};
-  EXPECT_EQ(hex_encode(data), "00ffdead12");
-  EXPECT_EQ(hex_decode("00ffdead12"), data);
-  EXPECT_EQ(hex_decode("00FFDEAD12"), data);  // uppercase accepted
-  EXPECT_THROW((void)hex_decode("abc"), std::invalid_argument);
-  EXPECT_THROW((void)hex_decode("zz"), std::invalid_argument);
-  EXPECT_TRUE(hex_decode("").empty());
+  // Today's order on a fresh stream: the loss draw (only while the clause
+  // is active), then processing, uplink and downlink.
+  const HttpLanConfig config;
+  sim::RandomStream draws = sim::RandomStream{12, "lan"}.child("http");
+  const auto draw = [&](sim::SimTime base, sim::SimTime jitter) {
+    return base + draws.uniform_time(sim::SimTime::zero(), jitter);
+  };
+  std::vector<std::pair<int, sim::SimTime>> expected;
+  for (const Call& call : calls) {
+    const bool down = call.trigger && call.at >= rsu_down.start && call.at < rsu_down.end;
+    const bool lossy = call.at >= loss.start && call.at < loss.end;
+    if (down || (lossy && draws.bernoulli(loss.severity))) {
+      expected.emplace_back(0, call.at + config.loss_timeout);
+      continue;
+    }
+    const auto processing = draw(config.server_processing, config.server_processing_jitter);
+    const auto uplink = draw(config.one_way_latency, config.one_way_jitter);
+    const auto downlink = draw(config.one_way_latency, config.one_way_jitter);
+    expected.emplace_back(200, call.at + uplink + processing + downlink);
+  }
+  EXPECT_EQ(done, expected);
+  std::size_t lost = 0;
+  std::size_t served_triggers = 0;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    lost += expected[i].first == 0;
+    served_triggers += calls[i].trigger && expected[i].first == 200;
+  }
+  EXPECT_EQ(lost, 2u);  // the window loses one of its three, the downed RSU one
+  EXPECT_EQ(lan.requests_sent(), calls.size());
+  EXPECT_EQ(lan.requests_lost(), lost);
+  EXPECT_EQ(rsu.triggered.size(), served_triggers);
 }
 
 TEST(Ntp, UndisciplinedClockDrifts) {

@@ -23,7 +23,9 @@ std::atomic<bool> g_counting{false};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Kept out of line: once GCC inlines the malloc() and free() behind them,
+// -Wmismatched-new-delete mistakes the pair for a mismatched release.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -31,16 +33,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace rst::dot11p {
 namespace {

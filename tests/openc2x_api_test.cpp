@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "rst/its/facilities/den_basic_service.hpp"
-#include "rst/middleware/kv.hpp"
 #include "rst/middleware/openc2x_api.hpp"
 
 namespace rst::middleware {
@@ -22,11 +23,9 @@ struct ApiRig {
   std::unique_ptr<its::GeoNetRouter> router;
   std::unique_ptr<its::DenBasicService> den;
   HttpLan lan{sched, rng.child("lan")};
-  HttpHost host{lan, "obu"};
-  HttpHost client{lan, "jetson"};
   std::unique_ptr<OpenC2xApi> api;
 
-  ApiRig() {
+  explicit ApiRig(sim::Trace* trace = nullptr, std::size_t max_inbox = 16) {
     dot11p::ChannelModel channel;
     channel.path_loss =
         std::make_shared<dot11p::LogDistanceModel>(dot11p::LogDistanceModel::its_g5(2.0));
@@ -37,104 +36,66 @@ struct ApiRig {
         sched, *radio, frame, its::GnAddress::from_station(42),
         [] { return its::EgoState{{0, 0}, 0, 0}; }, its::GeoNetConfig{}, rng.child("g"));
     den = std::make_unique<its::DenBasicService>(sched, *router, 42);
-    api = std::make_unique<OpenC2xApi>(host, frame, *den);
+    api = std::make_unique<OpenC2xApi>(lan, "obu", *den, trace, max_inbox);
+  }
+
+  /// Receives a DENM with sequence number `seq` the way the radio path does.
+  void receive(std::uint16_t seq) {
+    its::Denm denm;
+    denm.management.action_id = {7, seq};
+    its::GnDeliveryMeta meta;
+    meta.delivered_at = sched.now();
+    den->on_btp_payload(denm.encode(), meta);
+  }
+
+  /// Polls the API over the LAN and waits for the response.
+  std::vector<its::Denm> poll() {
+    std::vector<its::Denm> out;
+    lan.request_denm("obu", [&](int status, std::vector<its::Denm> denms) {
+      EXPECT_EQ(status, 200);
+      out = std::move(denms);
+    });
+    sched.run();
+    return out;
   }
 };
 
-TEST(OpenC2xApi, ParseTriggerBodyCoversAllFields) {
-  ApiRig rig;
-  const auto r = rig.api->parse_trigger_body(
-      "cause=97;subcause=2;quality=6;x=1.5;y=-2.25;validity_ms=5000;radius_m=80;"
-      "repeat_ms=100;repeat_dur_ms=2000;event_speed=1.4;event_heading=1.57");
-  EXPECT_EQ(r.event_type.cause_code, 97);
-  EXPECT_EQ(r.event_type.sub_cause_code, 2);
-  EXPECT_EQ(r.information_quality, 6);
-  EXPECT_DOUBLE_EQ(r.event_position.x, 1.5);
-  EXPECT_DOUBLE_EQ(r.event_position.y, -2.25);
-  EXPECT_EQ(r.validity, 5_s);
-  EXPECT_DOUBLE_EQ(r.destination_area.a, 80.0);
-  ASSERT_TRUE(r.repetition_interval.has_value());
-  EXPECT_EQ(*r.repetition_interval, 100_ms);
-  EXPECT_EQ(r.repetition_duration, 2_s);
-  ASSERT_TRUE(r.event_speed_mps.has_value());
-  EXPECT_DOUBLE_EQ(*r.event_speed_mps, 1.4);
-  ASSERT_TRUE(r.event_heading_rad.has_value());
-}
-
-TEST(OpenC2xApi, ParseTriggerBodyDefaults) {
-  ApiRig rig;
-  const auto r = rig.api->parse_trigger_body("");
-  EXPECT_EQ(r.event_type.cause_code, 0);
-  EXPECT_EQ(r.information_quality, 3);
-  EXPECT_EQ(r.validity, sim::SimTime::seconds(600));
-  EXPECT_DOUBLE_EQ(r.destination_area.a, 100.0);
-  EXPECT_FALSE(r.repetition_interval.has_value());
-}
-
 TEST(OpenC2xApi, TriggerDenmReturnsActionId) {
   ApiRig rig;
-  std::string body;
-  rig.client.post("obu", "/trigger_denm", "cause=97;subcause=2;x=0;y=0",
-                  [&](const HttpResponse& resp) { body = resp.body; });
+  its::DenmRequest request;
+  request.event_type = its::EventType::of(its::Cause::CollisionRisk, 2);
+  its::ActionId id{};
+  rig.lan.trigger_denm("obu", request, [&](int status, its::ActionId got) {
+    EXPECT_EQ(status, 200);
+    id = got;
+  });
   rig.sched.run();
-  const auto kv = KvBody::parse(body);
-  EXPECT_EQ(kv.get_int("station"), 42);
-  EXPECT_EQ(kv.get_int("sequence"), 1);
+  EXPECT_EQ(id.originating_station, 42u);
+  EXPECT_EQ(id.sequence_number, 1);
   EXPECT_EQ(rig.den->stats().denms_sent, 1u);
 }
 
 TEST(OpenC2xApi, RequestDenmDrainsInboxFifo) {
   ApiRig rig;
-  // Inject two received DENMs directly through the service callback path.
-  its::Denm first;
-  first.management.action_id = {7, 1};
-  its::Denm second;
-  second.management.action_id = {7, 2};
-  // The API owns the DEN callback; feed through it like the service would.
-  // (Simulate reception by invoking the BTP path: encode + loopback.)
-  its::GnDeliveryMeta meta;
-  meta.delivered_at = rig.sched.now();
-  rig.den->set_denm_callback(nullptr);  // detach API to re-wire manually? No:
-  // Instead: rebuild the API to restore its callback and push via den.
-  rig.api = std::make_unique<OpenC2xApi>(rig.host, rig.frame, *rig.den);
-  rig.den->on_btp_payload(first.encode(), meta);
-  rig.den->on_btp_payload(second.encode(), meta);
+  rig.receive(1);
+  rig.receive(2);
   EXPECT_EQ(rig.api->pending_denms(), 2u);
 
-  std::vector<std::string> bodies;
-  const auto poll = [&] {
-    rig.client.post("obu", "/request_denm", "",
-                    [&](const HttpResponse& resp) { bodies.push_back(resp.body); });
-    rig.sched.run();
-  };
-  poll();
-  poll();
-  ASSERT_EQ(bodies.size(), 2u);
-  // One poll drains the whole inbox, oldest first, as denm0..denmN.
-  const auto kv = KvBody::parse(bodies[0]);
-  EXPECT_EQ(kv.get_int("count"), 2);
-  const auto first_out = its::Denm::decode(hex_decode(*kv.get("denm0")));
-  const auto second_out = its::Denm::decode(hex_decode(*kv.get("denm1")));
-  EXPECT_EQ(first_out.management.action_id.sequence_number, 1);
-  EXPECT_EQ(second_out.management.action_id.sequence_number, 2);
-  EXPECT_TRUE(kv.get("received_ns0").has_value());
-  EXPECT_TRUE(bodies[1].empty());  // inbox drained: HTTP 200 with empty body
+  // One poll drains the whole inbox, oldest first; the next finds it empty.
+  const auto first = rig.poll();
+  const auto second = rig.poll();
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].management.action_id.sequence_number, 1);
+  EXPECT_EQ(first[1].management.action_id.sequence_number, 2);
+  EXPECT_TRUE(second.empty());
   EXPECT_EQ(rig.api->pending_denms(), 0u);
 }
 
 TEST(OpenC2xApi, InboxBoundDropsOldest) {
-  ApiRig rig;
   sim::Trace trace;
-  // Rebuild the API with a tiny inbox so the bound is exercised quickly.
-  rig.api = std::make_unique<OpenC2xApi>(rig.host, rig.frame, *rig.den, nullptr, &trace,
-                                         nullptr, /*max_inbox=*/4);
-  its::GnDeliveryMeta meta;
-  meta.delivered_at = rig.sched.now();
-  for (std::uint16_t seq = 1; seq <= 6; ++seq) {
-    its::Denm denm;
-    denm.management.action_id = {7, seq};
-    rig.den->on_btp_payload(denm.encode(), meta);
-  }
+  // A tiny inbox so the bound is exercised quickly.
+  ApiRig rig{&trace, /*max_inbox=*/4};
+  for (std::uint16_t seq = 1; seq <= 6; ++seq) rig.receive(seq);
   // Bounded at 4: the two oldest (seq 1, 2) were evicted and counted.
   EXPECT_EQ(rig.api->pending_denms(), 4u);
   EXPECT_EQ(rig.api->stats().denms_dropped, 2u);
@@ -143,16 +104,18 @@ TEST(OpenC2xApi, InboxBoundDropsOldest) {
             2);
 
   // The survivors drain in FIFO order: seq 3..6.
-  std::string body;
-  rig.client.post("obu", "/request_denm", "",
-                  [&](const HttpResponse& resp) { body = resp.body; });
+  const auto denms = rig.poll();
+  ASSERT_EQ(denms.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(denms[i].management.action_id.sequence_number, i + 3);
+}
+
+TEST(Http, HostDetachOnDestruction) {
+  ApiRig rig;
+  rig.api.reset();
+  int status = -1;
+  rig.lan.request_denm("obu", [&](int s, const std::vector<its::Denm>&) { status = s; });
   rig.sched.run();
-  const auto kv = KvBody::parse(body);
-  EXPECT_EQ(kv.get_int("count"), 4);
-  for (int i = 0; i < 4; ++i) {
-    const auto out = its::Denm::decode(hex_decode(*kv.get("denm" + std::to_string(i))));
-    EXPECT_EQ(out.management.action_id.sequence_number, i + 3);
-  }
+  EXPECT_EQ(status, 404);
 }
 
 }  // namespace

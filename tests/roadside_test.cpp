@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "rst/its/facilities/ldm.hpp"
-#include "rst/middleware/kv.hpp"
+#include "rst/middleware/http.hpp"
 #include "rst/roadside/camera.hpp"
 #include "rst/sim/stats.hpp"
 #include "rst/roadside/hazard_service.hpp"
@@ -136,35 +136,39 @@ TEST(Yolo, LabelsFollowProfiles) {
   EXPECT_EQ(labels.count("stop sign"), 0u);
 }
 
+/// Stands in for the RSU's OpenC2X API: records every DENM trigger.
+struct FakeRsu final : middleware::OpenC2xEndpoint {
+  std::vector<its::DenmRequest> triggers;
+
+  its::ActionId trigger_denm(const its::DenmRequest& request) override {
+    triggers.push_back(request);
+    return {900, static_cast<std::uint16_t>(triggers.size())};
+  }
+  std::vector<its::Denm> request_denm() override { return {}; }
+};
+
 struct EdgeRig {
   sim::Scheduler sched;
   sim::RandomStream rng{11, "edge"};
   geo::LocalFrame frame{{41.1780, -8.6080}};
   EdgeBus bus{sched, rng.child("bus")};
   middleware::HttpLan lan{sched, rng.child("lan")};
-  middleware::HttpHost edge_host{lan, "edge"};
-  middleware::HttpHost rsu_host{lan, "rsu"};
+  FakeRsu rsu;
   RoadsideCamera camera{sched, {.position = {0, 8}, .facing_rad = M_PI}};
   YoloSimulator yolo{rng.child("yolo")};
   ObjectDetectionService detection{sched, bus, camera, yolo, rng.child("od")};
   its::Ldm ldm{sched, frame};
   HazardAdvertisementService hazard{sched,
                                     bus,
-                                    edge_host,
+                                    lan,
                                     frame,
                                     {0, 8},
                                     M_PI,
                                     rng.child("hz"),
                                     {},
                                     &ldm};
-  std::vector<std::string> trigger_bodies;
 
-  EdgeRig() {
-    rsu_host.handle("/trigger_denm", [this](const middleware::HttpRequest& req) {
-      trigger_bodies.push_back(req.body);
-      return middleware::HttpResponse{200, "station=900;sequence=1"};
-    });
-  }
+  EdgeRig() { lan.attach("rsu", rsu); }
 };
 
 TEST(ObjectDetection, PublishesBatchesAtConfiguredRate) {
@@ -221,13 +225,28 @@ TEST(Hazard, TriggersOnceWhenThresholdCrossed) {
   rig.sched.schedule_in(50_ms, move);
   rig.sched.run_until(5500_ms);  // past the crossing, before LDM-object expiry
   EXPECT_EQ(rig.hazard.stats().denms_triggered, 1u);
-  ASSERT_EQ(rig.trigger_bodies.size(), 1u);
-  // The trigger body carries the collision-risk cause code.
-  const auto kv = middleware::KvBody::parse(rig.trigger_bodies[0]);
-  EXPECT_EQ(kv.get_int("cause"), 97);
-  EXPECT_EQ(kv.get_int("subcause"), 2);
-  // The perceived object landed in the LDM.
-  EXPECT_FALSE(rig.ldm.perceived_objects().empty());
+  ASSERT_EQ(rig.rsu.triggers.size(), 1u);
+  // The perceived object landed in the LDM, at the event position.
+  const auto objects = rig.ldm.perceived_objects();
+  ASSERT_EQ(objects.size(), 1u);
+  // The RSU is asked for a crossing collision risk (97/2, paper Table I)
+  // around the perceived road user.
+  const its::DenmRequest& request = rig.rsu.triggers[0];
+  EXPECT_EQ(request.event_type.cause_code, 97);
+  EXPECT_EQ(request.event_type.sub_cause_code, 2);
+  EXPECT_EQ(request.information_quality, 5);
+  EXPECT_EQ(request.event_position, objects[0].position);
+  EXPECT_EQ(request.validity, 10_s);
+  EXPECT_FALSE(request.repetition_interval.has_value());
+  EXPECT_EQ(request.destination_area.shape, geo::AreaShape::Circle);
+  EXPECT_EQ(request.destination_area.center, request.event_position);
+  EXPECT_EQ(request.destination_area.a, 100.0);
+  // The road user's approach speed, from the tracked range rate.
+  ASSERT_TRUE(request.event_speed_mps.has_value());
+  EXPECT_NEAR(*request.event_speed_mps, objects[0].velocity.norm(), 1e-9);
+  EXPECT_NEAR(*request.event_speed_mps, 1.0, 0.5);
+  EXPECT_FALSE(request.event_heading_rad.has_value());
+  EXPECT_EQ(request.station_type, its::StationType::RoadSideUnit);
 }
 
 TEST(Hazard, NoTriggerWhileFarAway) {
@@ -266,19 +285,17 @@ struct CpaRig {
   geo::LocalFrame frame{{41.1780, -8.6080}};
   EdgeBus bus{sched, rng.child("bus")};
   middleware::HttpLan lan{sched, rng.child("lan")};
-  middleware::HttpHost edge_host{lan, "edge"};
-  middleware::HttpHost rsu_host{lan, "rsu"};
+  FakeRsu rsu;
   RoadsideCamera camera{sched, {.position = {0, 8}, .facing_rad = M_PI / 2, .max_range_m = 12.0}};
   YoloSimulator yolo{rng.child("yolo")};
   ObjectDetectionService detection{sched, bus, camera, yolo, rng.child("od")};
   its::Ldm ldm{sched, frame};
   HazardAdvertisementService hazard;
-  int triggers{0};
 
   CpaRig()
       : hazard{sched,
                bus,
-               edge_host,
+               lan,
                frame,
                {0, 8},
                M_PI / 2,
@@ -286,10 +303,7 @@ struct CpaRig {
                HazardServiceConfig{.trigger_mode = HazardTriggerMode::CpaPrediction},
                &ldm} {
     ldm.set_vehicle_entry_lifetime(sim::SimTime::seconds(60));
-    rsu_host.handle("/trigger_denm", [this](const middleware::HttpRequest&) {
-      ++triggers;
-      return middleware::HttpResponse{200, "station=900;sequence=1"};
-    });
+    lan.attach("rsu", rsu);
   }
 
   void put_vehicle_in_ldm(its::StationId id, geo::Vec2 pos, double heading_rad, double speed) {
@@ -320,7 +334,7 @@ TEST(HazardCpa, PredictsCrossingCollisionFromLdmAndCamera) {
   rig.detection.start();
   rig.hazard.start();
   rig.sched.run_until(4_s);
-  EXPECT_GE(rig.triggers, 1);
+  EXPECT_GE(rig.rsu.triggers.size(), 1u);
   EXPECT_GE(rig.hazard.stats().crossings_detected, 1u);
 }
 
@@ -338,7 +352,7 @@ TEST(HazardCpa, NoTriggerWhenUserTurnsAway) {
   rig.detection.start();
   rig.hazard.start();
   rig.sched.run_until(4_s);
-  EXPECT_EQ(rig.triggers, 0);
+  EXPECT_TRUE(rig.rsu.triggers.empty());
 }
 
 TEST(HazardCpa, NoTriggerWithoutLdmVehicle) {
@@ -353,7 +367,7 @@ TEST(HazardCpa, NoTriggerWithoutLdmVehicle) {
   rig.detection.start();
   rig.hazard.start();
   rig.sched.run_until(4_s);
-  EXPECT_EQ(rig.triggers, 0);
+  EXPECT_TRUE(rig.rsu.triggers.empty());
 }
 
 TEST(MultiCamera, TwoCamerasFeedOneHazardService) {
@@ -376,7 +390,7 @@ TEST(MultiCamera, TwoCamerasFeedOneHazardService) {
   rig.sched.schedule_in(50_ms, move);
   rig.sched.run_until(4_s);
   EXPECT_EQ(rig.hazard.stats().denms_triggered, 1u);
-  ASSERT_EQ(rig.trigger_bodies.size(), 1u);
+  ASSERT_EQ(rig.rsu.triggers.size(), 1u);
 }
 
 TEST(HazardCamPairs, TwoCamVehiclesOnCollisionCourseTriggerDenm) {
@@ -388,21 +402,14 @@ TEST(HazardCamPairs, TwoCamVehiclesOnCollisionCourseTriggerDenm) {
   geo::LocalFrame frame{{41.1780, -8.6080}};
   EdgeBus bus{sched, rng.child("bus")};
   middleware::HttpLan lan{sched, rng.child("lan")};
-  middleware::HttpHost edge_host{lan, "edge"};
-  middleware::HttpHost rsu_host{lan, "rsu"};
+  FakeRsu rsu;
+  lan.attach("rsu", rsu);
   its::Ldm ldm{sched, frame};
   ldm.set_vehicle_entry_lifetime(sim::SimTime::seconds(60));
   HazardServiceConfig config;
   config.monitor_cam_pairs = true;
-  int triggers = 0;
-  rsu_host.handle("/trigger_denm", [&](const middleware::HttpRequest& req) {
-    ++triggers;
-    const auto kv = middleware::KvBody::parse(req.body);
-    EXPECT_EQ(kv.get_int("cause"), 97);
-    return middleware::HttpResponse{200, "station=900;sequence=1"};
-  });
-  HazardAdvertisementService hazard{sched, bus,     edge_host, frame, {0, 8}, M_PI / 2,
-                                    rng.child("hz"), config,    &ldm};
+  HazardAdvertisementService hazard{sched, bus,     lan,    frame, {0, 8}, M_PI / 2,
+                                    rng.child("hz"), config, &ldm};
 
   // Vehicle 1 northbound, vehicle 2 westbound, meeting at (0, 8) in ~4 s.
   const auto put = [&](its::StationId id, geo::Vec2 pos, double heading, double speed) {
@@ -420,17 +427,18 @@ TEST(HazardCamPairs, TwoCamVehiclesOnCollisionCourseTriggerDenm) {
   put(43, {4.8, 8.0}, 3 * M_PI / 2, 1.2);
   hazard.start();
   sched.run_until(sim::SimTime::seconds(2));
-  EXPECT_GE(triggers, 1);
+  ASSERT_GE(rsu.triggers.size(), 1u);
+  EXPECT_EQ(rsu.triggers[0].event_type.cause_code, 97);
 
   // Diverging vehicles never trigger.
-  triggers = 0;
+  rsu.triggers.clear();
   hazard.rearm();
   put(42, {0, 3.2}, 0.0, 1.2);
   put(43, {4.8, 8.0}, M_PI / 2, 1.2);  // eastbound, away from the conflict
   sched.run_until(sched.now() + sim::SimTime::seconds(2));
   // (the stale crossing pair has expired from the 2 s-old entries? no:
   // 60 s lifetime — but both entries were overwritten above)
-  EXPECT_EQ(triggers, 0);
+  EXPECT_TRUE(rsu.triggers.empty());
 }
 
 TEST(Hazard, RearmAllowsSecondTrigger) {

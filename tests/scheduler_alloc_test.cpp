@@ -4,7 +4,8 @@
 //     event heap has reached its high-water capacity,
 //   - schedule_at reuses pooled handle-state nodes instead of hitting
 //     the global heap per event, and
-//   - a bus delivery of a hot vehicle topic fits the inline callback.
+//   - a bus delivery of a hot vehicle topic fits the inline callback,
+//   - an HTTP poll that finds no DENM fits it too.
 // It also bounds the allocations of one whole emergency-brake trial.
 //
 // This test overrides the global operator new/delete, which is why it
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "rst/core/testbed.hpp"
+#include "rst/middleware/openc2x_api.hpp"
 #include "rst/sim/scheduler.hpp"
+#include "rst/vehicle/message_handler.hpp"
 #include "rst/vehicle/vehicle_bus.hpp"
 
 namespace {
@@ -163,10 +166,47 @@ TEST(SchedulerAlloc, PublishingOnAWarmTopicIsAllocationFree) {
   EXPECT_EQ(delivered, 3u * 1100u);
 }
 
+TEST(SchedulerAlloc, EmptyPollsAllocateNothing) {
+  namespace its = rst::its;
+  Scheduler sched;
+  rst::sim::RandomStream rng{7, "poll"};
+  rst::geo::LocalFrame frame{{41.1780, -8.6080}};
+  rst::dot11p::ChannelModel channel;
+  channel.path_loss = std::make_shared<rst::dot11p::LogDistanceModel>(
+      rst::dot11p::LogDistanceModel::its_g5(2.0));
+  rst::dot11p::Medium medium{sched, rng.child("medium"), channel};
+  rst::dot11p::Radio radio{medium, {}, [] { return rst::geo::Vec2{}; }, rng.child("radio"), "obu"};
+  its::GeoNetRouter router{sched,
+                           radio,
+                           frame,
+                           its::GnAddress::from_station(42),
+                           [] { return its::EgoState{}; },
+                           {},
+                           rng.child("gn")};
+  its::DenBasicService den{sched, router, 42};
+  rst::middleware::HttpLan lan{sched, rng.child("lan")};
+  rst::middleware::OpenC2xApi api{lan, "obu", den};
+  rst::vehicle::VehicleBus bus{sched, rng.child("bus")};
+  rst::vehicle::MessageHandler handler{sched, bus, lan, rng.child("handler")};
+  handler.start();
+  sched.run_until(SimTime::milliseconds(60));  // warm-up: the first poll and its response
+  ASSERT_EQ(handler.stats().polls, 1u);
+
+  {
+    CountScope scope;
+    sched.run_until(sched.now() + SimTime::milliseconds(50 * 50));
+    EXPECT_EQ(scope.count(), 0u) << "an empty poll allocated";
+  }
+  EXPECT_EQ(handler.stats().polls, 51u);
+  EXPECT_EQ(handler.stats().failed_polls, 0u);
+  EXPECT_EQ(handler.stats().denms_fetched, 0u);
+}
+
 TEST(SchedulerAlloc, BrakeTrialLoopStaysUnderItsAllocationBound) {
-  // The loop allocated 646 times when the bound was set (2,606 with the
-  // string-keyed bus); the bound leaves 10% headroom.
-  constexpr std::size_t kBound = 710;
+  // The loop allocated 364 times when the bound was set (646 with the
+  // string HTTP bodies, 2,606 with the string-keyed bus); the bound leaves
+  // 10% headroom.
+  constexpr std::size_t kBound = 400;
   rst::core::TestbedConfig config;
   config.seed = 401;
   rst::core::TestbedScenario scenario{config};

@@ -71,7 +71,9 @@ TEST(TraceTyped, CapacityAboveTheDefaultKeepsEveryEventUpToIt) {
   for (int i = 0; i <= 40000; ++i) {
     trace.record_event(SimTime::microseconds(i), Stage::CamTx, 7,
                        static_cast<std::uint64_t>(i), 0.5 * i, 3);
-    if (i == 0) EXPECT_LE(trace.events().capacity(), 16384u);
+    if (i == 0) {
+      EXPECT_LE(trace.events().capacity(), 16384u);
+    }
   }
   EXPECT_LE(trace.events().capacity(), 40000u);
   ASSERT_EQ(trace.events().size(), 40000u);
