@@ -10,6 +10,10 @@
 // and the final determinism section proves it by re-running the sweep on
 // one thread.
 //
+// A density table then runs the benchmark's city at four sizes and prints
+// its deterministic frame and delivery counts next to the host cost per
+// delivery.
+//
 // Usage: bench_city_corridor [--buildings-scale N]
 
 #include <chrono>
@@ -193,6 +197,47 @@ int main(int argc, char** argv) try {
     check("far cluster fully delivered via carry + KAF",
           report.far_delivered == report.far_targets);
     check("store-carry-forward produced KAF retransmissions", report.kaf_retransmissions > 0);
+  }
+
+  // --- Density: host cost per delivery as the city fills --------------------
+  //
+  // The benchmark's city (8x8 blocks, an RSU at every other intersection,
+  // 100 ms CAMs, DCC on, seed 7) at four sizes up to 16x16 blocks and 640
+  // vehicles. Frames and deliveries are deterministic; the host columns
+  // are wall time over the 2 simulated seconds after a 0.3 s warm-up.
+  {
+    std::printf("\n=== Density (seed 7, DCC on, 2 s after a 0.3 s warm-up) ===\n");
+    std::printf("  %6s  %4s  %8s  %7s  %10s  %9s  %13s  %12s\n", "blocks", "RSUs", "vehicles",
+                "frames", "deliveries", "per frame", "host us/deliv", "sim s/host s");
+    struct Size {
+      int blocks;
+      int vehicles;
+    };
+    for (const Size size : {Size{8, 160}, Size{8, 320}, Size{12, 360}, Size{16, 640}}) {
+      scenario::CitySpec ds;
+      ds.seed = 7;
+      ds.blocks_x = size.blocks;
+      ds.blocks_y = size.blocks;
+      ds.vehicles = size.vehicles;
+      ds.enable_dcc = true;
+      scenario::CityScenario city{ds};
+      city.start();
+      auto& sched = city.scheduler();
+      sched.run_until(sched.now() + sim::SimTime::milliseconds(300));
+      const dot11p::Medium::Stats before = city.medium().stats();
+      const auto t0 = std::chrono::steady_clock::now();
+      const sim::SimTime span = sim::SimTime::seconds(2);
+      sched.run_until(sched.now() + span);
+      const double host_s = wall_ms_since(t0) / 1e3;
+      const auto frames = city.medium().stats().frames_transmitted - before.frames_transmitted;
+      const auto deliveries = city.medium().stats().deliveries - before.deliveries;
+      std::printf("  %3dx%-2d  %4zu  %8zu  %7llu  %10llu  %9.1f  %13.2f  %12.2f\n", size.blocks,
+                  size.blocks, city.rsu_count(), city.vehicle_count(),
+                  static_cast<unsigned long long>(frames),
+                  static_cast<unsigned long long>(deliveries),
+                  static_cast<double>(deliveries) / static_cast<double>(frames),
+                  host_s * 1e6 / static_cast<double>(deliveries), span.to_seconds() / host_s);
+    }
   }
 
   // --- Obstacle index: walls vs wall-clock scaling curve --------------------

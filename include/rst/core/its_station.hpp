@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rst/dot11p/medium.hpp"
 #include "rst/dot11p/radio.hpp"
@@ -86,6 +88,16 @@ class ItsStation {
   void start_cam(its::CaBasicService::VehicleDataProvider provider);
 
  private:
+  /// A GN delivery waiting out its stack-processing latency. The pending
+  /// event carries only the slot index, so it fits the scheduler's inline
+  /// buffer and a delivery allocates nothing once the slots are warm.
+  struct Handoff {
+    Bytes pdu;
+    its::GnDeliveryMeta meta;
+  };
+  /// Hands the delivery held in `slot` to the BTP demux and frees the slot.
+  void dispatch_handoff(std::uint32_t slot);
+
   sim::Scheduler& sched_;
   ItsStationConfig config_;
   sim::RandomStream rng_;
@@ -104,6 +116,8 @@ class ItsStation {
   std::unique_ptr<middleware::OpenC2xApi> api_;
   /// Slot the lazily-installed CAM vehicle-data provider is written into.
   std::shared_ptr<its::CaBasicService::VehicleDataProvider> cam_provider_slot_;
+  std::vector<Handoff> handoffs_;
+  std::vector<std::uint32_t> free_handoffs_;  // indices into handoffs_
 };
 
 }  // namespace rst::core

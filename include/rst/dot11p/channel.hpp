@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,17 @@ class ObstacleGrid;
 }
 
 namespace rst::dot11p {
+
+/// What `PathLossModel::loss_db_capped` may leave with its caller for a
+/// link it gave up on: up to two ids (wall indices for
+/// `ObstacleShadowingModel`) that it tries first when the same link is
+/// asked again. The caller only stores it, one per link. Any content is a
+/// valid input, so a hint is never invalidated: a stale or foreign one
+/// costs a failed re-test, not a wrong answer.
+struct CullHint {
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  std::uint32_t ids[2]{kNone, kNone};
+};
 
 /// Deterministic (position-only) part of a propagation model.
 class PathLossModel {
@@ -30,9 +42,12 @@ class PathLossModel {
   /// exceeds `cap_db` by more than `kCapMarginDb`. The medium passes the
   /// loss that puts a link at the power floor, so a model may stop working
   /// on a link as soon as it knows the link is culled. Every other answer
-  /// keeps the bits of `loss_db`.
-  [[nodiscard]] virtual double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db) const {
+  /// keeps the bits of `loss_db`. A non-null `hint` is the link's own
+  /// `CullHint`, read and rewritten by the call.
+  [[nodiscard]] virtual double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db,
+                                              CullHint* hint = nullptr) const {
     (void)cap_db;
+    (void)hint;
     return loss_db(tx, rx);
   }
 
@@ -121,7 +136,12 @@ struct Wall {
 ///
 /// `loss_db_capped` stops early: it skips the walk when the base loss is
 /// already past the cap, and ends it as soon as the walls found so far are.
-/// Walls only add loss, so the exact loss is past the cap too.
+/// Walls only add loss, so the exact loss is past the cap too. Before
+/// walking, it re-tests the walls of the link's `CullHint` (the two
+/// costliest walls of its last cull) with the walk's own crossing test, and
+/// gives up without a walk when those still crossing are past the cap on
+/// their own: the ascending sum over any subset of the crossing walls
+/// bounds the exact loss from below.
 ///
 /// The index is immutable after construction and queries keep their state
 /// on the stack, so media on different threads may share one model and
@@ -136,7 +156,8 @@ class ObstacleShadowingModel final : public PathLossModel {
                          bool use_index = true, double index_cell_m = 0.0);
   ~ObstacleShadowingModel() override;
   [[nodiscard]] double loss_db(geo::Vec2 tx, geo::Vec2 rx) const override;
-  [[nodiscard]] double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db) const override;
+  [[nodiscard]] double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db,
+                                      CullHint* hint = nullptr) const override;
   /// Walls only ever add loss, so the base model's bound stays valid.
   [[nodiscard]] double min_loss_db(double distance_m) const override;
 
@@ -147,32 +168,43 @@ class ObstacleShadowingModel final : public PathLossModel {
   [[nodiscard]] bool index_enabled() const { return grid_ != nullptr; }
   /// Null when the model runs brute force.
   [[nodiscard]] const geo::ObstacleGrid* index() const { return grid_.get(); }
-  /// Ray walks through the index so far — the engagement proof for benches
-  /// and CI (relaxed counter: queries may come from several threads sharing
-  /// the model). A capped query whose base loss is already past its cap
-  /// walks nothing and is not counted. Always 0 in brute-force mode.
+  /// Queries that reached the index so far — the engagement proof for
+  /// benches and CI (relaxed counter: queries may come from several threads
+  /// sharing the model). Each ray walk counts, and so does a capped query
+  /// whose hint settled it without a walk. A capped query whose base loss
+  /// is already past its cap reaches nothing and is not counted. Always 0
+  /// in brute-force mode.
   [[nodiscard]] std::uint64_t index_queries() const {
     return index_queries_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct WallBox {
+  /// Axis-aligned bounds of a wall or of a ray.
+  struct Box {
     double min_x, min_y, max_x, max_y;
+    [[nodiscard]] static Box of(geo::Vec2 a, geo::Vec2 b);
   };
 
+  /// True when wall `i` crosses ray tx-rx (bounds `ray`): a bounding-box
+  /// reject, then the exact `segments_intersect`.
+  [[nodiscard]] bool crosses(const Box& ray, geo::Vec2 tx, geo::Vec2 rx, std::uint32_t i) const;
   /// Adds each wall crossing ray tx-rx to `found` and calls `on_new(i)` for
   /// it once, in walk order through the index or ascending on a scan.
   /// `on_new` returns false to stop; the result is false when it stopped.
   template <typename OnNew>
   bool collect_crossings(geo::Vec2 tx, geo::Vec2 rx, geo::CrossingIds& found,
                          OnNew&& on_new) const;
+  /// True when the hinted walls that still cross ray tx-rx, summed onto
+  /// `base_db` in ascending order, pass `limit_db`.
+  [[nodiscard]] bool hint_confirms(geo::Vec2 tx, geo::Vec2 rx, double base_db, double limit_db,
+                                   const CullHint& hint) const;
   /// `base_db` plus the attenuation of every wall in `found`, in ascending
   /// wall order.
   [[nodiscard]] double ascending_sum(double base_db, const geo::CrossingIds& found) const;
 
   std::unique_ptr<PathLossModel> base_;
   std::vector<Wall> walls_;
-  std::vector<WallBox> boxes_;  // parallel to walls_
+  std::vector<Box> boxes_;  // parallel to walls_
   std::unique_ptr<const geo::ObstacleGrid> grid_;  // null = brute force
   mutable std::atomic<std::uint64_t> index_queries_{0};
 };

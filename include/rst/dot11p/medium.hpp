@@ -37,9 +37,11 @@ class Radio;
 /// whose deterministic budget is below `power_floor_dbm` are out of range,
 /// interference is a per-receiver running accumulator (O(1) per SINR
 /// evaluation), and deterministic link budgets are cached per (tx, rx) slot
-/// pair under position epochs. `ChannelModel::spatial_index` additionally
-/// culls receivers through a uniform spatial hash grid, which cannot change
-/// any outcome — it only skips links already below the power floor.
+/// pair under position epochs, next to the path-loss model's `CullHint` for
+/// the pair. `ChannelModel::spatial_index` additionally culls receivers
+/// through a uniform spatial hash grid and then by distance from their
+/// recorded positions, which cannot change any outcome — it only skips
+/// links already below the power floor.
 class Medium {
  public:
   Medium(sim::Scheduler& sched, sim::RandomStream rng, ChannelModel channel);
@@ -147,6 +149,11 @@ class Medium {
     /// Budgets of lookups that skipped the map because we had just moved;
     /// only valid until we move again, so every move clears them.
     std::vector<UnmappedBudget> unmapped;
+    /// As transmitter: the path-loss model's hint per receiver slot, from
+    /// the last budget computed for that pair. Allocated (one row of
+    /// `slots_.size()`) by the first hint the model leaves; never cleared,
+    /// since any hint is a valid input.
+    std::vector<CullHint> cull_hints;
   };
 
   void finish_transmission(const std::shared_ptr<Transmission>& t);
@@ -166,7 +173,8 @@ class Medium {
   [[nodiscard]] double cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot);
   /// The budget itself. The path loss is capped at the power floor, so a
   /// link the model gives up on reads -inf; every other budget is exact.
-  [[nodiscard]] double link_budget_dbm(const Slot& tx, const Slot& rx) const;
+  /// Hands the model the pair's cull hint and keeps the one it leaves.
+  [[nodiscard]] double link_budget_dbm(Slot& tx, std::uint32_t rx_slot);
   /// Admits one receiver into transmission `t`: floor check, counter-keyed
   /// power draw, interference accounting and carrier sense.
   void admit_receiver(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot);

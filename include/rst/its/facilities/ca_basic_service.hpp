@@ -3,6 +3,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "rst/its/facilities/ldm.hpp"
 #include "rst/its/messages/cam.hpp"
@@ -59,7 +60,7 @@ class CaBasicService {
   void start();
 
   /// Feed of BTP payloads arriving on port 2001 (wired by the station).
-  void on_btp_payload(const std::vector<std::uint8_t>& cam_bytes, const GnDeliveryMeta& meta);
+  void on_btp_payload(std::span<const std::uint8_t> cam_bytes, const GnDeliveryMeta& meta);
 
   void set_cam_callback(CamCallback cb) { cam_cb_ = std::move(cb); }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "rst/its/facilities/ldm.hpp"
@@ -63,7 +64,7 @@ class CpmService {
   std::size_t send_now();
 
   /// Feed of BTP payloads arriving on port 2009 (wired by the station).
-  void on_btp_payload(const std::vector<std::uint8_t>& cpm_bytes, const GnDeliveryMeta& meta);
+  void on_btp_payload(std::span<const std::uint8_t> cpm_bytes, const GnDeliveryMeta& meta);
 
   void set_fused_callback(FusedCallback cb) { fused_cb_ = std::move(cb); }
   /// Attaches cpm.* counters (objects published/fused/deduped/gated/

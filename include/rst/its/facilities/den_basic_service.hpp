@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "rst/its/facilities/ldm.hpp"
 #include "rst/its/messages/denm.hpp"
@@ -87,7 +88,7 @@ class DenBasicService {
   bool negate(ActionId id);
 
   /// Feed of BTP payloads arriving on port 2002 (wired by the station).
-  void on_btp_payload(const std::vector<std::uint8_t>& denm_bytes, const GnDeliveryMeta& meta);
+  void on_btp_payload(std::span<const std::uint8_t> denm_bytes, const GnDeliveryMeta& meta);
 
   void set_denm_callback(DenmCallback cb) { denm_cb_ = std::move(cb); }
 

@@ -117,7 +117,8 @@ class Ldm {
   sim::SimTime object_lifetime_{sim::SimTime::milliseconds(1500)};
   void notify(const LdmUpdate& update);
 
-  std::map<StationId, LdmVehicleEntry> vehicles_;
+  /// One entry per station, ascending by station id.
+  std::vector<LdmVehicleEntry> vehicles_;
   std::map<std::pair<StationId, std::uint16_t>, LdmEventEntry> events_;
   std::map<std::uint32_t, PerceivedObject> objects_;
   std::uint64_t objects_expired_{0};

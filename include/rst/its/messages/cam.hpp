@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rst/its/messages/data_elements.hpp"
@@ -57,7 +58,7 @@ struct Cam {
   std::optional<LowFrequencyContainer> low_frequency{};
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static Cam decode(const std::vector<std::uint8_t>& buf);
+  static Cam decode(std::span<const std::uint8_t> buf);
   friend bool operator==(const Cam&, const Cam&) = default;
 };
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -56,7 +57,7 @@ struct Cpm {
   std::vector<CpmPerceivedObject> objects;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static Cpm decode(const std::vector<std::uint8_t>& buf);
+  static Cpm decode(std::span<const std::uint8_t> buf);
   friend bool operator==(const Cpm&, const Cpm&) = default;
 };
 

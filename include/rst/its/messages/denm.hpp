@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rst/its/messages/cause_code.hpp"
@@ -108,7 +109,7 @@ struct Denm {
   std::optional<AlacarteContainer> alacarte{};
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static Denm decode(const std::vector<std::uint8_t>& buf);
+  static Denm decode(std::span<const std::uint8_t> buf);
   friend bool operator==(const Denm&, const Denm&) = default;
 
   /// True when this DENM is a cancellation/negation of a previous event.

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "rst/asn1/bitbuffer.hpp"
@@ -22,6 +24,14 @@ struct BtpHeader {
 
   /// Prepends the header to `payload` and returns the BTP PDU.
   [[nodiscard]] std::vector<std::uint8_t> prepend_to(const std::vector<std::uint8_t>& payload) const;
+
+  /// Reads the header at the front of `pdu`; nothing when `pdu` is
+  /// shorter than the header.
+  [[nodiscard]] static std::optional<BtpHeader> read(std::span<const std::uint8_t> pdu) {
+    if (pdu.size() < kSize) return std::nullopt;
+    return BtpHeader{static_cast<std::uint16_t>((pdu[0] << 8) | pdu[1]),
+                     static_cast<std::uint16_t>((pdu[2] << 8) | pdu[3])};
+  }
 
   struct Parsed;
   /// Splits a BTP PDU into header and payload (copies payload).

@@ -184,9 +184,15 @@ class GeoNetRouter {
   [[nodiscard]] GnAddress address() const { return address_; }
   /// Current ego state (position provider snapshot).
   [[nodiscard]] EgoState ego() const { return ego_(); }
-  [[nodiscard]] const std::map<std::uint64_t, LocationTableEntry>& location_table() const {
+  /// The location table: one entry per station heard from, ascending by
+  /// address. Inserts and sweeps move its entries, so an iterator or an
+  /// element reference holds only until the router next receives, sends
+  /// or checks for a duplicate.
+  [[nodiscard]] const std::vector<LocationTableEntry>& location_table() const {
     return location_table_;
   }
+  /// A copy of the location-table entry of `address`, or nothing.
+  [[nodiscard]] std::optional<LocationTableEntry> location_entry(GnAddress address) const;
   [[nodiscard]] const geo::LocalFrame& local_frame() const { return frame_; }
 
   struct Stats {
@@ -232,7 +238,7 @@ class GeoNetRouter {
   sim::Trace* trace_;
 
   std::uint16_t next_sequence_{0};
-  std::map<std::uint64_t, LocationTableEntry> location_table_;
+  std::vector<LocationTableEntry> location_table_;  // ascending by address
   struct DpdEntry {
     sim::SimTime seen;
   };

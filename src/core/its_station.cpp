@@ -48,13 +48,13 @@ ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware
   api_ = std::make_unique<middleware::OpenC2xApi>(lan, config_.name, *den_, trace_);
 
   mux_.register_port(its::kBtpPortCam,
-                     [this](const std::vector<std::uint8_t>& payload,
+                     [this](std::span<const std::uint8_t> payload,
                             const its::GnDeliveryMeta& meta) { ca_->on_btp_payload(payload, meta); });
   mux_.register_port(its::kBtpPortDenm,
-                     [this](const std::vector<std::uint8_t>& payload,
+                     [this](std::span<const std::uint8_t> payload,
                             const its::GnDeliveryMeta& meta) { den_->on_btp_payload(payload, meta); });
   if (cpm_) {
-    mux_.register_port(its::kBtpPortCpm, [this](const std::vector<std::uint8_t>& payload,
+    mux_.register_port(its::kBtpPortCpm, [this](std::span<const std::uint8_t> payload,
                                                 const its::GnDeliveryMeta& meta) {
       cpm_->on_btp_payload(payload, meta);
     });
@@ -66,13 +66,28 @@ ItsStation::ItsStation(sim::Scheduler& sched, dot11p::Medium& medium, middleware
       [this](const Bytes& pdu, const its::GnDeliveryMeta& meta) {
         const auto latency =
             rng_.normal_time(config_.stack_rx_mean, config_.stack_rx_sigma, config_.stack_rx_min);
-        // Capturing `pdu` shares the payload buffer; no copy per delivery.
-        sched_.post_in(latency, [this, pdu, meta] {
-          its::GnDeliveryMeta handoff_meta = meta;
-          handoff_meta.delivered_at = sched_.now();
-          mux_.on_gn_payload(pdu, handoff_meta);
-        });
+        // The slot shares the payload buffer; no copy per delivery.
+        std::uint32_t slot;
+        if (free_handoffs_.empty()) {
+          slot = static_cast<std::uint32_t>(handoffs_.size());
+          handoffs_.push_back({pdu, meta});
+        } else {
+          slot = free_handoffs_.back();
+          free_handoffs_.pop_back();
+          handoffs_[slot] = {pdu, meta};
+        }
+        sched_.post_in(latency, [this, slot] { dispatch_handoff(slot); });
       });
+}
+
+void ItsStation::dispatch_handoff(std::uint32_t slot) {
+  // Taken out before dispatch: the handlers may deliver again and grow
+  // `handoffs_`.
+  const Bytes pdu = std::move(handoffs_[slot].pdu);
+  its::GnDeliveryMeta meta = handoffs_[slot].meta;
+  free_handoffs_.push_back(slot);
+  meta.delivered_at = sched_.now();
+  mux_.on_gn_payload(pdu, meta);
 }
 
 void ItsStation::start_cam(its::CaBasicService::VehicleDataProvider provider) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "rst/geo/obstacle_grid.hpp"
 
@@ -76,8 +77,7 @@ ObstacleShadowingModel::ObstacleShadowingModel(std::unique_ptr<PathLossModel> ba
       throw std::invalid_argument{"obstacle wall: obstruction_loss_db must be finite and >= 0, got " +
                                   std::to_string(w.obstruction_loss_db)};
     }
-    boxes_.push_back({std::min(w.a.x, w.b.x), std::min(w.a.y, w.b.y),
-                      std::max(w.a.x, w.b.x), std::max(w.a.y, w.b.y)});
+    boxes_.push_back(Box::of(w.a, w.b));
   }
   if (use_index && !walls_.empty()) {
     std::vector<geo::Segment> segments;
@@ -89,30 +89,26 @@ ObstacleShadowingModel::ObstacleShadowingModel(std::unique_ptr<PathLossModel> ba
 
 ObstacleShadowingModel::~ObstacleShadowingModel() = default;
 
-namespace {
-struct RayBox {
-  double min_x, min_y, max_x, max_y;
-  RayBox(geo::Vec2 a, geo::Vec2 b)
-      : min_x{std::min(a.x, b.x)},
-        min_y{std::min(a.y, b.y)},
-        max_x{std::max(a.x, b.x)},
-        max_y{std::max(a.y, b.y)} {}
-};
-}  // namespace
+ObstacleShadowingModel::Box ObstacleShadowingModel::Box::of(geo::Vec2 a, geo::Vec2 b) {
+  return {std::min(a.x, b.x), std::min(a.y, b.y), std::max(a.x, b.x), std::max(a.y, b.y)};
+}
+
+bool ObstacleShadowingModel::crosses(const Box& ray, geo::Vec2 tx, geo::Vec2 rx,
+                                     std::uint32_t i) const {
+  const Box& box = boxes_[i];
+  if (box.max_x < ray.min_x || box.min_x > ray.max_x || box.max_y < ray.min_y ||
+      box.min_y > ray.max_y) {
+    return false;
+  }
+  return geo::segments_intersect(tx, rx, walls_[i].a, walls_[i].b);
+}
 
 template <typename OnNew>
 bool ObstacleShadowingModel::collect_crossings(geo::Vec2 tx, geo::Vec2 rx,
                                                geo::CrossingIds& found, OnNew&& on_new) const {
-  const RayBox ray{tx, rx};
+  const Box ray = Box::of(tx, rx);
   const auto visit = [&](std::uint32_t i) {
-    const auto& box = boxes_[i];
-    if (box.max_x < ray.min_x || box.min_x > ray.max_x || box.max_y < ray.min_y ||
-        box.min_y > ray.max_y) {
-      return true;
-    }
-    if (!geo::segments_intersect(tx, rx, walls_[i].a, walls_[i].b) || !found.insert(i)) {
-      return true;
-    }
+    if (!crosses(ray, tx, rx, i) || !found.insert(i)) return true;
     return on_new(i);
   };
   if (grid_) {
@@ -145,22 +141,59 @@ double ObstacleShadowingModel::loss_db(geo::Vec2 tx, geo::Vec2 rx) const {
   return loss_db_capped(tx, rx, std::numeric_limits<double>::infinity());
 }
 
-double ObstacleShadowingModel::loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db) const {
+bool ObstacleShadowingModel::hint_confirms(geo::Vec2 tx, geo::Vec2 rx, double base_db,
+                                           double limit_db, const CullHint& hint) const {
+  std::uint32_t lo = hint.ids[0];
+  std::uint32_t hi = hint.ids[1];
+  if (hi < lo) std::swap(lo, hi);
+  if (lo >= walls_.size()) return false;  // empty, or ids from another wall set
+  const Box ray = Box::of(tx, rx);
+  double loss = base_db;
+  if (crosses(ray, tx, rx, lo)) loss += walls_[lo].obstruction_loss_db;
+  if (hi != lo && hi < walls_.size() && crosses(ray, tx, rx, hi)) {
+    loss += walls_[hi].obstruction_loss_db;
+  }
+  return loss > limit_db;
+}
+
+double ObstacleShadowingModel::loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db,
+                                              CullHint* hint) const {
   constexpr double kGiveUp = std::numeric_limits<double>::infinity();
   const double base = base_->loss_db(tx, rx);
   const double limit = cap_db + kCapMarginDb;
   if (base > limit) return kGiveUp;
   // Adding a non-negative wall loss never lowers a rounded sum, so the
-  // ascending sum over the walls found so far bounds the final one from
-  // below: once it passes the limit, the exact loss does too. The running
-  // sum (walk order) only decides when that check is worth making; on the
-  // ascending scan the two sums are the same.
+  // ascending sum over any set of crossing walls bounds the exact one from
+  // below: once it passes the limit, the exact loss does too. That holds
+  // for the hinted walls and for the walls a walk has found so far. The
+  // running sum (walk order) only decides when the check is worth making;
+  // on the ascending scan the two sums are the same.
+  if (hint != nullptr && hint_confirms(tx, rx, base, limit, *hint)) {
+    if (grid_) index_queries_.fetch_add(1, std::memory_order_relaxed);
+    return kGiveUp;
+  }
   geo::CrossingIds found;
   double running = base;
   const bool finished = collect_crossings(tx, rx, found, [&](std::uint32_t i) {
     running += walls_[i].obstruction_loss_db;
     return !(running > limit && ascending_sum(base, found) > limit);
   });
+  if (hint != nullptr) {
+    // Keep the two costliest walls of a cull for the link's next query.
+    *hint = CullHint{};
+    if (!finished) {
+      for (const std::uint32_t i : found) {
+        const double loss = walls_[i].obstruction_loss_db;
+        if (hint->ids[0] == CullHint::kNone || loss > walls_[hint->ids[0]].obstruction_loss_db) {
+          hint->ids[1] = hint->ids[0];
+          hint->ids[0] = i;
+        } else if (hint->ids[1] == CullHint::kNone ||
+                   loss > walls_[hint->ids[1]].obstruction_loss_db) {
+          hint->ids[1] = i;
+        }
+      }
+    }
+  }
   return finished ? ascending_sum(base, found) : kGiveUp;
 }
 

@@ -179,7 +179,7 @@ double Medium::cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot) {
     // miss, whatever the map holds. The mover keeps the budget instead of
     // the map, for the case that it stops and the pair is asked again.
     ++stats_.budget_cache_misses;
-    const CachedBudget budget{tx.epoch, rx.epoch, link_budget_dbm(tx, rx)};
+    const CachedBudget budget{tx.epoch, rx.epoch, link_budget_dbm(tx, rx_slot)};
     (rx_moved ? rx : tx).unmapped.push_back({key, budget});
     return budget.mean_dbm;
   }
@@ -202,11 +202,12 @@ double Medium::cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot) {
     }
   }
   ++stats_.budget_cache_misses;
-  entry = {tx.epoch, rx.epoch, link_budget_dbm(tx, rx)};
+  entry = {tx.epoch, rx.epoch, link_budget_dbm(tx, rx_slot)};
   return entry.mean_dbm;
 }
 
-double Medium::link_budget_dbm(const Slot& tx, const Slot& rx) const {
+double Medium::link_budget_dbm(Slot& tx, std::uint32_t rx_slot) {
+  const Slot& rx = slots_[rx_slot];
   const double gains_dbm = tx.radio->config().tx_power_dbm + tx.radio->config().antenna_gain_dbi +
                            rx.radio->config().antenna_gain_dbi;
   // A model may answer +inf for a loss past the cap, making this budget
@@ -214,8 +215,14 @@ double Medium::link_budget_dbm(const Slot& tx, const Slot& rx) const {
   // attenuation: that is never negative, so a link culled without it is
   // culled in every fault window too, and a stored -inf stays valid until
   // an endpoint moves.
-  const double loss =
-      channel_.path_loss->loss_db_capped(tx.pos, rx.pos, gains_dbm - channel_.power_floor_dbm);
+  const bool has_row = rx_slot < tx.cull_hints.size();
+  CullHint hint = has_row ? tx.cull_hints[rx_slot] : CullHint{};
+  const double loss = channel_.path_loss->loss_db_capped(
+      tx.pos, rx.pos, gains_dbm - channel_.power_floor_dbm, &hint);
+  if (!has_row && (hint.ids[0] != CullHint::kNone || hint.ids[1] != CullHint::kNone)) {
+    tx.cull_hints.resize(slots_.size());
+  }
+  if (rx_slot < tx.cull_hints.size()) tx.cull_hints[rx_slot] = hint;
   return gains_dbm - loss;
 }
 
@@ -263,15 +270,20 @@ void Medium::begin_transmission(Radio* tx, Frame frame, std::size_t psdu_bytes) 
     // query so a station moving at the speed bound cannot slip out of the
     // visited cells while still being audible.
     const double pad = channel_.max_station_speed_mps * reindex_period_.to_seconds();
+    const double reach = radius + pad;
     scratch_candidates_.clear();
-    grid_->for_each_in_disc(tx_pos, radius + pad, [&](std::uint32_t id) {
-      if (id != t->tx_slot) scratch_candidates_.push_back(id);
+    grid_->for_each_in_disc(tx_pos, reach, [&](std::uint32_t id) {
+      // The cells' own test at disc resolution: a radio recorded farther
+      // than the padded radius is out of range without a refresh.
+      if (id != t->tx_slot && (slots_[id].pos - tx_pos).norm2() <= reach * reach) {
+        scratch_candidates_.push_back(id);
+      }
     });
     // Canonical order: ascending slot id, matching the full fan-out path,
     // so culling cannot reorder deliveries within one finish event.
     std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
     for (const std::uint32_t rx_slot : scratch_candidates_) admit_receiver(t, rx_slot);
-    // Radios outside the visited cells are below the power floor by
+    // Radios outside the padded disc are below the power floor by
     // construction; fold them into the below-sensitivity drop count in one
     // step so MediumStats stay identical to the unculled path.
     const auto culled = static_cast<std::uint64_t>(attached_count_ - 1 -

@@ -133,7 +133,7 @@ void CaBasicService::send_cam(const CaVehicleData& data) {
   }
 }
 
-void CaBasicService::on_btp_payload(const std::vector<std::uint8_t>& cam_bytes,
+void CaBasicService::on_btp_payload(std::span<const std::uint8_t> cam_bytes,
                                     const GnDeliveryMeta& meta) {
   Cam cam;
   try {

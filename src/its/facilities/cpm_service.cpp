@@ -141,7 +141,7 @@ void CpmService::publish_expired_delta() {
   }
 }
 
-void CpmService::on_btp_payload(const std::vector<std::uint8_t>& cpm_bytes,
+void CpmService::on_btp_payload(std::span<const std::uint8_t> cpm_bytes,
                                 const GnDeliveryMeta& meta) {
   Cpm cpm;
   try {

@@ -182,7 +182,7 @@ std::optional<ReceivedDenmState> DenBasicService::received_state(ActionId id) co
   return it->second;
 }
 
-void DenBasicService::on_btp_payload(const std::vector<std::uint8_t>& denm_bytes,
+void DenBasicService::on_btp_payload(std::span<const std::uint8_t> denm_bytes,
                                      const GnDeliveryMeta& meta) {
   Denm denm;
   try {

@@ -23,6 +23,8 @@ sim::SimTime first_past(sim::SimTime since, sim::SimTime lifetime) {
   return saturating_add(first_at(since, lifetime), sim::SimTime::nanoseconds(1));
 }
 
+bool station_below(const LdmVehicleEntry& e, StationId id) { return e.station_id < id; }
+
 }  // namespace
 
 Ldm::Ldm(sim::Scheduler& sched, const geo::LocalFrame& frame) : sched_{sched}, frame_{frame} {}
@@ -43,8 +45,12 @@ void Ldm::notify(const LdmUpdate& update) {
 
 void Ldm::update_from_cam(const Cam& cam) {
   garbage_collect();
-  auto& e = vehicles_[cam.header.station_id];
-  e.station_id = cam.header.station_id;
+  const StationId id = cam.header.station_id;
+  auto it = std::lower_bound(vehicles_.begin(), vehicles_.end(), id, station_below);
+  if (it == vehicles_.end() || it->station_id != id) {
+    it = vehicles_.insert(it, LdmVehicleEntry{.station_id = id});
+  }
+  LdmVehicleEntry& e = *it;
   e.station_type = cam.basic.station_type;
   const geo::GeoPosition gp{geo::from_its_tenth_microdegree(cam.basic.reference_position.latitude),
                             geo::from_its_tenth_microdegree(cam.basic.reference_position.longitude)};
@@ -97,9 +103,9 @@ void Ldm::garbage_collect() {
   const sim::SimTime now = sched_.now();
   if (now < next_expiry_) return;  // a sweep now would erase nothing
   next_expiry_ = sim::SimTime::max();
-  std::erase_if(vehicles_, [&](const auto& kv) {
-    if (now - kv.second.last_update > vehicle_lifetime_) return true;
-    next_expiry_ = std::min(next_expiry_, first_past(kv.second.last_update, vehicle_lifetime_));
+  std::erase_if(vehicles_, [&](const LdmVehicleEntry& e) {
+    if (now - e.last_update > vehicle_lifetime_) return true;
+    next_expiry_ = std::min(next_expiry_, first_past(e.last_update, vehicle_lifetime_));
     return false;
   });
   std::erase_if(events_, [&](const auto& kv) {
@@ -118,15 +124,15 @@ void Ldm::garbage_collect() {
 }
 
 std::optional<LdmVehicleEntry> Ldm::vehicle(StationId id) const {
-  const auto it = vehicles_.find(id);
-  if (it == vehicles_.end()) return std::nullopt;
-  if (sched_.now() - it->second.last_update > vehicle_lifetime_) return std::nullopt;
-  return it->second;
+  const auto it = std::lower_bound(vehicles_.begin(), vehicles_.end(), id, station_below);
+  if (it == vehicles_.end() || it->station_id != id) return std::nullopt;
+  if (sched_.now() - it->last_update > vehicle_lifetime_) return std::nullopt;
+  return *it;
 }
 
 std::vector<LdmVehicleEntry> Ldm::vehicles() const {
   std::vector<LdmVehicleEntry> out;
-  for (const auto& [id, e] : vehicles_) {
+  for (const LdmVehicleEntry& e : vehicles_) {
     if (sched_.now() - e.last_update <= vehicle_lifetime_) out.push_back(e);
   }
   return out;

@@ -77,8 +77,8 @@ std::vector<std::uint8_t> Cam::encode() const {
   return std::move(e).finish();
 }
 
-Cam Cam::decode(const std::vector<std::uint8_t>& buf) {
-  asn1::PerDecoder d{buf};
+Cam Cam::decode(std::span<const std::uint8_t> buf) {
+  asn1::PerDecoder d{buf.data(), buf.size()};
   Cam v;
   v.header = ItsPduHeader::decode(d);
   if (v.header.message_id != MessageId::Cam) throw asn1::DecodeError{"Cam::decode: not a CAM"};

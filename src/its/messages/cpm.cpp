@@ -73,8 +73,8 @@ std::vector<std::uint8_t> Cpm::encode() const {
   return std::move(e).finish();
 }
 
-Cpm Cpm::decode(const std::vector<std::uint8_t>& buf) {
-  asn1::PerDecoder d{buf};
+Cpm Cpm::decode(std::span<const std::uint8_t> buf) {
+  asn1::PerDecoder d{buf.data(), buf.size()};
   Cpm v;
   v.header = ItsPduHeader::decode(d);
   if (v.header.message_id != MessageId::Cpm) throw asn1::DecodeError{"Cpm::decode: not a CPM"};

@@ -134,8 +134,8 @@ std::vector<std::uint8_t> Denm::encode() const {
   return std::move(e).finish();
 }
 
-Denm Denm::decode(const std::vector<std::uint8_t>& buf) {
-  asn1::PerDecoder d{buf};
+Denm Denm::decode(std::span<const std::uint8_t> buf) {
+  asn1::PerDecoder d{buf.data(), buf.size()};
   Denm v;
   v.header = ItsPduHeader::decode(d);
   if (v.header.message_id != MessageId::Denm) throw asn1::DecodeError{"Denm::decode: not a DENM"};

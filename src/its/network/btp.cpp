@@ -14,12 +14,9 @@ std::vector<std::uint8_t> BtpHeader::prepend_to(const std::vector<std::uint8_t>&
 }
 
 BtpHeader::Parsed BtpHeader::parse(const std::vector<std::uint8_t>& pdu) {
-  if (pdu.size() < kSize) throw asn1::DecodeError{"BtpHeader::parse: truncated PDU"};
-  Parsed p;
-  p.header.destination_port = static_cast<std::uint16_t>((pdu[0] << 8) | pdu[1]);
-  p.header.destination_port_info = static_cast<std::uint16_t>((pdu[2] << 8) | pdu[3]);
-  p.payload.assign(pdu.begin() + kSize, pdu.end());
-  return p;
+  const std::optional<BtpHeader> header = read(pdu);
+  if (!header) throw asn1::DecodeError{"BtpHeader::parse: truncated PDU"};
+  return Parsed{*header, std::vector<std::uint8_t>(pdu.begin() + kSize, pdu.end())};
 }
 
 }  // namespace rst::its

@@ -9,20 +9,18 @@ void BtpMux::register_port(std::uint16_t port, Handler handler) {
 void BtpMux::unregister_port(std::uint16_t port) { handlers_.erase(port); }
 
 void BtpMux::on_gn_payload(const std::vector<std::uint8_t>& btp_pdu, const GnDeliveryMeta& meta) {
-  BtpHeader::Parsed parsed;
-  try {
-    parsed = BtpHeader::parse(btp_pdu);
-  } catch (const asn1::DecodeError&) {
+  const std::optional<BtpHeader> header = BtpHeader::read(btp_pdu);
+  if (!header) {
     ++stats_.parse_errors;
     return;
   }
-  const auto it = handlers_.find(parsed.header.destination_port);
+  const auto it = handlers_.find(header->destination_port);
   if (it == handlers_.end()) {
     ++stats_.unknown_port;
     return;
   }
   ++stats_.dispatched;
-  it->second(parsed.payload, meta);
+  it->second(std::span{btp_pdu}.subspan(BtpHeader::kSize), meta);
 }
 
 }  // namespace rst::its

@@ -97,6 +97,15 @@ struct DecodeMemo {
   std::optional<GnPacket> packet;
 };
 
+/// The first entry of `table` whose address is not below `address`.
+template <typename Table>
+auto lower_bound_address(Table& table, std::uint64_t address) {
+  return std::lower_bound(table.begin(), table.end(), address,
+                          [](const LocationTableEntry& e, std::uint64_t a) {
+                            return e.position_vector.address.value < a;
+                          });
+}
+
 const std::optional<GnPacket>& decode_memoized(const Bytes& frame) {
   thread_local DecodeMemo memo;
   if (frame.storage_id() == nullptr || frame.storage_id() != memo.frame.storage_id()) {
@@ -251,11 +260,16 @@ void GeoNetRouter::transmit_guc(std::vector<std::uint8_t> btp_pdu,
   broadcast(pkt, ac);
 }
 
+std::optional<LocationTableEntry> GeoNetRouter::location_entry(GnAddress address) const {
+  const auto it = lower_bound_address(location_table_, address.value);
+  if (it == location_table_.end() || it->position_vector.address != address) return std::nullopt;
+  return *it;
+}
+
 bool GeoNetRouter::send_guc(std::vector<std::uint8_t> btp_pdu, GnAddress destination,
                             dot11p::AccessCategory ac, std::optional<std::uint8_t> hop_limit) {
-  const auto it = location_table_.find(destination.value);
-  if (it != location_table_.end()) {
-    transmit_guc(std::move(btp_pdu), it->second.position_vector, ac, hop_limit);
+  if (const std::optional<LocationTableEntry> entry = location_entry(destination)) {
+    transmit_guc(std::move(btp_pdu), entry->position_vector, ac, hop_limit);
     return true;
   }
   // Unknown position: buffer the PDU and run the location service.
@@ -288,8 +302,8 @@ bool GeoNetRouter::send_guc(std::vector<std::uint8_t> btp_pdu, GnAddress destina
 void GeoNetRouter::flush_ls_buffer(GnAddress destination) {
   const auto it = ls_buffer_.find(destination.value);
   if (it == ls_buffer_.end()) return;
-  const auto pos = location_table_.find(destination.value);
-  if (pos == location_table_.end()) return;
+  const std::optional<LocationTableEntry> entry = location_entry(destination);
+  if (!entry) return;
   std::vector<PendingGuc> queue = std::move(it->second);
   ls_buffer_.erase(it);
   for (auto& pending : queue) {
@@ -297,7 +311,7 @@ void GeoNetRouter::flush_ls_buffer(GnAddress destination) {
       ++stats_.ls_buffer_dropped;
       continue;
     }
-    transmit_guc(std::move(pending.btp_pdu), pos->second.position_vector, pending.ac,
+    transmit_guc(std::move(pending.btp_pdu), entry->position_vector, pending.ac,
                  pending.hop_limit);
   }
 }
@@ -350,11 +364,12 @@ void GeoNetRouter::remember(GnAddress src, std::uint16_t seq) {
 
 void GeoNetRouter::update_location_table(const LongPositionVector& pv) {
   if (pv.address == address_) return;
-  const auto [it, fresh] = location_table_.try_emplace(pv.address.value);
-  LocationTableEntry& entry = it->second;
-  entry.position_vector = pv;
-  entry.last_update = sched_.now();
-  ++entry.packets_received;
+  auto it = lower_bound_address(location_table_, pv.address.value);
+  const bool fresh = it == location_table_.end() || it->position_vector.address != pv.address;
+  if (fresh) it = location_table_.insert(it, LocationTableEntry{});
+  it->position_vector = pv;
+  it->last_update = sched_.now();
+  ++it->packets_received;
   if (fresh) flush_ls_buffer(pv.address);
 }
 
@@ -363,8 +378,8 @@ void GeoNetRouter::prune_tables() {
   std::erase_if(dpd_, [&](const auto& kv) {
     return now - kv.second.seen > config_.duplicate_entry_lifetime;
   });
-  std::erase_if(location_table_, [&](const auto& kv) {
-    return now - kv.second.last_update > config_.location_entry_lifetime;
+  std::erase_if(location_table_, [&](const LocationTableEntry& e) {
+    return now - e.last_update > config_.location_entry_lifetime;
   });
 }
 

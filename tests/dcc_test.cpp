@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "rst/its/dcc/channel_probe.hpp"
@@ -11,6 +12,15 @@ namespace rst::its::dcc {
 namespace {
 
 using namespace rst::sim::literals;
+
+/// `prefix` followed by the decimal digits of `n`. Appending to the prefix,
+/// rather than `"r" + std::to_string(n)`, keeps GCC 12's -Wrestrict false
+/// positive in libstdc++'s string insert out of Release builds.
+std::string numbered(const char* prefix, long long n) {
+  std::string out{prefix};
+  out += std::to_string(n);
+  return out;
+}
 
 struct Rig {
   sim::Scheduler sched;
@@ -26,10 +36,10 @@ struct Rig {
   }
 
   dot11p::Radio& add_radio(geo::Vec2 pos) {
-    const auto i = radios.size();
+    const auto i = static_cast<long long>(radios.size());
     radios.push_back(std::make_unique<dot11p::Radio>(
-        *medium, dot11p::RadioConfig{}, [pos] { return pos; },
-        rng.child("r" + std::to_string(i)), "r" + std::to_string(i)));
+        *medium, dot11p::RadioConfig{}, [pos] { return pos; }, rng.child(numbered("r", i)),
+        numbered("r", i)));
     return *radios.back();
   }
 };

@@ -2,7 +2,9 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "rst/its/network/btp.hpp"
 #include "rst/its/network/geonet.hpp"
@@ -11,6 +13,15 @@ namespace rst::its {
 namespace {
 
 using namespace rst::sim::literals;
+
+/// `prefix` followed by the decimal digits of `n`. Appending to the prefix,
+/// rather than `"r" + std::to_string(n)`, keeps GCC 12's -Wrestrict false
+/// positive in libstdc++'s string insert out of Release builds.
+std::string numbered(const char* prefix, long long n) {
+  std::string out{prefix};
+  out += std::to_string(n);
+  return out;
+}
 
 struct Node {
   std::unique_ptr<dot11p::Radio> radio;
@@ -35,11 +46,11 @@ struct Rig {
   Node& add_node(std::uint32_t id, geo::Vec2 pos, dot11p::RadioConfig radio_config = {}) {
     auto node = std::make_unique<Node>();
     node->radio = std::make_unique<dot11p::Radio>(
-        *medium, radio_config, [pos] { return pos; }, rng.child("r" + std::to_string(id)),
-        "r" + std::to_string(id));
+        *medium, radio_config, [pos] { return pos; }, rng.child(numbered("r", id)),
+        numbered("r", id));
     node->router = std::make_unique<GeoNetRouter>(
         sched, *node->radio, frame, GnAddress::from_station(id),
-        [pos] { return EgoState{pos, 0.0, 0.0}; }, gn_config_, rng.child("g" + std::to_string(id)));
+        [pos] { return EgoState{pos, 0.0, 0.0}; }, gn_config_, rng.child(numbered("g", id)));
     Node* raw = node.get();
     node->router->set_delivery_handler(
         [raw](const std::vector<std::uint8_t>& pdu, const GnDeliveryMeta& meta) {
@@ -91,12 +102,11 @@ TEST(GeoNet, LocationTableLearnsFromAllPackets) {
   auto& b = rig.add_node(2, {20, 0});
   a.router->send_shb(payload_bytes(), dot11p::AccessCategory::Video);
   rig.sched.run();
-  const auto& table = b.router->location_table();
-  const auto it = table.find(GnAddress::from_station(1).value);
-  ASSERT_NE(it, table.end());
-  EXPECT_EQ(it->second.packets_received, 1u);
+  const auto entry = b.router->location_entry(GnAddress::from_station(1));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->packets_received, 1u);
   // Own address never appears in the local table.
-  EXPECT_FALSE(a.router->location_table().contains(GnAddress::from_station(1).value));
+  EXPECT_FALSE(a.router->location_entry(GnAddress::from_station(1)).has_value());
 }
 
 TEST(GeoNet, GbcDeliversInsideAreaOnly) {
@@ -205,7 +215,7 @@ TEST(GeoNet, LocationServiceResolvesUnknownDestination) {
   auto& b = rig.add_node(2, {20, 0});
   // a has never heard from b: the GUC is buffered, an LS request floods,
   // b answers, and the buffered PDU goes out.
-  EXPECT_FALSE(a.router->location_table().contains(GnAddress::from_station(2).value));
+  EXPECT_FALSE(a.router->location_entry(GnAddress::from_station(2)).has_value());
   EXPECT_TRUE(a.router->send_guc(payload_bytes(), GnAddress::from_station(2),
                                  dot11p::AccessCategory::Video));
   rig.sched.run_until(2_s);
@@ -214,7 +224,7 @@ TEST(GeoNet, LocationServiceResolvesUnknownDestination) {
   EXPECT_EQ(a.router->stats().ls_requests_sent, 1u);
   EXPECT_EQ(b.router->stats().ls_replies_sent, 1u);
   // The resolved position is now cached for future unicasts.
-  EXPECT_TRUE(a.router->location_table().contains(GnAddress::from_station(2).value));
+  EXPECT_TRUE(a.router->location_entry(GnAddress::from_station(2)).has_value());
 }
 
 TEST(GeoNet, LocationServiceRequestFloodsAcrossHops) {
@@ -262,7 +272,7 @@ TEST(GeoNet, GucForwardsGreedilyAcrossRangeLimit) {
   // a beacon-equivalent — simplest: seed the location tables through TSB).
   c.router->send_tsb({0x01}, 3, dot11p::AccessCategory::Video);
   rig.sched.run_until(2_s);
-  ASSERT_TRUE(a.router->location_table().contains(GnAddress::from_station(3).value));
+  ASSERT_TRUE(a.router->location_entry(GnAddress::from_station(3)).has_value());
 
   EXPECT_TRUE(a.router->send_guc(payload_bytes(), GnAddress::from_station(3),
                                  dot11p::AccessCategory::Video));
@@ -298,8 +308,8 @@ TEST(GeoNet, BeaconingPopulatesLocationTables) {
   auto& b = rig.add_node(2, {30, 0});
   (void)a;
   rig.sched.run_until(3_s);
-  EXPECT_TRUE(b.router->location_table().contains(GnAddress::from_station(1).value));
-  EXPECT_TRUE(a.router->location_table().contains(GnAddress::from_station(2).value));
+  EXPECT_TRUE(b.router->location_entry(GnAddress::from_station(1)).has_value());
+  EXPECT_TRUE(a.router->location_entry(GnAddress::from_station(2)).has_value());
   // Beacons carry no payload: nothing is delivered up.
   EXPECT_TRUE(a.delivered.empty());
   EXPECT_TRUE(b.delivered.empty());
@@ -313,12 +323,12 @@ TEST(GeoNet, LocationTableEntriesExpire) {
   auto& b = rig.add_node(2, {30, 0});
   a.router->send_shb(payload_bytes(), dot11p::AccessCategory::Video);
   rig.sched.run_until(100_ms);
-  EXPECT_TRUE(b.router->location_table().contains(GnAddress::from_station(1).value));
+  EXPECT_TRUE(b.router->location_entry(GnAddress::from_station(1)).has_value());
   rig.sched.run_until(3_s);
   // Trigger table maintenance via another reception.
   b.router->send_shb(payload_bytes(), dot11p::AccessCategory::Video);
   rig.sched.run_until(4_s);
-  EXPECT_FALSE(b.router->location_table().contains(GnAddress::from_station(1).value));
+  EXPECT_FALSE(b.router->location_entry(GnAddress::from_station(1)).has_value());
 }
 
 TEST(GeoNet, ExpiredPacketsAreDroppedNotProcessed) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "rst/core/experiment.hpp"
 #include "rst/core/testbed.hpp"
 
@@ -141,8 +147,8 @@ TEST(Testbed, CustomBtpPortServicesCanBeRegistered) {
   // A bespoke application protocol on BTP port 3001 from RSU to OBU.
   std::vector<std::uint8_t> received;
   scenario.obu().btp().register_port(
-      3001, [&](const std::vector<std::uint8_t>& payload, const its::GnDeliveryMeta&) {
-        received = payload;
+      3001, [&](std::span<const std::uint8_t> payload, const its::GnDeliveryMeta&) {
+        received.assign(payload.begin(), payload.end());
       });
   const std::vector<std::uint8_t> payload{0xca, 0xfe};
   scenario.rsu().router().send_gbc(its::BtpHeader{3001, 0}.prepend_to(payload),
@@ -151,6 +157,39 @@ TEST(Testbed, CustomBtpPortServicesCanBeRegistered) {
   scenario.scheduler().run_until(scenario.scheduler().now() + 500_ms);
   EXPECT_EQ(received, payload);
   EXPECT_GE(scenario.obu().btp().stats().dispatched, 1u);
+}
+
+TEST(Testbed, OverlappingDeliveriesKeepTheirOwnPayloadAndMeta) {
+  // Frames that reach a station within one stack-processing latency wait
+  // in separate hand-off slots: each is dispatched once, with its own
+  // payload and source.
+  TestbedConfig config;
+  config.seed = 35;
+  TestbedScenario scenario{config};
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> received;
+  scenario.obu().btp().register_port(
+      3001, [&](std::span<const std::uint8_t> payload, const its::GnDeliveryMeta& meta) {
+        received.emplace_back(meta.source.value,
+                              std::vector<std::uint8_t>(payload.begin(), payload.end()));
+      });
+  auto& sched = scenario.scheduler();
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> sent;
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    its::GnPacket pkt;
+    pkt.type = its::GnPacketType::Shb;
+    pkt.source.address = its::GnAddress::from_station(100u + i);
+    pkt.source.timestamp_ms = static_cast<std::uint32_t>(sched.now().count_ns() / 1'000'000);
+    pkt.forwarder = pkt.source;
+    const std::vector<std::uint8_t> payload{i, static_cast<std::uint8_t>(0xa0 + i)};
+    pkt.payload = its::BtpHeader{3001, 0}.prepend_to(payload);
+    dot11p::Frame frame;
+    frame.payload = pkt.encode();
+    scenario.obu().radio().deliver(frame, dot11p::RxInfo{});
+    sent.emplace_back(pkt.source.address.value, payload);
+  }
+  sched.run_until(sched.now() + 50_ms);
+  std::sort(received.begin(), received.end());
+  EXPECT_EQ(received, sent);
 }
 
 TEST(Testbed, CellularWarningPathStopsTheVehicle) {

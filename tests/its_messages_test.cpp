@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "rst/its/messages/cam.hpp"
 #include "rst/its/messages/cause_code.hpp"
 #include "rst/its/messages/denm.hpp"
@@ -231,12 +233,12 @@ TEST(BtpMux, DispatchesByPort) {
   BtpMux mux;
   int cam_hits = 0;
   int custom_hits = 0;
-  mux.register_port(kBtpPortCam, [&](const std::vector<std::uint8_t>& p, const GnDeliveryMeta&) {
-    EXPECT_EQ(p, (std::vector<std::uint8_t>{1, 2}));
+  mux.register_port(kBtpPortCam, [&](std::span<const std::uint8_t> p, const GnDeliveryMeta&) {
+    EXPECT_EQ(std::vector<std::uint8_t>(p.begin(), p.end()), (std::vector<std::uint8_t>{1, 2}));
     ++cam_hits;
   });
   mux.register_port(3000,
-                    [&](const std::vector<std::uint8_t>&, const GnDeliveryMeta&) { ++custom_hits; });
+                    [&](std::span<const std::uint8_t>, const GnDeliveryMeta&) { ++custom_hits; });
   EXPECT_TRUE(mux.has_port(3000));
 
   GnDeliveryMeta meta;

@@ -92,9 +92,11 @@ struct RunResult {
   Medium::Stats stats;
 };
 
-/// `path_loss` null means plain log-distance at the topology's exponent.
+/// `path_loss` null means plain log-distance at the topology's exponent;
+/// `cell_size_m` 0 derives the grid cell from the floor.
 RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial,
-                       std::shared_ptr<const PathLossModel> path_loss = nullptr) {
+                       std::shared_ptr<const PathLossModel> path_loss = nullptr,
+                       double cell_size_m = 0.0) {
   sim::Scheduler sched;
   sim::RandomStream rng{seed, "equiv_run"};
 
@@ -105,6 +107,7 @@ RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial,
   channel.shadowing_sigma_db = topo.shadowing_sigma_db;
   channel.spatial_index = spatial;
   channel.power_floor_dbm = topo.power_floor_dbm;
+  channel.cell_size_m = cell_size_m;
   Medium medium{sched, rng.child("medium"), channel};
 
   // Moving nodes follow a fixed 10 ms kinematic tick for 100 ms; the
@@ -169,6 +172,33 @@ TEST(MediumEquivalence, SpatialIndexNeverChangesOutcomes) {
   }
   // The property is vacuous if no topology ever culled a link.
   EXPECT_GT(topologies_with_culling, 50);
+}
+
+TEST(MediumEquivalence, DistanceDropMatchesTheFanOut) {
+  // Grid cells far wider than any cull radius put every radio in one of a
+  // few cells, so the cells cull nothing: each out-of-range radio is
+  // dropped by the distance test on its recorded position instead.
+  int topologies_dropping = 0;
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    const Topology topo = make_topology(seed);
+    const RunResult off = run_scenario(topo, seed, /*spatial=*/false);
+    const RunResult on = run_scenario(topo, seed, /*spatial=*/true, nullptr, 1e5);
+
+    ASSERT_EQ(off.logs, on.logs) << "delivery logs diverged at seed " << seed;
+    EXPECT_EQ(off.stats.frames_transmitted, on.stats.frames_transmitted) << seed;
+    EXPECT_EQ(off.stats.deliveries, on.stats.deliveries) << seed;
+    EXPECT_EQ(off.stats.dropped_half_duplex, on.stats.dropped_half_duplex) << seed;
+    EXPECT_EQ(off.stats.dropped_below_sensitivity, on.stats.dropped_below_sensitivity) << seed;
+    EXPECT_EQ(off.stats.dropped_error, on.stats.dropped_error) << seed;
+    EXPECT_EQ(off.stats.culled_below_floor, on.stats.culled_below_floor) << seed;
+    // A dropped radio's budget is never looked up.
+    const auto lookups = [](const Medium::Stats& st) {
+      return st.budget_cache_hits + st.budget_cache_misses;
+    };
+    ASSERT_LE(lookups(on.stats), lookups(off.stats)) << seed;
+    if (lookups(on.stats) < lookups(off.stats)) ++topologies_dropping;
+  }
+  EXPECT_GT(topologies_dropping, 50);
 }
 
 /// Forwards `loss_db` and `min_loss_db` and keeps the default

@@ -15,6 +15,15 @@ namespace {
 
 using namespace rst::sim::literals;
 
+/// `prefix` followed by the decimal digits of `n`. Appending to the prefix,
+/// rather than `"r" + std::to_string(n)`, keeps GCC 12's -Wrestrict false
+/// positive in libstdc++'s string insert out of Release builds.
+std::string numbered(const char* prefix, long long n) {
+  std::string out{prefix};
+  out += std::to_string(n);
+  return out;
+}
+
 /// A bus declares its topics once, as members next to their message types.
 struct TestBus : MessageBus {
   using MessageBus::MessageBus;
@@ -62,8 +71,8 @@ TEST(Topic, LatencyDrawsFollowPublishThenSubscriptionOrder) {
   sim::Scheduler sched;
   TestBus bus{sched, sim::RandomStream{11, "topics"}};
   std::map<std::string, sim::SimTime> delivered;
-  bus.numbers.subscribe([&](const int& v) { delivered["a" + std::to_string(v)] = sched.now(); });
-  bus.numbers.subscribe([&](const int& v) { delivered["b" + std::to_string(v)] = sched.now(); });
+  bus.numbers.subscribe([&](const int& v) { delivered[numbered("a", v)] = sched.now(); });
+  bus.numbers.subscribe([&](const int& v) { delivered[numbered("b", v)] = sched.now(); });
   bus.words.subscribe([&](const std::string& w) { delivered["c" + w] = sched.now(); });
 
   bus.numbers.publish(1);

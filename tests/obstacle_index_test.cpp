@@ -17,13 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -221,6 +225,98 @@ TEST(ObstacleIndex, IndexedMatchesBruteForceOnRandomSoups) {
   // Both answers must occur, or the capped property says nothing.
   EXPECT_GT(given_up, 1000u);
   EXPECT_GT(exact, 1000u);
+}
+
+/// `base` plus the attenuation of the walls among `hint`'s ids that cross
+/// a-b, in ascending id order: the lower bound a hint offers.
+double hinted_sum(const std::vector<Wall>& walls, Vec2 a, Vec2 b, double base,
+                  const dot11p::CullHint& hint) {
+  std::vector<std::uint32_t> ids;
+  for (const std::uint32_t id : hint.ids) {
+    if (id < walls.size() && std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  for (const std::uint32_t id : ids) {
+    if (geo::segments_intersect(a, b, walls[id].a, walls[id].b)) base += walls[id].obstruction_loss_db;
+  }
+  return base;
+}
+
+TEST(ObstacleIndex, CullHintsNeverChangeAnAnswer) {
+  // Every kind of hint a medium can hold for a link: none, the one a cull
+  // of this very ray left, one a cull of another ray left (its walls need
+  // not cross this ray), ids beyond the wall set, and one id twice. Each
+  // query must return loss_db's bits, or +inf only past the cap plus the
+  // margin, and a cull's own hint must cull the same ray again.
+  std::mt19937_64 rng{0x51de};
+  const double cell_sizes[] = {0.0, 7.0, 25.0, 250.0};  // 0 = derived
+  const dot11p::LogDistanceModel base_model = dot11p::LogDistanceModel::its_g5(2.5);
+  constexpr std::uint32_t kNone = dot11p::CullHint::kNone;
+  std::size_t given_up = 0;
+  std::size_t exact = 0;
+  std::size_t hinted_culls = 0;
+  std::size_t settled_by_hint = 0;  // culls whose own hint is past the cap by itself
+  for (int rep = 0; rep < 120; ++rep) {
+    const int n = 1 + static_cast<int>(rng() % 64);
+    const double extent = 50.0 + static_cast<double>(rng() % 400);
+    const double cell_m = cell_sizes[rep % 4];
+    const double boundary_cell = cell_m > 0.0 ? cell_m : 64.0;
+    const std::vector<Wall> walls = random_soup(rng, n, extent, boundary_cell);
+    const auto brute = make_model(walls, false);
+    const auto indexed = make_model(walls, true, cell_m);
+    const auto rays = adversarial_rays(walls, rng, extent, boundary_cell);
+    const auto wall_count = static_cast<std::uint32_t>(walls.size());
+    for (std::size_t r = 0; r < rays.size(); ++r) {
+      const auto [a, b] = rays[r];
+      const auto [other_a, other_b] = rays[(r + 1) % rays.size()];
+      const double exact_loss = brute->loss_db(a, b);
+      const double base = base_model.loss_db(a, b);
+      for (const double cap : caps_around(exact_loss, base)) {
+        for (const auto* model : {brute.get(), indexed.get()}) {
+          const auto check = [&](double capped, const char* kind) {
+            if (std::isinf(capped)) {
+              ASSERT_GT(capped, 0.0) << kind;
+              ASSERT_GT(exact_loss, cap + dot11p::PathLossModel::kCapMarginDb)
+                  << "gave up within the margin with " << kind << " hint: soup " << rep;
+              ++given_up;
+            } else {
+              ASSERT_EQ(capped, exact_loss) << kind << " hint: soup " << rep << " cap " << cap;
+              ++exact;
+            }
+          };
+          dot11p::CullHint own;
+          check(model->loss_db_capped(a, b, cap, &own), "an empty");
+          // A cull leaves walls that cross the ray; a finished walk leaves none.
+          for (const std::uint32_t id : own.ids) {
+            if (id == kNone) continue;
+            ASSERT_LT(id, wall_count);
+            ASSERT_TRUE(geo::segments_intersect(a, b, walls[id].a, walls[id].b));
+          }
+          dot11p::CullHint other;
+          (void)model->loss_db_capped(other_a, other_b, cap, &other);
+          const dot11p::CullHint kinds[] = {own, other, {{wall_count, wall_count + 7}}, {{0, 0}}};
+          const char* names[] = {"its own", "another ray's", "an outside", "a doubled"};
+          for (int k = 0; k < 4; ++k) {
+            dot11p::CullHint hint = kinds[k];
+            check(model->loss_db_capped(a, b, cap, &hint), names[k]);
+          }
+          if (own.ids[0] != kNone) {
+            ++hinted_culls;
+            dot11p::CullHint again = own;
+            ASSERT_TRUE(std::isinf(model->loss_db_capped(a, b, cap, &again))) << "soup " << rep;
+            if (hinted_sum(walls, a, b, base, own) > cap + dot11p::PathLossModel::kCapMarginDb) {
+              ++settled_by_hint;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Every path must occur, or the property says nothing.
+  EXPECT_GT(given_up, 1000u);
+  EXPECT_GT(exact, 1000u);
+  EXPECT_GT(hinted_culls, 500u);
+  EXPECT_GT(settled_by_hint, 250u);
 }
 
 TEST(ObstacleIndex, RayCrossingManyWallsMatchesBruteForce) {
@@ -546,6 +642,89 @@ TEST(ObstacleIndex, BudgetCacheHitsOnceTheMoverStops) {
   EXPECT_EQ(counts(), (Counts{12, 10}));
   EXPECT_EQ(r0_rssi.at(radios[2]->mac_address()),
             medium.mean_rx_power_dbm(*radios[2], *radios[0]));
+}
+
+/// Runs a moving 24-radio fleet on a spatially indexed medium over
+/// `model` and folds every delivery (receiver, sender, RSSI bits) and the
+/// medium's outcome counters into one hash. Each medium keeps the cull
+/// hints of its own links.
+std::uint64_t run_fleet_digest(const std::shared_ptr<const ObstacleShadowingModel>& model,
+                               std::uint64_t seed) {
+  sim::Scheduler sched;
+  sim::RandomStream rng{seed, "shared_model"};
+  dot11p::ChannelModel channel;
+  channel.path_loss = model;
+  channel.spatial_index = true;
+  dot11p::Medium medium{sched, rng.child("medium"), channel};
+  std::mt19937_64 layout{seed};
+  std::uniform_real_distribution<double> pos{-300.0, 300.0};
+  std::uniform_real_distribution<double> speed{-15.0, 15.0};
+  auto positions = std::make_shared<std::vector<Vec2>>();
+  std::vector<Vec2> velocities;
+  for (int i = 0; i < 24; ++i) {
+    positions->push_back({pos(layout), pos(layout)});
+    velocities.push_back({speed(layout), speed(layout)});
+  }
+  for (int tick = 1; tick <= 100; ++tick) {
+    sched.post_at(sim::SimTime::milliseconds(10) * tick, [positions, &velocities] {
+      for (std::size_t i = 0; i < positions->size(); ++i) (*positions)[i] += velocities[i] * 0.010;
+    });
+  }
+  std::uint64_t h = 1469598103934665603ull;
+  std::vector<std::unique_ptr<dot11p::Radio>> radios;
+  for (std::size_t i = 0; i < positions->size(); ++i) {
+    std::string name{"r"};  // appended, not "r" + ...: GCC 12 -O3 warns -Wrestrict on that
+    name += std::to_string(i);
+    radios.push_back(std::make_unique<dot11p::Radio>(
+        medium, dot11p::RadioConfig{}, [positions, i] { return (*positions)[i]; },
+        rng.child(name), name));
+    radios.back()->set_receive_callback([&h, i](const dot11p::Frame&, const dot11p::RxInfo& info) {
+      std::uint64_t rssi;
+      std::memcpy(&rssi, &info.rssi_dbm, sizeof rssi);
+      h = fnv1a(fnv1a(fnv1a(h, i), info.src_mac), rssi);
+    });
+  }
+  for (int round = 0; round < 50; ++round) {
+    for (std::size_t i = 0; i < radios.size(); ++i) {
+      sched.post_at(sim::SimTime::milliseconds(20) * round +
+                        sim::SimTime::microseconds(static_cast<std::int64_t>(1 + 600 * i)),
+                    [&radios, i] {
+                      dot11p::Frame f;
+                      f.payload.assign(200, 0x5a);
+                      f.ac = dot11p::AccessCategory::BestEffort;
+                      radios[i]->send(f);
+                    });
+    }
+  }
+  sched.run();
+  const auto& st = medium.stats();
+  for (const std::uint64_t v : {st.frames_transmitted, st.deliveries, st.dropped_half_duplex,
+                                st.dropped_below_sensitivity, st.dropped_error,
+                                st.culled_below_floor}) {
+    h = fnv1a(h, v);
+  }
+  return h;
+}
+
+TEST(ObstacleIndex, SharedModelServesTwoThreadsWithTheirOwnHints) {
+  // One immutable model, two media on two threads, each medium holding the
+  // cull hints of its own links: each run must match its serial run on a
+  // model of its own.
+  std::mt19937_64 rng{77};
+  const std::vector<Wall> walls = random_soup(rng, 160, 320.0, 32.0);
+  const std::shared_ptr<const ObstacleShadowingModel> shared = make_model(walls, true);
+  const std::uint64_t serial_a = run_fleet_digest(make_model(walls, true), 1);
+  const std::uint64_t serial_b = run_fleet_digest(make_model(walls, true), 2);
+  ASSERT_NE(serial_a, serial_b);
+  std::uint64_t threaded_a = 0;
+  std::uint64_t threaded_b = 0;
+  std::thread first{[&] { threaded_a = run_fleet_digest(shared, 1); }};
+  std::thread second{[&] { threaded_b = run_fleet_digest(shared, 2); }};
+  first.join();
+  second.join();
+  EXPECT_EQ(threaded_a, serial_a);
+  EXPECT_EQ(threaded_b, serial_b);
+  EXPECT_GT(shared->index_queries(), 0u);
 }
 
 TEST(ObstacleIndex, CitySpecRoundTripsObstacleIndexKnob) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "rst/core/testbed.hpp"
@@ -203,10 +204,11 @@ TEST(SchedulerAlloc, EmptyPollsAllocateNothing) {
 }
 
 TEST(SchedulerAlloc, BrakeTrialLoopStaysUnderItsAllocationBound) {
-  // The loop allocated 364 times when the bound was set (646 with the
-  // string HTTP bodies, 2,606 with the string-keyed bus); the bound leaves
-  // 10% headroom.
-  constexpr std::size_t kBound = 400;
+  // The loop allocated 346 times when the bound was set (364 while each
+  // radio delivery heap-allocated its stack-processing event and BTP copied
+  // every payload, 646 with the string HTTP bodies, 2,606 with the
+  // string-keyed bus); the bound leaves 10% headroom.
+  constexpr std::size_t kBound = 380;
   rst::core::TestbedConfig config;
   config.seed = 401;
   rst::core::TestbedScenario scenario{config};
@@ -219,6 +221,7 @@ TEST(SchedulerAlloc, BrakeTrialLoopStaysUnderItsAllocationBound) {
     allocations = scope.count();
   }
   EXPECT_TRUE(result.stopped_by_denm);
+  RecordProperty("allocations", std::to_string(allocations));
   EXPECT_LE(allocations, kBound);
 }
 
