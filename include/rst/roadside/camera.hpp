@@ -65,7 +65,13 @@ class RoadsideCamera {
   /// Walls block the optical line of sight (as they do for radio/LiDAR).
   void set_walls(std::vector<dot11p::Wall> walls) { walls_ = std::move(walls); }
 
-  [[nodiscard]] CameraFrame capture();
+  [[nodiscard]] CameraFrame capture() {
+    CameraFrame frame;
+    capture(frame);
+    return frame;
+  }
+  /// Captures into `frame`, reusing its object list's capacity.
+  void capture(CameraFrame& frame);
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::uint64_t frames_captured() const { return frame_counter_; }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "rst/middleware/message_bus.hpp"
@@ -32,12 +34,16 @@ struct DetectionBatch {
   std::vector<TrackedDetection> detections;
 };
 
+/// A published batch, shared read-only by every subscriber (as `Bytes`
+/// shares a payload): a delivery copies this handle, not the detections.
+using SharedDetectionBatch = std::shared_ptr<const DetectionBatch>;
+
 /// The edge node's bus, one member per topic.
 struct EdgeBus : middleware::MessageBus {
   using MessageBus::MessageBus;
 
   /// Detection service -> hazard service (and, with CPM on, the RSU's LDM feed).
-  middleware::Topic<DetectionBatch> detections{*this};
+  middleware::Topic<SharedDetectionBatch> detections{*this};
 };
 
 struct ObjectDetectionConfig {
@@ -62,6 +68,9 @@ struct ObjectDetectionConfig {
 /// The processing loop runs at ~4 FPS ("the processing is done at
 /// approximately 4 Frames per Second, so a small error margin on detection
 /// exists"), which quantises the action-point crossing instant.
+///
+/// Once warm, a frame allocates nothing: frames, detections and batches
+/// live in buffers the service reuses, keeping their capacity.
 class ObjectDetectionService {
  public:
   using Config = ObjectDetectionConfig;
@@ -78,7 +87,17 @@ class ObjectDetectionService {
   [[nodiscard]] double effective_fps() const;
 
  private:
+  /// A frame and its YOLO output waiting out the inference latency. The
+  /// pending event carries only the slot index, so it fits the scheduler's
+  /// inline buffer; frames overlap when inference outlasts the period.
+  struct InFlight {
+    CameraFrame frame;
+    std::vector<YoloDetection> detections;
+  };
+
   void process_frame();
+  /// Tracks and publishes the frame held in `slot`, then frees the slot.
+  void complete_frame(std::uint32_t slot);
 
   sim::Scheduler& sched_;
   EdgeBus& bus_;
@@ -92,6 +111,12 @@ class ObjectDetectionService {
   sim::SimTime started_at_{};
   RangeTracker tracker_;
   DetectionAssociator associator_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;  // indices into in_flight_
+  /// Published batches; one is refilled once no delivery or subscriber
+  /// holds it any more.
+  std::vector<std::shared_ptr<DetectionBatch>> batches_;
+  std::vector<geo::Vec2> positions_;  // association input, anonymized mode
 };
 
 }  // namespace rst::roadside

@@ -76,7 +76,13 @@ class YoloSimulator {
 
   /// Runs detection over one frame (no latency here; the caller models the
   /// inference pipeline timing).
-  [[nodiscard]] std::vector<YoloDetection> detect(const CameraFrame& frame);
+  [[nodiscard]] std::vector<YoloDetection> detect(const CameraFrame& frame) {
+    std::vector<YoloDetection> out;
+    detect(frame, out);
+    return out;
+  }
+  /// As above, into `out` (cleared first, its capacity reused).
+  void detect(const CameraFrame& frame, std::vector<YoloDetection>& out);
 
   [[nodiscard]] const ClassProfile& profile(Presentation p) const;
   [[nodiscard]] const Config& config() const { return config_; }

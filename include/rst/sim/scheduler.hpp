@@ -117,8 +117,19 @@ class Scheduler {
   std::size_t run(std::size_t limit = SIZE_MAX);
 
   /// Runs all events with time <= deadline, then advances now() to
-  /// deadline even if the queue still holds later events.
+  /// deadline even if the queue still holds later events. A stop request
+  /// (`stop_at`) ends the run early, at the stop instant instead.
   std::size_t run_until(SimTime deadline);
+
+  /// Requests that the running (or, from outside one, the next) run_until
+  /// return once every event at or before `when` has run, including events
+  /// posted at `when` by those events, with now() == `when`. The earliest
+  /// of several requests wins; a stop later than the deadline returns at
+  /// the deadline. run_until consumes the request when it returns. `when`
+  /// must be >= now().
+  void stop_at(SimTime when);
+  /// True while a stop request waits for its run_until.
+  [[nodiscard]] bool stop_requested() const { return stop_ != SimTime::max(); }
 
   /// Executes exactly the next pending event (if any). Returns false when
   /// the queue is empty.
@@ -172,6 +183,7 @@ class Scheduler {
   /// scheduler.
   std::shared_ptr<detail::EventStatePool> pool_;
   SimTime now_{SimTime::zero()};
+  SimTime stop_{SimTime::max()};  // pending stop_at instant; max() when none
   std::uint64_t executed_{0};
 };
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "rst/sim/small_function.hpp"
 #include "rst/sim/time.hpp"
 #include "rst/sim/trace_event.hpp"
 
@@ -68,6 +69,15 @@ class Trace {
 
   void clear();
 
+  /// Calls `watch` after each kept event of `stage` (never for one dropped
+  /// at capacity), while the event is the last in `events()`. One watch at
+  /// a time (the trial supervision's); an empty function clears it.
+  void set_stage_watch(Stage stage, SmallFunction watch) {
+    watch_stage_ = stage;
+    watch_ = std::move(watch);
+  }
+  [[nodiscard]] bool has_stage_watch() const { return static_cast<bool>(watch_); }
+
   /// Echo each event to stderr as it is recorded (useful in examples): one
   /// line of time, stage name, phase (i/b/e), station, a, value and detail.
   void set_echo(bool on) { echo_ = on; }
@@ -82,6 +92,8 @@ class Trace {
   std::size_t event_capacity_{kDefaultCapacity};
   std::uint64_t events_dropped_{0};
   bool echo_{false};
+  Stage watch_stage_{};
+  SmallFunction watch_;
 };
 
 }  // namespace rst::sim

@@ -57,6 +57,12 @@ class VehicleDynamics {
   [[nodiscard]] double odometer_m() const { return odometer_; }
   [[nodiscard]] const VehicleParams& params() const { return params_; }
 
+  /// Called after every tick(), cut_power() and reset(), i.e. after each
+  /// change of position, speed or the power-cut flag; an empty function
+  /// clears it. One observer at a time (the trial supervision's).
+  void set_observer(sim::SmallFunction observer) { observer_ = std::move(observer); }
+  [[nodiscard]] bool has_observer() const { return static_cast<bool>(observer_); }
+
  private:
   void tick();
 
@@ -74,6 +80,7 @@ class VehicleDynamics {
   /// Per-run multiplicative variation of the coast-down friction (tyre
   /// temperature, battery level...) drawn at each reset.
   double friction_factor_{1.0};
+  sim::SmallFunction observer_;
   sim::Timer tick_timer_;
 };
 

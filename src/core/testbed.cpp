@@ -167,7 +167,7 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
     // The detection stream feeds the RSU's LDM continuously (not only at
     // DENM trigger time) so the CP service has percepts to publish.
     edge_bus_->detections.subscribe(
-        [this](const roadside::DetectionBatch& batch) { feed_rsu_ldm(batch); });
+        [this](const roadside::SharedDetectionBatch& batch) { feed_rsu_ldm(*batch); });
     // The OBU consumes the fused picture: every accepted remote percept is
     // assessed against the ego track by the collision predictor.
     obu_->cpm()->set_fused_callback(
@@ -350,34 +350,69 @@ TrialResult TestbedScenario::run_emergency_brake_trial(sim::SimTime timeout) {
   // an event recorded before the loop included, with each event read once.
   std::size_t scan = 0;
 
-  // 1 kHz supervision loop: records the geometric Action-Point crossing
+  // 1 kHz supervision: records the geometric Action-Point crossing
   // (step 1), the odometer reading at the detection instant, and the
-  // standstill after the power cut (step 6).
-  while (sched_.now() < deadline) {
-    sched_.run_until(sched_.now() + sim::SimTime::milliseconds(1));
-
-    if (!crossed) {
-      const double dist = geo::distance(dynamics_->position(), config_.camera_position);
-      if (dist <= config_.hazard.action_point_distance_m) {
-        crossed = true;
-        result.t_cross_actual = sched_.now();
+  // standstill after the power cut (step 6), as read at the instants
+  // t_start + k ms, k >= 1. A reading can only change at the first such
+  // instant at or after a dynamics update or a recorded HazardDecision, so
+  // the run stops only there: the dynamics observer and the trace watch
+  // request those instants, and the first one is checked for the state the
+  // trial starts from. Events run exactly as under a 1 ms poll.
+  if (t_start < deadline) {
+    static constexpr sim::SimTime kPeriod = sim::SimTime::milliseconds(1);
+    const auto check_at_or_after = [t_start](sim::SimTime t) {
+      const std::int64_t k = (t - t_start + kPeriod - sim::SimTime::nanoseconds(1)) / kPeriod;
+      return t_start + kPeriod * std::max<std::int64_t>(k, 1);
+    };
+    dynamics_->set_observer([&] {
+      const bool crossing =
+          !crossed && geo::distance(dynamics_->position(), config_.camera_position) <=
+                          config_.hazard.action_point_distance_m;
+      if (crossing || (dynamics_->power_cut() && dynamics_->stopped())) {
+        sched_.stop_at(check_at_or_after(sched_.now()));
       }
-    }
-    const auto& events = trace_.events();
-    for (; !detection_seen && scan < events.size(); ++scan) {
-      const sim::TraceEvent& d = events[scan];
-      if (d.stage != sim::Stage::HazardDecision || d.when < t_start) continue;
-      detection_seen = true;
-      speed_at_detection = dynamics_->speed_mps();
-      // Back out the small travel since the detection instant.
-      odometer_at_detection =
-          dynamics_->odometer_m() - speed_at_detection * (sched_.now() - d.when).to_seconds();
-    }
-    if (dynamics_->power_cut() && dynamics_->stopped()) {
-      halted = true;
-      result.t_halt = sched_.now();
-      odometer_at_halt = dynamics_->odometer_m();
-      break;
+    });
+    trace_.set_stage_watch(sim::Stage::HazardDecision, [&] {
+      if (!detection_seen) sched_.stop_at(check_at_or_after(sched_.now()));
+    });
+    // Unhooks on every exit, an event that throws included: both hooks
+    // refer to this frame.
+    struct Unhook {
+      TestbedScenario& s;
+      ~Unhook() {
+        s.dynamics_->set_observer({});
+        s.trace_.set_stage_watch(sim::Stage::HazardDecision, {});
+      }
+    } unhook{*this};
+    const sim::SimTime last_check = check_at_or_after(deadline);
+    sched_.stop_at(t_start + kPeriod);
+
+    while (sched_.now() < deadline) {
+      sched_.run_until(last_check);
+
+      if (!crossed) {
+        const double dist = geo::distance(dynamics_->position(), config_.camera_position);
+        if (dist <= config_.hazard.action_point_distance_m) {
+          crossed = true;
+          result.t_cross_actual = sched_.now();
+        }
+      }
+      const auto& events = trace_.events();
+      for (; !detection_seen && scan < events.size(); ++scan) {
+        const sim::TraceEvent& d = events[scan];
+        if (d.stage != sim::Stage::HazardDecision || d.when < t_start) continue;
+        detection_seen = true;
+        speed_at_detection = dynamics_->speed_mps();
+        // Back out the small travel since the detection instant.
+        odometer_at_detection =
+            dynamics_->odometer_m() - speed_at_detection * (sched_.now() - d.when).to_seconds();
+      }
+      if (dynamics_->power_cut() && dynamics_->stopped()) {
+        halted = true;
+        result.t_halt = sched_.now();
+        odometer_at_halt = dynamics_->odometer_m();
+        break;
+      }
     }
   }
   result.timed_out = !halted;

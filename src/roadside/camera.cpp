@@ -12,10 +12,10 @@ RoadsideCamera::RoadsideCamera(sim::Scheduler& sched, Config config)
 
 void RoadsideCamera::add_object(CameraObject object) { objects_.push_back(std::move(object)); }
 
-CameraFrame RoadsideCamera::capture() {
-  CameraFrame frame;
+void RoadsideCamera::capture(CameraFrame& frame) {
   frame.capture_time = sched_.now();
   frame.frame_number = ++frame_counter_;
+  frame.objects.clear();
   if (faults_) {
     // Drop beats freeze when both windows overlap: a sensor that returns
     // nothing is strictly worse than one that returns stale data.
@@ -23,14 +23,14 @@ CameraFrame RoadsideCamera::capture() {
         faults_->draw_bernoulli(sim::FaultKind::CameraDrop,
                                 faults_->severity(sim::FaultKind::CameraDrop, "camera"))) {
       ++stats_.frames_dropped;
-      return frame;
+      return;
     }
     if (faults_->active(sim::FaultKind::CameraFreeze, "camera")) {
       // Replay the last live frame's content under a fresh frame number and
       // timestamp (the sensor still paces; the image is stuck).
       ++stats_.frames_frozen;
       frame.objects = last_objects_;
-      return frame;
+      return;
     }
   }
   for (const auto& obj : objects_) {
@@ -48,7 +48,6 @@ CameraFrame RoadsideCamera::capture() {
     frame.objects.push_back({obj.id, distance, bearing, obj.presentation});
   }
   if (faults_) last_objects_ = frame.objects;
-  return frame;
 }
 
 }  // namespace rst::roadside

@@ -33,7 +33,7 @@ HazardAdvertisementService::HazardAdvertisementService(
       trace_{trace},
       cam_scan_timer_{sched, [this] { scan_cam_pairs(); }} {
   predictor_ = CollisionPredictor{config_.cpa};
-  bus.detections.subscribe([this](const DetectionBatch& b) { on_detections(b); });
+  bus.detections.subscribe([this](const SharedDetectionBatch& b) { on_detections(*b); });
 }
 
 void HazardAdvertisementService::start() {

@@ -26,8 +26,8 @@ const YoloSimulator::ClassProfile& YoloSimulator::profile(Presentation p) const 
   throw std::logic_error{"YoloSimulator::profile: unknown presentation"};
 }
 
-std::vector<YoloDetection> YoloSimulator::detect(const CameraFrame& frame) {
-  std::vector<YoloDetection> out;
+void YoloSimulator::detect(const CameraFrame& frame, std::vector<YoloDetection>& out) {
+  out.clear();
   for (const auto& obj : frame.objects) {
     const ClassProfile& prof = profile(obj.presentation);
     if (obj.true_distance_m > prof.max_range_m) continue;
@@ -78,7 +78,6 @@ std::vector<YoloDetection> YoloSimulator::detect(const CameraFrame& frame) {
     }
     out.push_back(std::move(det));
   }
-  return out;
 }
 
 }  // namespace rst::roadside

@@ -161,12 +161,20 @@ std::size_t Scheduler::run_until(SimTime deadline) {
   std::size_t n = 0;
   for (;;) {
     purge_cancelled_front();
-    if (heap_.empty() || heap_.front().when > deadline) break;
+    // Re-read per event: a callback may request a stop.
+    if (heap_.empty() || heap_.front().when > std::min(deadline, stop_)) break;
     step();  // the front is live here, so step() pops it without rescanning
     ++n;
   }
-  if (now_ < deadline) now_ = deadline;
+  const SimTime end = std::min(deadline, stop_);
+  stop_ = SimTime::max();
+  if (now_ < end) now_ = end;
   return n;
+}
+
+void Scheduler::stop_at(SimTime when) {
+  if (when < now_) throw std::invalid_argument{"Scheduler::stop_at: time in the past"};
+  stop_ = std::min(stop_, when);
 }
 
 void Timer::arm_at(SimTime when) {

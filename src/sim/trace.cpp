@@ -73,6 +73,7 @@ void Trace::push_event(SimTime when, Stage stage, Phase phase, std::uint32_t sta
   ev.stage = stage;
   ev.phase = phase;
   events_.push_back(ev);
+  if (stage == watch_stage_ && watch_) watch_();
   if (echo_) {
     const std::string_view name = stage_name(stage);
     std::fprintf(stderr,

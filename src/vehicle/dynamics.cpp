@@ -21,6 +21,7 @@ void VehicleDynamics::reset(geo::Vec2 position, double heading_rad, double speed
   steering_ = 0;
   power_cut_ = false;
   friction_factor_ = rng_.normal_min(1.0, 0.09, 0.6);
+  if (observer_) observer_();
 }
 
 void VehicleDynamics::start() {
@@ -38,6 +39,7 @@ void VehicleDynamics::set_steering(double angle_rad) {
 void VehicleDynamics::cut_power() {
   power_cut_ = true;
   throttle_ = 0;
+  if (observer_) observer_();
 }
 
 void VehicleDynamics::tick() {
@@ -68,6 +70,7 @@ void VehicleDynamics::tick() {
   }
 
   tick_timer_.arm_in(params_.tick);
+  if (observer_) observer_();
 }
 
 }  // namespace rst::vehicle

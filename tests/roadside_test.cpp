@@ -176,8 +176,8 @@ TEST(ObjectDetection, PublishesBatchesAtConfiguredRate) {
   geo::Vec2 pos{0, 5};
   rig.camera.add_object({1, [&] { return pos; }, Presentation::StopSign, "car"});
   int batches = 0;
-  rig.bus.detections.subscribe([&](const DetectionBatch& b) {
-    if (!b.detections.empty()) ++batches;
+  rig.bus.detections.subscribe([&](const SharedDetectionBatch& b) {
+    if (!b->detections.empty()) ++batches;
   });
   rig.detection.start();
   rig.sched.run_until(5_s);
@@ -192,8 +192,8 @@ TEST(ObjectDetection, RangeRateTracksApproach) {
   geo::Vec2 pos{0, 0};
   rig.camera.add_object({1, [&] { return pos; }, Presentation::StopSign, "car"});
   std::vector<double> range_rates;
-  rig.bus.detections.subscribe([&](const DetectionBatch& b) {
-    for (const auto& d : b.detections) {
+  rig.bus.detections.subscribe([&](const SharedDetectionBatch& b) {
+    for (const auto& d : b->detections) {
       if (d.range_rate_mps != 0) range_rates.push_back(d.range_rate_mps);
     }
   });

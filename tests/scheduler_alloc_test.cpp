@@ -5,7 +5,8 @@
 //   - schedule_at reuses pooled handle-state nodes instead of hitting
 //     the global heap per event, and
 //   - a bus delivery of a hot vehicle topic fits the inline callback,
-//   - an HTTP poll that finds no DENM fits it too.
+//   - an HTTP poll that finds no DENM fits it too,
+//   - a warm detection loop allocates nothing per camera frame.
 // It also bounds the allocations of one whole emergency-brake trial.
 //
 // This test overrides the global operator new/delete, which is why it
@@ -203,12 +204,57 @@ TEST(SchedulerAlloc, EmptyPollsAllocateNothing) {
   EXPECT_EQ(handler.stats().denms_fetched, 0u);
 }
 
+TEST(SchedulerAlloc, WarmDetectionLoopAllocatesNothingPerFrame) {
+  // Only the road-side pipeline runs: camera, YOLO, the detection service
+  // and the subscribers of its batches. The vehicle stands 3 m from the
+  // camera, in view and short of the Action Point, so frames are detected,
+  // tracked and published and no DENM is triggered. CPM adds the RSU's LDM
+  // feed as a second subscriber; at 20 frames/s inference outlasts the
+  // period, so two frames are in flight at once.
+  struct Case {
+    const char* name;
+    bool cpm;
+    std::int64_t fps;
+  };
+  for (const Case c : {Case{"hazard only", false, 4}, Case{"hazard + CPM LDM feed", true, 4},
+                       Case{"overlapping frames", true, 20}}) {
+    rst::core::TestbedConfig config;
+    config.seed = 401;
+    config.cpm_enable = c.cpm;
+    config.detection.processing_period = SimTime::milliseconds(1000 / c.fps);
+    config.vehicle_start = {0, 5.0};
+    rst::core::TestbedScenario scenario{config};
+    scenario.detection().start();
+    scenario.hazard().start();
+    Scheduler& sched = scenario.scheduler();
+    // Warm-up: long enough for the in-flight high-water mark (three frames
+    // at 20 frames/s when an inference runs past 100 ms).
+    sched.run_until(SimTime::seconds(10));
+    const auto frames = scenario.detection().frames_processed();
+    const auto batches = scenario.hazard().stats().batches_seen;
+    {
+      CountScope scope;
+      sched.run_until(sched.now() + SimTime::seconds(10));
+      EXPECT_EQ(scope.count(), 0u) << c.name;
+    }
+    EXPECT_EQ(scenario.detection().frames_processed() - frames,
+              static_cast<std::uint64_t>(10 * c.fps))
+        << c.name;
+    // A batch in flight at either end of the window may fall on either side.
+    EXPECT_NEAR(static_cast<double>(scenario.hazard().stats().batches_seen - batches),
+                static_cast<double>(10 * c.fps), 1.0)
+        << c.name;
+    EXPECT_EQ(scenario.hazard().stats().denms_triggered, 0u) << c.name;
+  }
+}
+
 TEST(SchedulerAlloc, BrakeTrialLoopStaysUnderItsAllocationBound) {
-  // The loop allocated 346 times when the bound was set (364 while each
-  // radio delivery heap-allocated its stack-processing event and BTP copied
-  // every payload, 646 with the string HTTP bodies, 2,606 with the
-  // string-keyed bus); the bound leaves 10% headroom.
-  constexpr std::size_t kBound = 380;
+  // The loop allocated 165 times when the bound was set (346 while the
+  // detection pipeline copied every frame, detection list and batch, 364
+  // while each radio delivery heap-allocated its stack-processing event and
+  // BTP copied every payload, 646 with the string HTTP bodies, 2,606 with
+  // the string-keyed bus); the bound leaves 10% headroom.
+  constexpr std::size_t kBound = 181;
   rst::core::TestbedConfig config;
   config.seed = 401;
   rst::core::TestbedScenario scenario{config};

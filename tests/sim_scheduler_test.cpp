@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace rst::sim {
@@ -299,6 +300,110 @@ TEST(Scheduler, RescheduleAtSameTimestampFromRunningEventGoesToBatchTail) {
   sched.post_at(5_ms, [&] { order.push_back(1); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Scheduler, StopRunsEveryEventAtTheStopInstant) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.post_at(3_ms, [&] {
+    order.push_back(3);
+    sched.stop_at(5_ms);  // requested from inside the run
+  });
+  sched.post_at(5_ms, [&] {
+    order.push_back(5);
+    // Posted at the stop instant by an event at the stop instant: runs too.
+    sched.post_at(5_ms, [&] { order.push_back(55); });
+  });
+  sched.post_at(5_ms + 1_ns, [&] { order.push_back(6); });
+  EXPECT_EQ(sched.run_until(100_ms), 3u);
+  EXPECT_EQ(order, (std::vector<int>{3, 5, 55}));
+  EXPECT_EQ(sched.now(), 5_ms);
+  EXPECT_FALSE(sched.stop_requested());
+  EXPECT_EQ(sched.pending_events(), 1u);
+}
+
+TEST(Scheduler, StopWithNothingQueuedStillAdvancesTheClockToIt) {
+  Scheduler sched;
+  sched.stop_at(4_ms);
+  EXPECT_TRUE(sched.stop_requested());
+  EXPECT_EQ(sched.run_until(10_ms), 0u);
+  EXPECT_EQ(sched.now(), 4_ms);
+}
+
+TEST(Scheduler, EarliestStopWins) {
+  Scheduler sched;
+  sched.stop_at(8_ms);
+  sched.stop_at(5_ms);
+  sched.stop_at(7_ms);
+  sched.run_until(10_ms);
+  EXPECT_EQ(sched.now(), 5_ms);
+}
+
+TEST(Scheduler, StopLaterThanTheDeadlineReturnsAtTheDeadline) {
+  Scheduler sched;
+  int fired = 0;
+  sched.post_at(30_ms, [&] { ++fired; });
+  sched.stop_at(30_ms);
+  sched.run_until(20_ms);
+  EXPECT_EQ(sched.now(), 20_ms);
+  EXPECT_EQ(fired, 0);
+  // Consumed by that run: the next one is not cut at 30 ms.
+  EXPECT_FALSE(sched.stop_requested());
+  sched.run_until(40_ms);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sched.now(), 40_ms);
+}
+
+TEST(Scheduler, OneRunUntilConsumesTheStop) {
+  Scheduler sched;
+  int fired = 0;
+  for (int ms = 1; ms <= 10; ++ms) sched.post_at(SimTime::milliseconds(ms), [&] { ++fired; });
+  sched.stop_at(4_ms);
+  EXPECT_EQ(sched.run_until(10_ms), 4u);
+  EXPECT_EQ(sched.now(), 4_ms);
+  EXPECT_EQ(sched.run_until(10_ms), 6u);
+  EXPECT_EQ(sched.now(), 10_ms);
+  EXPECT_EQ(fired, 10);
+}
+
+TEST(Scheduler, StopInThePastThrows) {
+  Scheduler sched;
+  sched.run_until(5_ms);
+  EXPECT_THROW(sched.stop_at(4_ms), std::invalid_argument);
+  EXPECT_FALSE(sched.stop_requested());
+  sched.stop_at(5_ms);  // now() itself is a valid stop
+  sched.run_until(9_ms);
+  EXPECT_EQ(sched.now(), 5_ms);
+}
+
+TEST(Scheduler, StopsLeaveExecutionAndPurgingUnchanged) {
+  // The same cancel-heavy workload run straight through and cut by a stop
+  // at every millisecond executes and purges exactly the same entries.
+  const auto run = [](bool stops) {
+    Scheduler sched;
+    std::vector<EventHandle> handles;
+    std::vector<int> order;
+    for (int i = 0; i < 200; ++i) {
+      const SimTime at = SimTime::microseconds(137 * i % 20'000);
+      handles.push_back(sched.schedule_at(at, [&order, i] { order.push_back(i); }));
+    }
+    for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
+    // Events that cancel later ones while the run is under way.
+    sched.post_at(7_ms, [&] {
+      for (std::size_t i = 1; i < handles.size(); i += 7) handles[i].cancel();
+    });
+    if (stops) {
+      for (SimTime stop = 1_ms; stop <= 25_ms; stop += 1_ms) {
+        sched.stop_at(stop);
+        sched.run_until(25_ms);
+      }
+    } else {
+      sched.run_until(25_ms);
+    }
+    return std::tuple{order, sched.executed_events(), sched.purged_events(), sched.now()};
+  };
+  EXPECT_EQ(run(true), run(false));
+  EXPECT_GT(std::get<2>(run(false)), 0u);
 }
 
 }  // namespace

@@ -62,6 +62,25 @@ TEST(TraceTyped, RingCapacityDropsNewestAndCounts) {
   EXPECT_EQ(trace.events_dropped(), 0u);
 }
 
+TEST(TraceTyped, StageWatchSeesOnlyKeptEventsOfItsStage) {
+  Trace trace;
+  trace.set_event_capacity(3);
+  std::vector<std::size_t> seen;  // events().size() at each call
+  trace.set_stage_watch(Stage::HazardDecision, [&] { seen.push_back(trace.events().size()); });
+  trace.record_event(SimTime::milliseconds(1), Stage::CamTx);
+  trace.record_event(SimTime::milliseconds(2), Stage::HazardDecision);
+  trace.span_begin(SimTime::milliseconds(3), Stage::HazardDecision);
+  trace.record_event(SimTime::milliseconds(4), Stage::HazardDecision);  // dropped: full
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(trace.events_dropped(), 1u);
+
+  trace.set_stage_watch(Stage::HazardDecision, {});
+  EXPECT_FALSE(trace.has_stage_watch());
+  trace.clear();
+  trace.record_event(SimTime::milliseconds(5), Stage::HazardDecision);
+  EXPECT_EQ(seen.size(), 2u);
+}
+
 TEST(TraceTyped, CapacityAboveTheDefaultKeepsEveryEventUpToIt) {
   // The first record reserves 16,384 events, not the whole capacity; past
   // that the buffer grows (and moves) up to the capacity, and nothing below

@@ -119,6 +119,33 @@ TEST(Dynamics, PowerCutStopsVehicleQuickly) {
   EXPECT_TRUE(dyn.stopped());
 }
 
+TEST(Dynamics, ObserverRunsAfterEveryStateChange) {
+  sim::Scheduler sched;
+  VehicleDynamics dyn{sched, VehicleParams{}, sim::RandomStream{2, "dyn"}};
+  int calls = 0;
+  bool saw_cut = false;
+  dyn.set_observer([&] {
+    ++calls;
+    saw_cut = dyn.power_cut();
+  });
+  dyn.reset({0, 0}, 0.0, 1.0);
+  EXPECT_EQ(calls, 1);
+  dyn.start();
+  sched.run_until(10_ms);  // five 2 ms ticks
+  EXPECT_EQ(calls, 6);
+  dyn.cut_power();
+  EXPECT_EQ(calls, 7);
+  EXPECT_TRUE(saw_cut);
+  dyn.set_throttle(1.0);  // an input, not a state change
+  dyn.set_steering(0.1);
+  EXPECT_EQ(calls, 7);
+
+  dyn.set_observer({});
+  EXPECT_FALSE(dyn.has_observer());
+  sched.run_until(20_ms);
+  EXPECT_EQ(calls, 7);
+}
+
 TEST(Dynamics, SteeringTurnsTheVehicle) {
   sim::Scheduler sched;
   VehicleDynamics dyn{sched, {}, sim::RandomStream{3, "dyn"}};
