@@ -30,9 +30,10 @@ class DetectionAssociator {
 
   /// Associates one frame's detections (world positions) and returns the
   /// track id for each input, in order. Unmatched detections start new
-  /// tracks.
-  std::vector<std::uint32_t> associate(const std::vector<geo::Vec2>& detections,
-                                       sim::SimTime now);
+  /// tracks. The ids stay valid until the next call; the working vectors
+  /// keep their capacity, so a warm associator allocates nothing per frame.
+  const std::vector<std::uint32_t>& associate(const std::vector<geo::Vec2>& detections,
+                                              sim::SimTime now);
 
   [[nodiscard]] std::size_t active_tracks() const { return tracks_.size(); }
 
@@ -47,6 +48,11 @@ class DetectionAssociator {
   Config config_;
   std::vector<Track> tracks_;
   std::uint32_t next_id_{1};
+  // Per-frame working state, kept for its capacity.
+  std::vector<geo::Vec2> predicted_;
+  std::vector<bool> track_used_;
+  std::vector<bool> det_used_;
+  std::vector<std::uint32_t> assigned_;
 };
 
 }  // namespace rst::roadside

@@ -15,6 +15,12 @@ namespace rst::server {
 /// sufficient cache key: same spec + same seed + same code ⇒ same bytes.
 inline constexpr std::string_view kCodeVersion = "rst-campaign/2";
 
+/// What the code produced under kCodeVersion: FNV-1a over the trial records
+/// of 16 seeds for each of 8 fixed specs plus one small city report, as
+/// tests/campaign_fingerprint_test.cpp recomputes it. When that test fails,
+/// results moved: bump kCodeVersion and re-pin this value in one change.
+inline constexpr std::uint64_t kBehaviourFingerprint = 0xe953e781fb9d8ce6ULL;
+
 /// FNV-1a over a byte string, continuing from `h` (so keys compose:
 /// fnv1a(b, fnv1a(a)) hashes a||b).
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes,

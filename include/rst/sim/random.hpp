@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -11,8 +12,8 @@ namespace rst::sim {
 
 /// Cheap counter-based generator for per-link draws on hot paths.
 ///
-/// Unlike RandomStream (whose mt19937_64 costs ~2.5 kB of state and a long
-/// seeding pass per construction), a CounterStream is two 64-bit words: a
+/// Unlike RandomStream (whose mt19937_64 costs ~2.5 kB of state, seeded on
+/// the stream's first draw), a CounterStream is two 64-bit words: a
 /// key-derived base and a draw counter pushed through a splitmix64
 /// finalizer. Constructing one per (tx, rx, sequence) link and throwing it
 /// away after a couple of draws is what makes per-link randomness viable in
@@ -41,6 +42,10 @@ class CounterStream {
 /// Every stochastic component in the testbed owns a named child stream, so
 /// adding a new random consumer never perturbs the draws of existing ones
 /// — a requirement for stable regression tests and paired ablations.
+///
+/// The engine is seeded from the derived seed on the stream's first draw.
+/// Deriving children reads only the seeds, so a stream that only hands out
+/// children, or is copied before it draws, never builds an engine.
 class RandomStream {
  public:
   RandomStream(std::uint64_t root_seed, std::string_view name);
@@ -77,9 +82,11 @@ class RandomStream {
 
  private:
   RandomStream(std::uint64_t root_seed, std::uint64_t derived);
+  std::mt19937_64& engine();
+
   std::uint64_t root_seed_;
   std::uint64_t derived_seed_;
-  std::mt19937_64 engine_;
+  std::optional<std::mt19937_64> engine_;  // empty until the first draw
 };
 
 /// Stable 64-bit FNV-1a hash used for seed derivation.

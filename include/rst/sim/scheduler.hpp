@@ -58,6 +58,8 @@ struct PoolAllocator {
 
 }  // namespace detail
 
+class Timer;
+
 /// Handle to a scheduled event; allows cancellation. Copyable; all copies
 /// refer to the same pending event. A default-constructed handle is inert.
 class EventHandle {
@@ -88,10 +90,12 @@ class EventHandle {
 /// Hot-path design: callbacks are stored in a small-buffer-optimized
 /// move-only wrapper (no heap allocation for typical captures), handle
 /// state comes from a recycling slab pool, and the fire-and-forget
-/// `post_at`/`post_in` path and `Timer` skip handle state entirely.
-/// Cancelled entries are purged eagerly whenever they surface at the top
-/// of the heap, so cancel-heavy workloads (EDCA backoff, DCC gates, CBF
-/// timers) do not accumulate dead entries ahead of live ones.
+/// `post_at`/`post_in` path and `Timer` skip handle state entirely. A
+/// `Timer` firing queues the timer itself, and `step()` calls its bound
+/// callback directly. Cancelled entries are purged eagerly whenever they
+/// surface at the top of the heap, so cancel-heavy workloads (EDCA backoff,
+/// DCC gates, CBF timers) do not accumulate dead entries ahead of live
+/// ones; while no queued entry can be cancelled, the purge check is skipped.
 class Scheduler {
  public:
   using Callback = SmallFunction;
@@ -147,7 +151,8 @@ class Scheduler {
   /// heap entries stay trivially copyable: sifting moves 24-byte PODs
   /// instead of invoking a callback-move per swap.
   struct Slot {
-    Callback cb;
+    Callback cb;  // empty on the Timer path
+    Timer* timer{nullptr};  // a Timer's firing: step() runs the timer's own callback
     std::shared_ptr<EventHandle::State> state;  // null on the post_* and Timer paths
     Slot* next_free{nullptr};
     bool cancelled{false};  // set by Timer::cancel; purged like a cancelled handle
@@ -166,17 +171,26 @@ class Scheduler {
   static constexpr std::size_t kSlotSlab = 128;
 
   void check_not_past(SimTime when) const;
-  /// Pushes an entry and returns its slot; `state` may be null
-  /// (fire-and-forget and Timer paths).
-  Slot* push(SimTime when, Callback&& cb, std::shared_ptr<EventHandle::State> state);
-  /// Discards cancelled entries at the front of the heap.
-  void purge_cancelled_front();
-  Slot* acquire_slot(Callback&& cb, std::shared_ptr<EventHandle::State>&& state);
+  /// Takes a blank slot from the free list for the caller to fill.
+  Slot* acquire_slot();
+  /// Returns a slot whose callback is empty (run or destroyed) to the list.
   void release_slot(Slot* s) noexcept;
+  /// Queues a filled slot at `when`; the slot is live, so it stays queued.
+  void push(SimTime when, Slot* slot);
+  /// Discards cancelled entries at the front of the heap. Only counted
+  /// entries can be cancelled, so with none queued there is nothing to scan.
+  void purge_cancelled_front() {
+    if (maybe_dead_ != 0) purge_dead_front();
+  }
+  void purge_dead_front();
 
   std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
   std::uint64_t next_seq_{0};
   std::uint64_t purged_{0};
+  /// Queued entries that may be dead: Timer firings marked by
+  /// Timer::cancel, plus every entry that carries handle state (an
+  /// EventHandle cancels without telling the scheduler).
+  std::size_t maybe_dead_{0};
   std::vector<std::unique_ptr<Slot[]>> slot_slabs_;
   Slot* free_slots_{nullptr};
   /// Shared with every handle's control block so handles may outlive the
@@ -193,11 +207,12 @@ class Scheduler {
 /// the callback never runs after its owner is gone. The scheduled event
 /// refers to the timer, so it is neither copyable nor movable.
 ///
-/// A re-arm costs what a `post_at` costs (one slot, one heap push): the
-/// timer keeps a pointer to its pending slot and cancels by marking it, so
-/// no handle state is built. Lifetime rule: destroy a Timer before its
-/// Scheduler, since cancelling writes into the scheduler's slots. Owners
-/// get this by declaring the scheduler before the components.
+/// A re-arm costs one slot and one heap push: the slot points back at the
+/// timer, so no callback is moved, and the timer keeps a pointer to its
+/// pending slot and cancels by marking it, so no handle state is built.
+/// Lifetime rule: destroy a Timer before its Scheduler, since cancelling
+/// writes into the scheduler's slots. Owners get this by declaring the
+/// scheduler before the components.
 class Timer {
  public:
   Timer(Scheduler& sched, Scheduler::Callback cb) : sched_{sched}, cb_{std::move(cb)} {}
@@ -211,13 +226,18 @@ class Timer {
   /// Fires the callback after `delay` (>= 0).
   void arm_in(SimTime delay) { arm_at(sched_.now() + delay); }
   void cancel() {
-    if (pending_) pending_->cancelled = true;
-    pending_ = nullptr;
+    if (pending_) {
+      pending_->cancelled = true;
+      ++sched_.maybe_dead_;
+      pending_ = nullptr;
+    }
   }
   /// True while a firing is pending (false inside the callback itself).
   [[nodiscard]] bool armed() const { return pending_ != nullptr; }
 
  private:
+  friend class Scheduler;
+
   Scheduler& sched_;
   Scheduler::Callback cb_;
   Scheduler::Slot* pending_{nullptr};  // slot of the queued firing, if any

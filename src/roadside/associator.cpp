@@ -5,21 +5,20 @@
 
 namespace rst::roadside {
 
-std::vector<std::uint32_t> DetectionAssociator::associate(
+const std::vector<std::uint32_t>& DetectionAssociator::associate(
     const std::vector<geo::Vec2>& detections, sim::SimTime now) {
   // Age out stale tracks.
   std::erase_if(tracks_, [&](const Track& t) { return now - t.last_update > config_.track_timeout; });
 
   // Predicted positions for this instant.
-  std::vector<geo::Vec2> predicted;
-  predicted.reserve(tracks_.size());
+  predicted_.clear();
   for (const auto& t : tracks_) {
-    predicted.push_back(t.position + t.velocity * (now - t.last_update).to_seconds());
+    predicted_.push_back(t.position + t.velocity * (now - t.last_update).to_seconds());
   }
 
-  std::vector<std::uint32_t> assigned(detections.size(), 0);
-  std::vector<bool> track_used(tracks_.size(), false);
-  std::vector<bool> det_used(detections.size(), false);
+  assigned_.assign(detections.size(), 0);
+  track_used_.assign(tracks_.size(), false);
+  det_used_.assign(detections.size(), false);
 
   // Greedy global-nearest-neighbour: repeatedly take the closest
   // (track, detection) pair inside the gate.
@@ -28,10 +27,10 @@ std::vector<std::uint32_t> DetectionAssociator::associate(
     std::size_t best_track = tracks_.size();
     std::size_t best_det = detections.size();
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
-      if (track_used[t]) continue;
+      if (track_used_[t]) continue;
       for (std::size_t d = 0; d < detections.size(); ++d) {
-        if (det_used[d]) continue;
-        const double dist = geo::distance(predicted[t], detections[d]);
+        if (det_used_[d]) continue;
+        const double dist = geo::distance(predicted_[t], detections[d]);
         if (dist <= best) {
           best = dist;
           best_track = t;
@@ -40,8 +39,8 @@ std::vector<std::uint32_t> DetectionAssociator::associate(
       }
     }
     if (best_track == tracks_.size()) break;
-    track_used[best_track] = true;
-    det_used[best_det] = true;
+    track_used_[best_track] = true;
+    det_used_[best_det] = true;
 
     Track& track = tracks_[best_track];
     const double dt = (now - track.last_update).to_seconds();
@@ -52,21 +51,21 @@ std::vector<std::uint32_t> DetectionAssociator::associate(
     }
     track.position = detections[best_det];
     track.last_update = now;
-    assigned[best_det] = track.id;
+    assigned_[best_det] = track.id;
   }
 
   // New tracks for unmatched detections.
   for (std::size_t d = 0; d < detections.size(); ++d) {
-    if (det_used[d]) continue;
+    if (det_used_[d]) continue;
     Track fresh;
     fresh.id = next_id_++;
     fresh.position = detections[d];
     fresh.velocity = {};
     fresh.last_update = now;
     tracks_.push_back(fresh);
-    assigned[d] = fresh.id;
+    assigned_[d] = fresh.id;
   }
-  return assigned;
+  return assigned_;
 }
 
 }  // namespace rst::roadside

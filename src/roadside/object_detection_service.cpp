@@ -69,7 +69,7 @@ void ObjectDetectionService::complete_frame(std::uint32_t slot) {
       positions_.push_back(cam_pos + geo::vector_from_heading(facing + det.bearing_rad) *
                                          det.estimated_distance_m);
     }
-    const auto ids = associator_.associate(positions_, frame.capture_time);
+    const auto& ids = associator_.associate(positions_, frame.capture_time);
     for (std::size_t i = 0; i < detections.size(); ++i) {
       detections[i].object_id = ids[i];
     }

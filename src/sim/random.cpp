@@ -28,7 +28,12 @@ RandomStream::RandomStream(std::uint64_t root_seed, std::string_view name)
     : RandomStream{root_seed, mix(root_seed ^ stable_hash(name))} {}
 
 RandomStream::RandomStream(std::uint64_t root_seed, std::uint64_t derived)
-    : root_seed_{root_seed}, derived_seed_{derived}, engine_{derived} {}
+    : root_seed_{root_seed}, derived_seed_{derived} {}
+
+std::mt19937_64& RandomStream::engine() {
+  if (!engine_) [[unlikely]] engine_.emplace(derived_seed_);
+  return *engine_;
+}
 
 RandomStream RandomStream::child(std::string_view name) const {
   return RandomStream{root_seed_, mix(derived_seed_ ^ stable_hash(name))};
@@ -82,7 +87,7 @@ bool CounterStream::bernoulli(double p) {
 }
 
 double RandomStream::uniform01() {
-  return std::uniform_real_distribution<double>{0.0, 1.0}(engine_);
+  return std::uniform_real_distribution<double>{0.0, 1.0}(engine());
 }
 
 double RandomStream::uniform(double lo, double hi) {
@@ -92,11 +97,11 @@ double RandomStream::uniform(double lo, double hi) {
 
 std::int64_t RandomStream::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (hi < lo) throw std::invalid_argument{"RandomStream::uniform_int: hi < lo"};
-  return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine_);
+  return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine());
 }
 
 double RandomStream::normal(double mean, double stddev) {
-  return std::normal_distribution<double>{mean, stddev}(engine_);
+  return std::normal_distribution<double>{mean, stddev}(engine());
 }
 
 double RandomStream::normal_min(double mean, double stddev, double lo) {
@@ -108,12 +113,12 @@ double RandomStream::normal_min(double mean, double stddev, double lo) {
 }
 
 double RandomStream::lognormal(double mu, double sigma) {
-  return std::lognormal_distribution<double>{mu, sigma}(engine_);
+  return std::lognormal_distribution<double>{mu, sigma}(engine());
 }
 
 double RandomStream::exponential(double mean) {
   if (mean <= 0) throw std::invalid_argument{"RandomStream::exponential: mean <= 0"};
-  return std::exponential_distribution<double>{1.0 / mean}(engine_);
+  return std::exponential_distribution<double>{1.0 / mean}(engine());
 }
 
 bool RandomStream::bernoulli(double p) {
@@ -123,7 +128,7 @@ bool RandomStream::bernoulli(double p) {
 }
 
 double RandomStream::gamma(double shape, double scale) {
-  return std::gamma_distribution<double>{shape, scale}(engine_);
+  return std::gamma_distribution<double>{shape, scale}(engine());
 }
 
 SimTime RandomStream::uniform_time(SimTime lo, SimTime hi) {

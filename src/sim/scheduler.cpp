@@ -62,8 +62,7 @@ bool EventHandle::pending() const { return state_ && !state_->cancelled && !stat
 
 Scheduler::Scheduler() : pool_{std::make_shared<detail::EventStatePool>()} {}
 
-Scheduler::Slot* Scheduler::acquire_slot(Callback&& cb,
-                                         std::shared_ptr<EventHandle::State>&& state) {
+Scheduler::Slot* Scheduler::acquire_slot() {
   if (!free_slots_) {
     auto slab = std::make_unique<Slot[]>(kSlotSlab);
     for (std::size_t i = 0; i < kSlotSlab; ++i) {
@@ -74,13 +73,11 @@ Scheduler::Slot* Scheduler::acquire_slot(Callback&& cb,
   }
   Slot* s = free_slots_;
   free_slots_ = s->next_free;
-  s->cb = std::move(cb);
-  s->state = std::move(state);
   return s;
 }
 
 void Scheduler::release_slot(Slot* s) noexcept {
-  s->cb = Callback{};
+  s->timer = nullptr;
   s->state.reset();
   s->cancelled = false;
   s->next_free = free_slots_;
@@ -91,22 +88,21 @@ void Scheduler::check_not_past(SimTime when) const {
   if (when < now_) throw std::invalid_argument{"Scheduler::schedule_at: time in the past"};
 }
 
-Scheduler::Slot* Scheduler::push(SimTime when, Callback&& cb,
-                                 std::shared_ptr<EventHandle::State> state) {
-  Slot* slot = acquire_slot(std::move(cb), std::move(state));
+void Scheduler::push(SimTime when, Slot* slot) {
   heap_.push_back(Entry{when, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   purge_cancelled_front();  // keep dead entries from lingering ahead of live ones
-  return slot;  // live, so the purge above never releases it
 }
 
-void Scheduler::purge_cancelled_front() {
+void Scheduler::purge_dead_front() {
   while (!heap_.empty()) {
     Slot* s = heap_.front().slot;
     if (!s->cancelled && (!s->state || !s->state->cancelled)) break;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+    s->cb = Callback{};
     release_slot(s);
+    --maybe_dead_;
     ++purged_;
   }
 }
@@ -115,7 +111,11 @@ EventHandle Scheduler::schedule_at(SimTime when, Callback cb) {
   auto state = std::allocate_shared<EventHandle::State>(
       detail::PoolAllocator<EventHandle::State>{pool_});
   check_not_past(when);
-  push(when, std::move(cb), state);
+  Slot* s = acquire_slot();
+  s->cb = std::move(cb);
+  s->state = state;
+  ++maybe_dead_;
+  push(when, s);
   return EventHandle{std::move(state)};
 }
 
@@ -125,12 +125,16 @@ EventHandle Scheduler::schedule_in(SimTime delay, Callback cb) {
 
 void Scheduler::post_at(SimTime when, Callback cb) {
   check_not_past(when);
-  push(when, std::move(cb), nullptr);
+  Slot* s = acquire_slot();
+  s->cb = std::move(cb);
+  push(when, s);
 }
 
 void Scheduler::post_in(SimTime delay, Callback cb) {
   check_not_past(now_ + delay);
-  push(now_ + delay, std::move(cb), nullptr);
+  Slot* s = acquire_slot();
+  s->cb = std::move(cb);
+  push(now_ + delay, s);
 }
 
 bool Scheduler::step() {
@@ -140,13 +144,22 @@ bool Scheduler::step() {
   const Entry entry = heap_.back();
   heap_.pop_back();
   Slot* s = entry.slot;
-  if (s->state) s->state->fired = true;
-  // Move the callback out and recycle the slot before invoking, so a
-  // callback that reschedules can reuse it immediately.
-  Callback cb = std::move(s->cb);
-  release_slot(s);
   now_ = entry.when;
   ++executed_;
+  // Recycle the slot before running its event, so an event that
+  // reschedules can reuse it immediately.
+  if (Timer* t = s->timer) {
+    release_slot(s);
+    t->pending_ = nullptr;  // a re-arm from the callback may take this slot
+    t->cb_();
+    return true;
+  }
+  if (s->state) {
+    s->state->fired = true;
+    --maybe_dead_;
+  }
+  Callback cb = std::move(s->cb);
+  release_slot(s);
   cb();
   return true;
 }
@@ -180,14 +193,10 @@ void Scheduler::stop_at(SimTime when) {
 void Timer::arm_at(SimTime when) {
   sched_.check_not_past(when);  // before cancelling, so a rejected time keeps the firing
   cancel();
-  // step() releases the slot before the callback runs, so the callback
-  // forgets it first; a re-arm from cb_ may then take that same slot.
-  pending_ = sched_.push(when,
-                         [this] {
-                           pending_ = nullptr;
-                           cb_();
-                         },
-                         nullptr);
+  Scheduler::Slot* s = sched_.acquire_slot();
+  s->timer = this;
+  sched_.push(when, s);
+  pending_ = s;
 }
 
 }  // namespace rst::sim

@@ -6,7 +6,8 @@
 //     the global heap per event, and
 //   - a bus delivery of a hot vehicle topic fits the inline callback,
 //   - an HTTP poll that finds no DENM fits it too,
-//   - a warm detection loop allocates nothing per camera frame.
+//   - a warm detection loop allocates nothing per camera frame, with
+//     anonymized detections too.
 // It also bounds the allocations of one whole emergency-brake trial.
 //
 // This test overrides the global operator new/delete, which is why it
@@ -210,17 +211,21 @@ TEST(SchedulerAlloc, WarmDetectionLoopAllocatesNothingPerFrame) {
   // camera, in view and short of the Action Point, so frames are detected,
   // tracked and published and no DENM is triggered. CPM adds the RSU's LDM
   // feed as a second subscriber; at 20 frames/s inference outlasts the
-  // period, so two frames are in flight at once.
+  // period, so two frames are in flight at once. Anonymized detections get
+  // their ids from the data associator, whose working vectors stay warm.
   struct Case {
     const char* name;
     bool cpm;
     std::int64_t fps;
+    bool anonymize{false};
   };
   for (const Case c : {Case{"hazard only", false, 4}, Case{"hazard + CPM LDM feed", true, 4},
-                       Case{"overlapping frames", true, 20}}) {
+                       Case{"overlapping frames", true, 20},
+                       Case{"anonymized detections", false, 4, true}}) {
     rst::core::TestbedConfig config;
     config.seed = 401;
     config.cpm_enable = c.cpm;
+    config.detection.anonymize_detections = c.anonymize;
     config.detection.processing_period = SimTime::milliseconds(1000 / c.fps);
     config.vehicle_start = {0, 5.0};
     rst::core::TestbedScenario scenario{config};

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <random>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rst::sim {
@@ -404,6 +411,308 @@ TEST(Scheduler, StopsLeaveExecutionAndPurgingUnchanged) {
   };
   EXPECT_EQ(run(true), run(false));
   EXPECT_GT(std::get<2>(run(false)), 0u);
+}
+
+// --- Randomized reference test ----------------------------------------------
+
+/// The scheduler's contract as a plain sorted list: entries in (when, seq)
+/// order, cancelled entries marked dead in place and discarded from the
+/// front after every push and before every step.
+class ReferenceModel {
+ public:
+  void push(SimTime when, int id) {
+    const auto at = std::upper_bound(entries_.begin(), entries_.end(), when,
+                                     [](SimTime t, const Entry& e) { return t < e.when; });
+    entries_.insert(at, Entry{when, id, false});
+    purge();
+  }
+  /// Marks `id` cancelled if it is still queued; no purge, as in the
+  /// scheduler, where a cancel only marks.
+  void cancel(int id) {
+    for (Entry& e : entries_) {
+      if (e.id == id) e.dead = true;
+    }
+  }
+  [[nodiscard]] bool live(int id) const {
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [id](const Entry& e) { return e.id == id && !e.dead; });
+  }
+  /// Pops the next live entry and returns its id, or -1 when none is left.
+  int step() {
+    purge();
+    if (entries_.empty()) return -1;
+    const Entry e = entries_.front();
+    entries_.erase(entries_.begin());
+    now = e.when;
+    ++executed;
+    return e.id;
+  }
+  [[nodiscard]] std::size_t pending() const { return entries_.size(); }
+
+  SimTime now{SimTime::zero()};
+  std::uint64_t executed{0};
+  std::uint64_t purged{0};
+
+ private:
+  struct Entry {
+    SimTime when;
+    int id;
+    bool dead;
+  };
+  void purge() {
+    while (!entries_.empty() && entries_.front().dead) {
+      entries_.erase(entries_.begin());
+      ++purged;
+    }
+  }
+  std::vector<Entry> entries_;
+};
+
+/// Drives a Scheduler and the model with the same random operations, at the
+/// top level and from inside callbacks: post_at, schedule_at and
+/// EventHandle::cancel, and Timer arm, re-arm, cancel and destruction, at
+/// times drawn from now() + {0..3} ms so timestamps collide.
+class ReferenceHarness {
+ public:
+  static constexpr int kTimers = 4;
+
+  explicit ReferenceHarness(std::uint32_t seed) : gen_{seed} {
+    for (int k = 0; k < kTimers; ++k) make_timer(k);
+  }
+
+  void act() {
+    for (unsigned n = pick(3); n > 0; --n) {
+      switch (pick(6)) {
+        case 0: {
+          const int id = fresh_id(-1);
+          const SimTime when = later();
+          sched.post_at(when, [this, id] { fired_ = id; act(); });
+          model_.push(when, id);
+          break;
+        }
+        case 1: {
+          const int id = fresh_id(-1);
+          const SimTime when = later();
+          handles_.emplace_back(sched.schedule_at(when, [this, id] { fired_ = id; act(); }), id);
+          model_.push(when, id);
+          if (handles_.size() > 16) handles_.erase(handles_.begin());
+          break;
+        }
+        case 2:
+          if (!handles_.empty()) {
+            auto& [handle, id] = handles_[pick(static_cast<unsigned>(handles_.size()))];
+            handle.cancel();
+            model_.cancel(id);
+          }
+          break;
+        case 3: {  // arm or re-arm
+          const int k = static_cast<int>(pick(kTimers));
+          const int id = fresh_id(k);
+          const SimTime when = later();
+          timers_[k]->arm_at(when);
+          armed_id_[k] = id;
+          model_.cancel(timer_pending_[k]);
+          model_.push(when, id);
+          timer_pending_[k] = id;
+          break;
+        }
+        case 4: {
+          const int k = static_cast<int>(pick(kTimers));
+          timers_[k]->cancel();
+          model_.cancel(timer_pending_[k]);
+          timer_pending_[k] = -1;
+          break;
+        }
+        case 5: {
+          const int k = static_cast<int>(pick(kTimers));
+          if (k == running_timer_) break;  // a Timer must outlive its own callback
+          model_.cancel(timer_pending_[k]);
+          timer_pending_[k] = -1;
+          make_timer(k);  // destroys the old timer first
+          break;
+        }
+      }
+    }
+  }
+
+  /// One step of both; compares everything the scheduler exposes.
+  void step_and_compare(int i) {
+    const int expected = model_.step();
+    if (expected >= 0 && owner_[expected] >= 0) timer_pending_[owner_[expected]] = -1;
+    fired_ = -1;
+    ASSERT_EQ(sched.step(), expected >= 0) << "step " << i;
+    ASSERT_EQ(fired_, expected) << "step " << i;
+    ASSERT_EQ(sched.now(), model_.now) << "step " << i;
+    ASSERT_EQ(sched.executed_events(), model_.executed) << "step " << i;
+    ASSERT_EQ(sched.purged_events(), model_.purged) << "step " << i;
+    ASSERT_EQ(sched.pending_events(), model_.pending()) << "step " << i;
+    for (int k = 0; k < kTimers; ++k) {
+      ASSERT_EQ(timers_[k]->armed(), timer_pending_[k] >= 0) << "step " << i << " timer " << k;
+    }
+    for (const auto& [handle, id] : handles_) {
+      ASSERT_EQ(handle.pending(), model_.live(id)) << "step " << i << " event " << id;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t purged() const { return model_.purged; }
+  [[nodiscard]] std::uint64_t timer_firings() const { return timer_firings_; }
+
+  Scheduler sched;  // declared before the timers, which must die first
+
+ private:
+  unsigned pick(unsigned n) { return static_cast<unsigned>(gen_() % n); }
+  SimTime later() { return sched.now() + SimTime::milliseconds(pick(4)); }
+  int fresh_id(int timer) {
+    owner_.push_back(timer);
+    return static_cast<int>(owner_.size()) - 1;
+  }
+  void make_timer(int k) {
+    timers_[k].reset();
+    timers_[k] = std::make_unique<Timer>(sched, [this, k] {
+      fired_ = armed_id_[k];
+      ++timer_firings_;
+      running_timer_ = k;
+      act();
+      running_timer_ = -1;
+    });
+  }
+
+  std::mt19937 gen_;
+  ReferenceModel model_;
+  std::vector<int> owner_;  // per id: the timer it arms, or -1
+  std::vector<std::pair<EventHandle, int>> handles_;
+  std::array<std::unique_ptr<Timer>, kTimers> timers_;
+  std::array<int, kTimers> timer_pending_{-1, -1, -1, -1};  // the model's queued firing
+  std::array<int, kTimers> armed_id_{-1, -1, -1, -1};  // the latest arming, which is what fires
+  int running_timer_{-1};
+  int fired_{-1};
+  std::uint64_t timer_firings_{0};
+};
+
+TEST(SchedulerReference, RandomOperationsMatchASortedListModel) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    ReferenceHarness h{seed};
+    for (int i = 0; i < 5000; ++i) {
+      h.act();
+      h.step_and_compare(i);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // The mix reached every path it is meant to check.
+    EXPECT_GT(h.purged(), 100u);
+    EXPECT_GT(h.timer_firings(), 100u);
+    EXPECT_GT(h.sched.executed_events(), 2000u);
+  }
+}
+
+// --- SmallFunction ----------------------------------------------------------
+
+TEST(SmallFunction, TriviallyCopyableCaptureSurvivesMoves) {
+  struct Add {
+    int* total;
+    int by;
+    void operator()() const { *total += by; }
+  };
+  static_assert(std::is_trivially_copyable_v<Add>);
+  int total = 0;
+  SmallFunction a{Add{&total, 3}};
+  SmallFunction b{std::move(a)};
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): a moved-from function is empty
+  SmallFunction c{Add{&total, 100}};
+  c = std::move(b);
+  SmallFunction d;
+  d = std::move(c);
+  ASSERT_TRUE(d);
+  d();
+  d();
+  EXPECT_EQ(total, 6);
+}
+
+/// A capture with a shared_ptr (so neither trivially copyable nor trivially
+/// destructible) that counts its destructions and checks that every move
+/// went through its move constructor.
+struct Probe {
+  std::shared_ptr<int> token;
+  int* destroyed;
+  const Probe* self{this};
+
+  Probe(std::shared_ptr<int> t, int* d) : token{std::move(t)}, destroyed{d} {}
+  Probe(Probe&& o) noexcept : token{std::move(o.token)}, destroyed{o.destroyed} {}
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() {
+    if (token) ++*destroyed;  // a moved-from probe owns nothing
+  }
+  void operator()() const {
+    EXPECT_EQ(self, this) << "moved without its move constructor";
+    ++*token;
+  }
+};
+
+TEST(SmallFunction, NonTrivialCaptureIsDestroyedExactlyOnce) {
+  auto token = std::make_shared<int>(0);
+  auto other = std::make_shared<int>(0);
+  int destroyed = 0;
+  {
+    SmallFunction a{Probe{token, &destroyed}};
+    EXPECT_EQ(token.use_count(), 2);
+    SmallFunction b{std::move(a)};
+    SmallFunction c;
+    c = std::move(b);
+    SmallFunction d{Probe{other, &destroyed}};
+    d = std::move(c);  // assigning over a live capture destroys it
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(other.use_count(), 1);
+    SmallFunction e{std::move(d)};
+    e();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SmallFunction, CaptureLargerThanTheBufferLivesOnTheHeap) {
+  struct Big {
+    std::array<std::uint64_t, 8> words;
+    std::shared_ptr<int> token;
+    void operator()() const { *token += static_cast<int>(words[7]); }
+  };
+  static_assert(sizeof(Big) > 48);
+  auto token = std::make_shared<int>(0);
+  {
+    Big big{{}, token};
+    big.words[7] = 5;
+    SmallFunction a{std::move(big)};
+    SmallFunction b{std::move(a)};
+    SmallFunction c{[] {}};
+    c = std::move(b);
+    c();
+    EXPECT_EQ(*token, 5);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SmallFunction, SchedulerRunsAndReleasesNonTrivialCaptures) {
+  auto token = std::make_shared<int>(0);
+  int destroyed = 0;
+  {
+    Scheduler sched;
+    for (int i = 0; i < 300; ++i) {  // past one slot slab
+      sched.post_at(SimTime::microseconds(300 - i), Probe{token, &destroyed});
+    }
+    EventHandle cancelled = sched.schedule_at(1_ms, Probe{token, &destroyed});
+    cancelled.cancel();
+    sched.post_at(2_ms, Probe{token, &destroyed});  // still queued when the scheduler dies
+    sched.run_until(1_ms);
+    EXPECT_EQ(*token, 300);
+    EXPECT_EQ(destroyed, 301);  // 300 run, 1 purged
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(destroyed, 302);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
