@@ -18,7 +18,8 @@ inline constexpr std::string_view kCodeVersion = "rst-campaign/2";
 /// What the code produced under kCodeVersion: FNV-1a over the trial records
 /// of 16 seeds for each of 8 fixed specs plus one small city report, as
 /// tests/campaign_fingerprint_test.cpp recomputes it. When that test fails,
-/// results moved: bump kCodeVersion and re-pin this value in one change.
+/// results moved: bump kCodeVersion, re-pin this value and append the new
+/// pair to the test's table of pins in one change.
 inline constexpr std::uint64_t kBehaviourFingerprint = 0xe953e781fb9d8ce6ULL;
 
 /// FNV-1a over a byte string, continuing from `h` (so keys compose:

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -16,10 +15,7 @@ namespace rst::sim {
 /// all testbed callbacks capture a `this` pointer plus a few scalars, so a
 /// 48-byte inline buffer absorbs them without touching the heap. Larger
 /// captures (e.g. a forwarded GeoNetworking packet) transparently fall back
-/// to heap storage with identical semantics. An inline callable that is
-/// trivially copyable and trivially destructible (a `this` pointer plus
-/// scalars, the common case) moves by copying the buffer and needs no
-/// destruction, so moving it through the scheduler calls no function.
+/// to heap storage with identical semantics.
 class SmallFunction {
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
@@ -28,9 +24,6 @@ class SmallFunction {
   static constexpr bool fits_inline =
       sizeof(F) <= kInlineSize && alignof(F) <= kInlineAlign &&
       std::is_nothrow_move_constructible_v<F>;
-  template <typename F>
-  static constexpr bool trivial =
-      std::is_trivially_copyable_v<F> && std::is_trivially_destructible_v<F>;
 
  public:
   SmallFunction() = default;
@@ -69,8 +62,7 @@ class SmallFunction {
  private:
   struct VTable {
     void (*invoke)(void*);
-    /// Move-constructs into `dst` (when non-null) and destroys `src`; null
-    /// for a trivial inline callable, which moves by copying the buffer.
+    /// Move-constructs into `dst` (when non-null) and destroys `src`.
     void (*relocate)(void* src, void* dst);
   };
 
@@ -96,24 +88,19 @@ class SmallFunction {
     }
   };
   template <typename Fn>
-  static constexpr VTable inline_vtable{
-      &InlineOps<Fn>::invoke, trivial<Fn> ? nullptr : &InlineOps<Fn>::relocate};
+  static constexpr VTable inline_vtable{&InlineOps<Fn>::invoke, &InlineOps<Fn>::relocate};
   template <typename Fn>
   static constexpr VTable heap_vtable{&HeapOps<Fn>::invoke, &HeapOps<Fn>::relocate};
 
   void reset() {
     if (vtable_) {
-      if (vtable_->relocate) vtable_->relocate(buf_, nullptr);
+      vtable_->relocate(buf_, nullptr);
       vtable_ = nullptr;
     }
   }
   void move_from(SmallFunction& o) noexcept {
     if (o.vtable_) {
-      if (o.vtable_->relocate) {
-        o.vtable_->relocate(o.buf_, buf_);
-      } else {
-        std::memcpy(buf_, o.buf_, kInlineSize);
-      }
+      o.vtable_->relocate(o.buf_, buf_);
       vtable_ = o.vtable_;
       o.vtable_ = nullptr;
     }

@@ -3,14 +3,18 @@
 // the version must change whenever what a (spec, seed) trial produces
 // changes. This test recomputes a behaviour fingerprint over fixed trials
 // and one small city run and compares it with the value pinned next to the
-// version: a change that moves any result fails here until both constants
-// are updated together.
+// version, and it keeps every (version, fingerprint) pair the code has
+// carried: a change that moves any result fails here until it appends a row
+// with a new version, so re-pinning the fingerprint alone fails too.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "rst/core/config_io.hpp"
 #include "rst/core/testbed.hpp"
@@ -73,14 +77,40 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
+struct Pin {
+  std::string_view code_version;
+  std::uint64_t fingerprint;
+};
+
+// Every (kCodeVersion, kBehaviourFingerprint) pair, oldest first. Append a
+// row when results move; never edit one.
+constexpr Pin kPins[] = {
+    {"rst-campaign/2", 0xe953e781fb9d8ce6ULL},
+};
+
 TEST(CampaignFingerprint, PinnedBehaviourMatchesTheCodeVersion) {
   const std::uint64_t got = behaviour_fingerprint();
+  const Pin& last = kPins[std::size(kPins) - 1];
+  std::string fix = ". Bump server::kCodeVersion (now \"";
+  fix += server::kCodeVersion;
+  fix += "\") and set server::kBehaviourFingerprint to ";
+  fix += hex(got);
+  fix += ", both in include/rst/server/campaign.hpp, and append that pair to kPins in this file.";
   EXPECT_EQ(got, server::kBehaviourFingerprint)
-      << "trial results changed: the behaviour fingerprint is now " << hex(got)
-      << ", pinned " << hex(server::kBehaviourFingerprint) << ". Stored campaign records of the "
-      << "old behaviour would be served as current. Bump server::kCodeVersion (now \""
-      << server::kCodeVersion << "\") and set server::kBehaviourFingerprint to " << hex(got)
-      << ", both in include/rst/server/campaign.hpp.";
+      << "trial results changed: the behaviour fingerprint is now " << hex(got) << ", pinned "
+      << hex(server::kBehaviourFingerprint)
+      << ". Stored campaign records of the old behaviour would be served as current" << fix;
+  EXPECT_EQ(got, last.fingerprint)
+      << "the last row of kPins holds " << hex(last.fingerprint) << ", the code produces "
+      << hex(got) << fix;
+  EXPECT_EQ(last.code_version, server::kCodeVersion)
+      << "the last row of kPins names \"" << last.code_version << "\"" << fix;
+  std::set<std::string_view> versions;
+  for (const Pin& pin : kPins) {
+    EXPECT_TRUE(versions.insert(pin.code_version).second)
+        << "kPins names \"" << pin.code_version << "\" twice: a moved fingerprint needs a new "
+        << "server::kCodeVersion";
+  }
 }
 
 }  // namespace
