@@ -84,7 +84,7 @@ LinkResult measure_link(double distance_m, bool nlos, std::uint64_t seed,
   });
 
   for (int i = 0; i < kMessages; ++i) {
-    sched.schedule_at(20_ms * i, [&, i] {
+    sched.post_at(20_ms * i, [&, i] {
       its::DenmRequest request;
       request.event_type = its::EventType::of(its::Cause::CollisionRisk, 2);
       request.event_position = {0, 0};

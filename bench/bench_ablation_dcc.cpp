@@ -127,7 +127,7 @@ Result run_load(int n_background, Policy with_dcc, std::uint64_t seed) {
     result.denm_latency_ms.add((meta.delivered_at - sent[seq]).to_milliseconds());
   });
   for (int i = 0; i < kDenms; ++i) {
-    sched.schedule_at(1_s + 200_ms * i, [&, i] {
+    sched.post_at(1_s + 200_ms * i, [&, i] {
       its::DenmRequest request;
       request.event_type = its::EventType::of(its::Cause::CollisionRisk, 2);
       request.event_position = {0, 0};

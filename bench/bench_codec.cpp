@@ -140,22 +140,22 @@ BENCHMARK(BM_SchedulerThroughput);
 
 void BM_SchedulerCancelHeavy(benchmark::State& state) {
   // The DCC/CBF pattern: most scheduled events are cancelled and
-  // rescheduled before they fire. Exercises handle allocation (pooled)
-  // and cancelled-entry purging at the heap top.
+  // rescheduled before they fire. Exercises ticket cancels, which mark
+  // slots, and cancelled-entry purging at the heap top.
   for (auto _ : state) {
     rst::sim::Scheduler sched;
-    std::vector<rst::sim::EventHandle> handles;
-    handles.reserve(64);
+    std::vector<rst::sim::Scheduler::Ticket> tickets;
+    tickets.reserve(64);
     int fired = 0;
     for (int round = 0; round < 100; ++round) {
       for (int i = 0; i < 64; ++i) {
-        handles.push_back(sched.schedule_in(
+        tickets.push_back(sched.post_in(
             rst::sim::SimTime::microseconds(100 + i), [&fired] { ++fired; }));
       }
       // Cancel all but one, then drain up to the survivor.
-      for (std::size_t i = 0; i + 1 < handles.size(); ++i) handles[i].cancel();
+      for (std::size_t i = 0; i + 1 < tickets.size(); ++i) sched.cancel(tickets[i]);
       sched.run();
-      handles.clear();
+      tickets.clear();
     }
     benchmark::DoNotOptimize(fired);
   }

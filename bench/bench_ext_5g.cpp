@@ -29,7 +29,7 @@ rst::sim::RunningStats measure_cellular(const rst::cellular::CellularConfig& con
     latency.add((sched.now() - sent[i]).to_milliseconds());
   });
   for (int i = 0; i < messages; ++i) {
-    sched.schedule_at(50_ms * i, [&, i] {
+    sched.post_at(50_ms * i, [&, i] {
       sent[i] = sched.now();
       net.send("rsu", "car",
                {static_cast<std::uint8_t>(i & 0xff), static_cast<std::uint8_t>(i >> 8)});

@@ -85,7 +85,7 @@ RelayResult run(bool with_relay, std::uint64_t seed) {
     result.latency_ms.add((meta.delivered_at - it->second).to_milliseconds());
   });
   for (int i = 0; i < kMessages; ++i) {
-    sched.schedule_at(50_ms * i, [&, i] {
+    sched.post_at(50_ms * i, [&, i] {
       its::DenmRequest request;
       request.event_type = its::EventType::of(its::Cause::CollisionRisk, 2);
       request.event_position = {0, -40};

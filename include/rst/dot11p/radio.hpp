@@ -80,11 +80,11 @@ class Radio {
     std::deque<Frame> queue;
     int backoff_slots{-1};
     sim::SimTime countdown_start{};
-    sim::EventHandle attempt;
+    sim::Scheduler::Ticket attempt;
   };
 
   [[nodiscard]] bool channel_busy() const { return busy_count_ > 0 || transmitting_; }
-  void schedule_attempt(AccessCategory ac);
+  void arm_attempt(AccessCategory ac);
   void cancel_countdowns();
   void resume_countdowns();
   void transmit(AccessCategory ac);

@@ -42,7 +42,6 @@ struct ReceivedDenmState {
   /// Stored copy + scope for keep-alive forwarding.
   Denm last_denm{};
   std::optional<geo::GeoArea> area{};
-  sim::EventHandle kaf_timer{};
 };
 
 /// DEN service configuration.
@@ -119,7 +118,12 @@ class DenBasicService {
     Denm current;
     sim::SimTime expires{};
     sim::SimTime repetition_ends{};
-    sim::EventHandle repetition_timer;
+    sim::Scheduler::Ticket repetition_timer;
+  };
+  /// The service's own record of a received event: the state it hands out
+  /// plus the keep-alive forwarding event, which stays private.
+  struct ReceivedEvent : ReceivedDenmState {
+    sim::Scheduler::Ticket kaf_timer;
   };
 
   [[nodiscard]] static std::pair<StationId, std::uint16_t> key(ActionId id) {
@@ -142,7 +146,7 @@ class DenBasicService {
 
   std::uint16_t next_sequence_{1};
   std::map<std::pair<StationId, std::uint16_t>, OriginatedEvent> originated_;
-  std::map<std::pair<StationId, std::uint16_t>, ReceivedDenmState> received_;
+  std::map<std::pair<StationId, std::uint16_t>, ReceivedEvent> received_;
   DenmCallback denm_cb_;
   TransmitHook transmit_hook_;
   Stats stats_;

@@ -213,6 +213,11 @@ class GeoNetRouter {
   void on_frame(const dot11p::Frame& f, const dot11p::RxInfo& info);
   void handle_gbc(GnPacket pkt, const dot11p::RxInfo& info);
   void handle_guc(GnPacket pkt, const dot11p::RxInfo& info);
+  /// (source, sequence) of a packet this router may forward.
+  using CbfKey = std::pair<std::uint64_t, std::uint16_t>;
+  /// Queues the contention-based forwarding of `fwd` (one hop used up),
+  /// sooner the larger the progress in [0, 1].
+  void arm_cbf(CbfKey key, GnPacket fwd, double progress01);
   void handle_ls_request(GnPacket pkt);
   void flush_ls_buffer(GnAddress destination);
   void transmit_guc(std::vector<std::uint8_t> btp_pdu, const LongPositionVector& destination,
@@ -244,7 +249,7 @@ class GeoNetRouter {
   };
   std::map<std::pair<std::uint64_t, std::uint16_t>, DpdEntry> dpd_;
   /// Pending CBF timers keyed by (source, sequence).
-  std::map<std::pair<std::uint64_t, std::uint16_t>, sim::EventHandle> cbf_timers_;
+  std::map<CbfKey, sim::Scheduler::Ticket> cbf_timers_;
   /// PDUs awaiting a location-service answer, keyed by destination.
   struct PendingGuc {
     std::vector<std::uint8_t> btp_pdu;

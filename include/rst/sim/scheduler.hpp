@@ -10,76 +10,7 @@
 
 namespace rst::sim {
 
-namespace detail {
-
-/// Free-list slab pool for event-handle state blocks. Nodes are recycled
-/// instead of returned to the heap, so steady-state scheduling performs no
-/// allocations once the pool is warm. The pool itself is owned via
-/// `std::shared_ptr` by both the Scheduler and every allocator copy stored
-/// in an outstanding control block, so handles may outlive the scheduler.
-class EventStatePool {
- public:
-  EventStatePool() = default;
-  EventStatePool(const EventStatePool&) = delete;
-  EventStatePool& operator=(const EventStatePool&) = delete;
-
-  void* allocate(std::size_t n);
-  void deallocate(void* p, std::size_t n) noexcept;
-
- private:
-  struct Node {
-    Node* next;
-  };
-  static constexpr std::size_t kSlabNodes = 256;
-
-  std::size_t node_size_{0};  // fixed by the first allocation
-  Node* free_{nullptr};
-  std::vector<std::unique_ptr<std::byte[]>> slabs_;
-};
-
-template <typename T>
-struct PoolAllocator {
-  using value_type = T;
-
-  std::shared_ptr<EventStatePool> pool;
-
-  explicit PoolAllocator(std::shared_ptr<EventStatePool> p) : pool{std::move(p)} {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& o) : pool{o.pool} {}  // NOLINT
-
-  T* allocate(std::size_t n) { return static_cast<T*>(pool->allocate(n * sizeof(T))); }
-  void deallocate(T* p, std::size_t n) noexcept { pool->deallocate(p, n * sizeof(T)); }
-
-  template <typename U>
-  bool operator==(const PoolAllocator<U>& o) const {
-    return pool == o.pool;
-  }
-};
-
-}  // namespace detail
-
 class Timer;
-
-/// Handle to a scheduled event; allows cancellation. Copyable; all copies
-/// refer to the same pending event. A default-constructed handle is inert.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancels the event if it has not fired yet. Idempotent.
-  void cancel();
-  /// True if the event is still queued (not fired, not cancelled).
-  [[nodiscard]] bool pending() const;
-
- private:
-  friend class Scheduler;
-  struct State {
-    bool cancelled{false};
-    bool fired{false};
-  };
-  explicit EventHandle(std::shared_ptr<State> s) : state_{std::move(s)} {}
-  std::shared_ptr<State> state_;
-};
 
 /// Deterministic discrete-event scheduler.
 ///
@@ -88,33 +19,51 @@ class EventHandle {
 /// the testbed share one Scheduler; it is the single source of "now".
 ///
 /// Hot-path design: callbacks are stored in a small-buffer-optimized
-/// move-only wrapper (no heap allocation for typical captures), handle
-/// state comes from a recycling slab pool, and the fire-and-forget
-/// `post_at`/`post_in` path and `Timer` skip handle state entirely. A
-/// `Timer` firing queues the timer itself, and `step()` calls its bound
-/// callback directly. Cancelled entries are purged eagerly whenever they
-/// surface at the top of the heap, so cancel-heavy workloads (EDCA backoff,
-/// DCC gates, CBF timers) do not accumulate dead entries ahead of live
-/// ones; while no queued entry can be cancelled, the purge check is skipped.
+/// move-only wrapper (no heap allocation for typical captures) inside
+/// recycled slots. One cancel mechanism serves every event: `cancel(Ticket)`
+/// and `Timer::cancel` mark the event's slot. A `Timer` firing queues the
+/// timer itself, and `step()` calls its bound callback directly. Cancelled
+/// entries are purged eagerly whenever they surface at the top of the heap,
+/// so cancel-heavy workloads (EDCA backoff, DCC gates, CBF timers) do not
+/// accumulate dead entries ahead of live ones; while no queued entry is
+/// cancelled, the purge check is skipped.
 class Scheduler {
+  struct Slot;
+
  public:
   using Callback = SmallFunction;
 
-  Scheduler();
+  /// Names one posted event for `cancel` and `pending`. Trivially
+  /// copyable; a default ticket names nothing. The ticket goes stale once
+  /// its event fires or is discarded, even when a newer event reuses the
+  /// slot. Lifetime rule: do not use a ticket after its Scheduler is gone.
+  struct Ticket {
+    Slot* slot{nullptr};
+    std::uint64_t generation{0};
+  };
+
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `cb` at absolute time `when`; `when` must be >= now().
-  EventHandle schedule_at(SimTime when, Callback cb);
+  /// Callers that never cancel the event ignore the ticket.
+  Ticket post_at(SimTime when, Callback cb);
   /// Schedules `cb` after relative `delay` (>= 0).
-  EventHandle schedule_in(SimTime delay, Callback cb);
+  Ticket post_in(SimTime delay, Callback cb);
 
-  /// Fire-and-forget variants: no EventHandle is produced, so no handle
-  /// state is allocated. Use when the caller never cancels the event.
-  void post_at(SimTime when, Callback cb);
-  void post_in(SimTime delay, Callback cb);
+  /// Cancels the event if it is still pending. Idempotent; a stale or
+  /// default ticket is ignored.
+  void cancel(Ticket t) {
+    if (pending(t)) mark_dead(t.slot);
+  }
+  /// True while the event is queued and not cancelled (false inside its
+  /// own callback).
+  [[nodiscard]] bool pending(Ticket t) const {
+    return t.slot != nullptr && t.slot->generation == t.generation && !t.slot->cancelled;
+  }
 
   /// Runs events until the queue is empty or `limit` events ran.
   /// Returns the number of events executed.
@@ -147,15 +96,15 @@ class Scheduler {
  private:
   friend class Timer;
 
-  /// Callback + handle state live out-of-line in recycled slots so the
-  /// heap entries stay trivially copyable: sifting moves 24-byte PODs
-  /// instead of invoking a callback-move per swap.
+  /// Callbacks live out-of-line in recycled slots so the heap entries
+  /// stay trivially copyable: sifting moves 24-byte PODs instead of
+  /// invoking a callback-move per swap.
   struct Slot {
     Callback cb;  // empty on the Timer path
     Timer* timer{nullptr};  // a Timer's firing: step() runs the timer's own callback
-    std::shared_ptr<EventHandle::State> state;  // null on the post_* and Timer paths
     Slot* next_free{nullptr};
-    bool cancelled{false};  // set by Timer::cancel; purged like a cancelled handle
+    std::uint64_t generation{0};  // bumped on release, which stales the event's tickets
+    bool cancelled{false};  // set by mark_dead; purged when it reaches the front
   };
   struct Entry {
     SimTime when;
@@ -177,25 +126,24 @@ class Scheduler {
   void release_slot(Slot* s) noexcept;
   /// Queues a filled slot at `when`; the slot is live, so it stays queued.
   void push(SimTime when, Slot* slot);
-  /// Discards cancelled entries at the front of the heap. Only counted
-  /// entries can be cancelled, so with none queued there is nothing to scan.
+  /// Marks a queued, live slot cancelled; the purge discards it later.
+  void mark_dead(Slot* s) {
+    s->cancelled = true;
+    ++dead_queued_;
+  }
+  /// Discards cancelled entries at the front of the heap; with none queued
+  /// there is nothing to scan.
   void purge_cancelled_front() {
-    if (maybe_dead_ != 0) purge_dead_front();
+    if (dead_queued_ != 0) purge_dead_front();
   }
   void purge_dead_front();
 
   std::vector<Entry> heap_;  // binary min-heap via std::push_heap/pop_heap
   std::uint64_t next_seq_{0};
   std::uint64_t purged_{0};
-  /// Queued entries that may be dead: Timer firings marked by
-  /// Timer::cancel, plus every entry that carries handle state (an
-  /// EventHandle cancels without telling the scheduler).
-  std::size_t maybe_dead_{0};
+  std::size_t dead_queued_{0};  // queued entries marked by mark_dead
   std::vector<std::unique_ptr<Slot[]>> slot_slabs_;
   Slot* free_slots_{nullptr};
-  /// Shared with every handle's control block so handles may outlive the
-  /// scheduler.
-  std::shared_ptr<detail::EventStatePool> pool_;
   SimTime now_{SimTime::zero()};
   SimTime stop_{SimTime::max()};  // pending stop_at instant; max() when none
   std::uint64_t executed_{0};
@@ -209,7 +157,7 @@ class Scheduler {
 ///
 /// A re-arm costs one slot and one heap push: the slot points back at the
 /// timer, so no callback is moved, and the timer keeps a pointer to its
-/// pending slot and cancels by marking it, so no handle state is built.
+/// pending slot and cancels by marking it, as `Scheduler::cancel` does.
 /// Lifetime rule: destroy a Timer before its Scheduler, since cancelling
 /// writes into the scheduler's slots. Owners get this by declaring the
 /// scheduler before the components.
@@ -227,8 +175,7 @@ class Timer {
   void arm_in(SimTime delay) { arm_at(sched_.now() + delay); }
   void cancel() {
     if (pending_) {
-      pending_->cancelled = true;
-      ++sched_.maybe_dead_;
+      sched_.mark_dead(pending_);
       pending_ = nullptr;
     }
   }

@@ -18,7 +18,7 @@ Radio::Radio(Medium& medium, RadioConfig config, PositionProvider position, sim:
 
 Radio::~Radio() {
   medium_.detach(this);
-  for (auto& st : acs_) st.attempt.cancel();
+  for (auto& st : acs_) medium_.scheduler().cancel(st.attempt);
 }
 
 void Radio::send(Frame frame) {
@@ -30,14 +30,14 @@ void Radio::send(Frame frame) {
   }
   st.queue.push_back(std::move(frame));
   stats_.queue_len_peak = std::max<std::uint64_t>(stats_.queue_len_peak, st.queue.size());
-  schedule_attempt(st.queue.back().ac);
+  arm_attempt(st.queue.back().ac);
 }
 
-void Radio::schedule_attempt(AccessCategory ac) {
+void Radio::arm_attempt(AccessCategory ac) {
   auto& st = acs_[static_cast<std::size_t>(ac)];
-  if (st.queue.empty() || st.attempt.pending() || channel_busy()) return;
-
   auto& sched = medium_.scheduler();
+  if (st.queue.empty() || sched.pending(st.attempt) || channel_busy()) return;
+
   const sim::SimTime now = sched.now();
   const sim::SimTime aifs_boundary = idle_since_ + aifs(ac);
 
@@ -52,7 +52,7 @@ void Radio::schedule_attempt(AccessCategory ac) {
   }
 
   st.countdown_start = std::max(now, aifs_boundary);
-  st.attempt = sched.schedule_at(st.countdown_start + kSlotTime * st.backoff_slots, [this, ac] {
+  st.attempt = sched.post_at(st.countdown_start + kSlotTime * st.backoff_slots, [this, ac] {
     auto& s = acs_[static_cast<std::size_t>(ac)];
     if (channel_busy() || s.queue.empty()) return;  // raced with a busy transition
     transmit(ac);
@@ -60,10 +60,11 @@ void Radio::schedule_attempt(AccessCategory ac) {
 }
 
 void Radio::cancel_countdowns() {
-  const sim::SimTime now = medium_.scheduler().now();
+  auto& sched = medium_.scheduler();
+  const sim::SimTime now = sched.now();
   for (auto& st : acs_) {
-    if (!st.attempt.pending()) continue;
-    st.attempt.cancel();
+    if (!sched.pending(st.attempt)) continue;
+    sched.cancel(st.attempt);
     if (st.backoff_slots > 0 && now > st.countdown_start) {
       const auto elapsed_slots = static_cast<int>((now - st.countdown_start) / kSlotTime);
       st.backoff_slots = std::max(0, st.backoff_slots - elapsed_slots);
@@ -73,7 +74,7 @@ void Radio::cancel_countdowns() {
 
 void Radio::resume_countdowns() {
   for (std::size_t i = 0; i < acs_.size(); ++i) {
-    schedule_attempt(static_cast<AccessCategory>(i));
+    arm_attempt(static_cast<AccessCategory>(i));
   }
 }
 

@@ -14,8 +14,8 @@ DenBasicService::DenBasicService(sim::Scheduler& sched, GeoNetRouter& router, St
       config_{config} {}
 
 DenBasicService::~DenBasicService() {
-  for (auto& [key, ev] : originated_) ev.repetition_timer.cancel();
-  for (auto& [key, st] : received_) st.kaf_timer.cancel();
+  for (const auto& [key, ev] : originated_) sched_.cancel(ev.repetition_timer);
+  for (const auto& [key, st] : received_) sched_.cancel(st.kaf_timer);
 }
 
 Denm DenBasicService::build_denm(ActionId id, const DenmRequest& request,
@@ -89,7 +89,7 @@ void DenBasicService::expire_originated() {
       ++it;
       continue;
     }
-    it->second.repetition_timer.cancel();
+    sched_.cancel(it->second.repetition_timer);
     it = originated_.erase(it);
   }
 }
@@ -129,7 +129,7 @@ void DenBasicService::terminate(ActionId id) {
     throw std::invalid_argument{"DenBasicService::terminate: unknown ActionID"};
   }
   auto& ev = it->second;
-  ev.repetition_timer.cancel();
+  sched_.cancel(ev.repetition_timer);
   Denm cancel = ev.current;
   cancel.management.termination = Termination::IsCancellation;
   cancel.management.reference_time = to_timestamp_its(sched_.now());
@@ -144,7 +144,7 @@ bool DenBasicService::negate(ActionId id) {
   auto& st = it->second;
   if (st.terminated) return false;
   st.terminated = true;
-  st.kaf_timer.cancel();
+  sched_.cancel(st.kaf_timer);
 
   Denm negation = st.last_denm;
   negation.header.station_id = station_id_;  // we are the terminating station
@@ -159,10 +159,10 @@ void DenBasicService::schedule_repetition(ActionId id) {
   auto it = originated_.find(key(id));
   if (it == originated_.end()) return;
   auto& ev = it->second;
-  ev.repetition_timer.cancel();
+  sched_.cancel(ev.repetition_timer);
   if (!ev.request.repetition_interval) return;
   if (sched_.now() + *ev.request.repetition_interval > ev.repetition_ends) return;
-  ev.repetition_timer = sched_.schedule_in(*ev.request.repetition_interval, [this, id] {
+  ev.repetition_timer = sched_.post_in(*ev.request.repetition_interval, [this, id] {
     auto it2 = originated_.find(key(id));
     if (it2 == originated_.end()) return;
     if (sched_.now() > it2->second.expires) {
@@ -179,7 +179,7 @@ void DenBasicService::schedule_repetition(ActionId id) {
 std::optional<ReceivedDenmState> DenBasicService::received_state(ActionId id) const {
   const auto it = received_.find(key(id));
   if (it == received_.end()) return std::nullopt;
-  return it->second;
+  return static_cast<const ReceivedDenmState&>(it->second);  // without the KAF ticket
 }
 
 void DenBasicService::on_btp_payload(std::span<const std::uint8_t> denm_bytes,
@@ -204,7 +204,7 @@ void DenBasicService::on_btp_payload(std::span<const std::uint8_t> denm_bytes,
         return;
       }
       st.terminated = true;
-      st.kaf_timer.cancel();
+      sched_.cancel(st.kaf_timer);
     } else if (denm.management.reference_time > st.reference_time) {
       is_update = true;  // genuine update of a known event
       st.reference_time = denm.management.reference_time;
@@ -227,7 +227,7 @@ void DenBasicService::on_btp_payload(std::span<const std::uint8_t> denm_bytes,
     if (denm.is_termination()) {
       // Termination for an event we never saw: record and ignore.
       ++stats_.stale_discarded;
-      ReceivedDenmState st;
+      ReceivedEvent st;
       st.reference_time = denm.management.reference_time;
       st.detection_time = denm.management.detection_time;
       st.terminated = true;
@@ -235,7 +235,7 @@ void DenBasicService::on_btp_payload(std::span<const std::uint8_t> denm_bytes,
       received_[k] = std::move(st);
       return;
     }
-    ReceivedDenmState st;
+    ReceivedEvent st;
     st.reference_time = denm.management.reference_time;
     st.detection_time = denm.management.detection_time;
     st.terminated = false;
@@ -262,7 +262,7 @@ void DenBasicService::on_btp_payload(std::span<const std::uint8_t> denm_bytes,
       ++it2;
       continue;
     }
-    it2->second.kaf_timer.cancel();
+    sched_.cancel(it2->second.kaf_timer);
     it2 = received_.erase(it2);
   }
   expire_originated();
@@ -272,7 +272,7 @@ void DenBasicService::schedule_kaf(ActionId id) {
   auto it = received_.find(key(id));
   if (it == received_.end()) return;
   auto& st = it->second;
-  st.kaf_timer.cancel();
+  sched_.cancel(st.kaf_timer);
   if (!st.area) return;  // no scope to forward into
 
   sim::SimTime interval = config_.kaf_default_interval;
@@ -284,7 +284,7 @@ void DenBasicService::schedule_kaf(ActionId id) {
   }
   if (sched_.now() + interval >= st.expires) return;  // event about to expire
 
-  st.kaf_timer = sched_.schedule_in(interval, [this, id] {
+  st.kaf_timer = sched_.post_in(interval, [this, id] {
     auto it2 = received_.find(key(id));
     if (it2 == received_.end() || it2->second.terminated || !it2->second.area) return;
     // Only stations inside the relevance area keep the event alive.

@@ -140,7 +140,7 @@ GeoNetRouter::GeoNetRouter(sim::Scheduler& sched, dot11p::Radio& radio, const ge
 
 GeoNetRouter::~GeoNetRouter() {
   radio_.set_receive_callback(nullptr);
-  for (auto& [key, timer] : cbf_timers_) timer.cancel();
+  for (const auto& [key, timer] : cbf_timers_) sched_.cancel(timer);
 }
 
 LongPositionVector GeoNetRouter::make_position_vector() const {
@@ -466,7 +466,7 @@ void GeoNetRouter::handle_gbc(GnPacket pkt, const dot11p::RxInfo& /*info*/) {
   // A duplicate heard while a CBF timer runs means a neighbour already
   // forwarded the packet: suppress our own retransmission (Annex F).
   if (auto it = cbf_timers_.find(key); it != cbf_timers_.end()) {
-    it->second.cancel();
+    sched_.cancel(it->second);
     cbf_timers_.erase(it);
     ++stats_.cbf_suppressed;
     return;
@@ -518,23 +518,7 @@ void GeoNetRouter::handle_gbc(GnPacket pkt, const dot11p::RxInfo& /*info*/) {
     progress01 = std::clamp((theirs - mine) / config_.cbf_max_range_m, 0.0, 1.0);
   }
 
-  // Larger progress -> shorter timer (better-placed nodes fire first).
-  const auto span = config_.cbf_max_delay - config_.cbf_min_delay;
-  const auto delay = config_.cbf_min_delay +
-                     sim::SimTime::nanoseconds(static_cast<std::int64_t>(
-                         static_cast<double>(span.count_ns()) * (1.0 - progress01)));
-  GnPacket fwd = std::move(pkt);
-  --fwd.remaining_hop_limit;
-  cbf_timers_[key] = sched_.schedule_in(delay, [this, key, fwd]() mutable {
-    cbf_timers_.erase(key);
-    fwd.forwarder = make_position_vector();
-    ++stats_.forwarded;
-    if (trace_) {
-      trace_->record_event(sched_.now(), sim::Stage::GnForward,
-                           static_cast<std::uint32_t>(address_.value), fwd.sequence_number);
-    }
-    broadcast(fwd, dot11p::AccessCategory::Video);
-  });
+  arm_cbf(key, std::move(pkt), progress01);
 }
 
 void GeoNetRouter::handle_guc(GnPacket pkt, const dot11p::RxInfo& /*info*/) {
@@ -543,7 +527,7 @@ void GeoNetRouter::handle_guc(GnPacket pkt, const dot11p::RxInfo& /*info*/) {
 
   // A copy heard while our forwarding timer runs: someone closer acted.
   if (auto it = cbf_timers_.find(key); it != cbf_timers_.end()) {
-    it->second.cancel();
+    sched_.cancel(it->second);
     cbf_timers_.erase(it);
     ++stats_.cbf_suppressed;
     return;
@@ -586,14 +570,18 @@ void GeoNetRouter::handle_guc(GnPacket pkt, const dot11p::RxInfo& /*info*/) {
     ++stats_.out_of_area_dropped;
     return;
   }
-  const double progress01 = std::clamp((theirs - mine) / config_.cbf_max_range_m, 0.0, 1.0);
+  arm_cbf(key, std::move(pkt),
+          std::clamp((theirs - mine) / config_.cbf_max_range_m, 0.0, 1.0));
+}
+
+void GeoNetRouter::arm_cbf(CbfKey key, GnPacket fwd, double progress01) {
+  // Larger progress -> shorter timer (better-placed nodes fire first).
   const auto span = config_.cbf_max_delay - config_.cbf_min_delay;
   const auto delay = config_.cbf_min_delay +
                      sim::SimTime::nanoseconds(static_cast<std::int64_t>(
                          static_cast<double>(span.count_ns()) * (1.0 - progress01)));
-  GnPacket fwd = std::move(pkt);
   --fwd.remaining_hop_limit;
-  cbf_timers_[key] = sched_.schedule_in(delay, [this, key, fwd]() mutable {
+  cbf_timers_[key] = sched_.post_in(delay, [this, key, fwd = std::move(fwd)]() mutable {
     cbf_timers_.erase(key);
     fwd.forwarder = make_position_vector();
     ++stats_.forwarded;

@@ -14,54 +14,6 @@ std::string SimTime::to_string() const {
   return buf;
 }
 
-namespace detail {
-
-void* EventStatePool::allocate(std::size_t n) {
-  // Round up so recycled nodes can hold the free-list link and stay
-  // suitably aligned for the shared_ptr control block they back.
-  const std::size_t want =
-      (std::max(n, sizeof(Node)) + alignof(std::max_align_t) - 1) &
-      ~(alignof(std::max_align_t) - 1);
-  if (node_size_ == 0) node_size_ = want;
-  if (want > node_size_) return ::operator new(n);  // unexpected size: bypass
-  if (!free_) {
-    auto slab = std::make_unique<std::byte[]>(node_size_ * kSlabNodes);
-    std::byte* base = slab.get();
-    for (std::size_t i = 0; i < kSlabNodes; ++i) {
-      auto* node = reinterpret_cast<Node*>(base + i * node_size_);
-      node->next = free_;
-      free_ = node;
-    }
-    slabs_.push_back(std::move(slab));
-  }
-  Node* node = free_;
-  free_ = node->next;
-  return node;
-}
-
-void EventStatePool::deallocate(void* p, std::size_t n) noexcept {
-  const std::size_t want =
-      (std::max(n, sizeof(Node)) + alignof(std::max_align_t) - 1) &
-      ~(alignof(std::max_align_t) - 1);
-  if (want > node_size_) {
-    ::operator delete(p);
-    return;
-  }
-  auto* node = static_cast<Node*>(p);
-  node->next = free_;
-  free_ = node;
-}
-
-}  // namespace detail
-
-void EventHandle::cancel() {
-  if (state_) state_->cancelled = true;
-}
-
-bool EventHandle::pending() const { return state_ && !state_->cancelled && !state_->fired; }
-
-Scheduler::Scheduler() : pool_{std::make_shared<detail::EventStatePool>()} {}
-
 Scheduler::Slot* Scheduler::acquire_slot() {
   if (!free_slots_) {
     auto slab = std::make_unique<Slot[]>(kSlotSlab);
@@ -78,14 +30,14 @@ Scheduler::Slot* Scheduler::acquire_slot() {
 
 void Scheduler::release_slot(Slot* s) noexcept {
   s->timer = nullptr;
-  s->state.reset();
   s->cancelled = false;
+  ++s->generation;
   s->next_free = free_slots_;
   free_slots_ = s;
 }
 
 void Scheduler::check_not_past(SimTime when) const {
-  if (when < now_) throw std::invalid_argument{"Scheduler::schedule_at: time in the past"};
+  if (when < now_) throw std::invalid_argument{"Scheduler::post_at: time in the past"};
 }
 
 void Scheduler::push(SimTime when, Slot* slot) {
@@ -97,44 +49,26 @@ void Scheduler::push(SimTime when, Slot* slot) {
 void Scheduler::purge_dead_front() {
   while (!heap_.empty()) {
     Slot* s = heap_.front().slot;
-    if (!s->cancelled && (!s->state || !s->state->cancelled)) break;
+    if (!s->cancelled) break;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     s->cb = Callback{};
     release_slot(s);
-    --maybe_dead_;
+    --dead_queued_;
     ++purged_;
   }
 }
 
-EventHandle Scheduler::schedule_at(SimTime when, Callback cb) {
-  auto state = std::allocate_shared<EventHandle::State>(
-      detail::PoolAllocator<EventHandle::State>{pool_});
-  check_not_past(when);
-  Slot* s = acquire_slot();
-  s->cb = std::move(cb);
-  s->state = state;
-  ++maybe_dead_;
-  push(when, s);
-  return EventHandle{std::move(state)};
-}
-
-EventHandle Scheduler::schedule_in(SimTime delay, Callback cb) {
-  return schedule_at(now_ + delay, std::move(cb));
-}
-
-void Scheduler::post_at(SimTime when, Callback cb) {
+Scheduler::Ticket Scheduler::post_at(SimTime when, Callback cb) {
   check_not_past(when);
   Slot* s = acquire_slot();
   s->cb = std::move(cb);
   push(when, s);
+  return Ticket{s, s->generation};
 }
 
-void Scheduler::post_in(SimTime delay, Callback cb) {
-  check_not_past(now_ + delay);
-  Slot* s = acquire_slot();
-  s->cb = std::move(cb);
-  push(now_ + delay, s);
+Scheduler::Ticket Scheduler::post_in(SimTime delay, Callback cb) {
+  return post_at(now_ + delay, std::move(cb));
 }
 
 bool Scheduler::step() {
@@ -147,16 +81,13 @@ bool Scheduler::step() {
   now_ = entry.when;
   ++executed_;
   // Recycle the slot before running its event, so an event that
-  // reschedules can reuse it immediately.
+  // reschedules can reuse it immediately and the event's tickets read as
+  // no longer pending inside the callback.
   if (Timer* t = s->timer) {
     release_slot(s);
     t->pending_ = nullptr;  // a re-arm from the callback may take this slot
     t->cb_();
     return true;
-  }
-  if (s->state) {
-    s->state->fired = true;
-    --maybe_dead_;
   }
   Callback cb = std::move(s->cb);
   release_slot(s);

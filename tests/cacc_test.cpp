@@ -15,8 +15,8 @@ struct CaccRig {
   VehicleDynamics leader{sched, {}, rng.child("lead")};
   VehicleDynamics follower{sched, {}, rng.child("follow")};
   CaccController cacc{sched, follower};
-  sim::EventHandle feed_timer;
-  sim::EventHandle lead_timer;
+  sim::Scheduler::Ticket feed_timer;
+  sim::Scheduler::Ticket lead_timer;
 
   CaccRig() {
     leader.reset({0, 5.0}, 0.0, 1.2);
@@ -25,14 +25,14 @@ struct CaccRig {
 
   void drive_leader_constant(double throttle) {
     leader.set_throttle(throttle);
-    lead_timer = sched.schedule_in(50_ms, [this, throttle] { drive_leader_constant(throttle); });
+    lead_timer = sched.post_in(50_ms, [this, throttle] { drive_leader_constant(throttle); });
   }
 
   void feed_cams(sim::SimTime period = 100_ms) {
     its::Cam cam;
     cam.high_frequency.speed = its::Speed::from_mps(leader.speed_mps());
     cacc.on_leader_cam(cam, leader.position());
-    feed_timer = sched.schedule_in(period, [this, period] { feed_cams(period); });
+    feed_timer = sched.post_in(period, [this, period] { feed_cams(period); });
   }
 };
 
@@ -64,7 +64,7 @@ TEST(Cacc, CoastsWhenAwarenessIsLost) {
   const double v_tracking = rig.follower.speed_mps();
   EXPECT_GT(v_tracking, 0.5);
 
-  rig.feed_timer.cancel();  // CAMs stop arriving
+  rig.sched.cancel(rig.feed_timer);  // CAMs stop arriving
   rig.sched.run_until(20_s);
   EXPECT_FALSE(rig.cacc.leader_valid());
   // Fail-safe: throttle released, the follower slows well below tracking.

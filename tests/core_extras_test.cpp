@@ -88,7 +88,7 @@ TEST(Cellular, UrllcIsMuchFaster) {
     latency.add((sched.now() - sent[payload[0]]).to_milliseconds());
   });
   for (std::uint8_t i = 0; i < 100; ++i) {
-    sched.schedule_at(10_ms * i, [&, i] {
+    sched.post_at(10_ms * i, [&, i] {
       sent.push_back(sched.now());
       net.send("a", "b", {i});
     });

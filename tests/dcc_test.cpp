@@ -72,7 +72,7 @@ TEST(ChannelProbe, MeasuresKnownDutyCycle) {
   probe.start();
   // One 400-byte frame (~0.59 ms airtime) every 5 ms -> ~12% duty cycle.
   for (int i = 0; i < 400; ++i) {
-    rig.sched.schedule_at(5_ms * i, [&] { tx.send(frame_of(400)); });
+    rig.sched.post_at(5_ms * i, [&] { tx.send(frame_of(400)); });
   }
   rig.sched.run_until(2_s);
   const auto airtime = dot11p::frame_airtime(400 + dot11p::kMacOverheadBytes, dot11p::Mcs::Qpsk12);
@@ -286,7 +286,6 @@ TEST(AdaptiveDcc, PopulationConvergesFairly) {
     dot11p::Radio* radio;
     std::unique_ptr<ChannelProbe> probe;
     std::unique_ptr<AdaptiveDcc> dcc;
-    sim::EventHandle offer_timer;
   };
   std::vector<Station> stations;
   for (int i = 0; i < 4; ++i) {
@@ -305,9 +304,9 @@ TEST(AdaptiveDcc, PopulationConvergesFairly) {
     auto offer = std::make_unique<std::function<void()>>();
     *offer = [&rig, dcc = st.dcc.get(), self = offer.get()] {
       dcc->send(frame_of(800));
-      rig.sched.schedule_in(20_ms, *self);
+      rig.sched.post_in(20_ms, *self);
     };
-    rig.sched.schedule_in(20_ms, *offer);
+    rig.sched.post_in(20_ms, *offer);
     offers.push_back(std::move(offer));
   }
   rig.sched.run_until(60_s);
@@ -339,13 +338,13 @@ TEST(ReactiveDcc, CongestionRaisesStateAndThrottles) {
   }
   // Saturating load: each loader sends a 500-byte frame every 1.5 ms.
   for (int i = 0; i < 2000; ++i) {
-    rig.sched.schedule_at(1500_us * i, [&rig, &loaders, i] {
+    rig.sched.post_at(1500_us * i, [&rig, &loaders, i] {
       loaders[i % loaders.size()]->send(frame_of(500));
     });
   }
   // The managed station offers CAM-like traffic through the DCC.
   for (int i = 0; i < 30; ++i) {
-    rig.sched.schedule_at(100_ms * i, [&dcc] { dcc.send(frame_of(300)); });
+    rig.sched.post_at(100_ms * i, [&dcc] { dcc.send(frame_of(300)); });
   }
   rig.sched.run_until(3_s);
   EXPECT_GT(probe.cbr(), 0.3);

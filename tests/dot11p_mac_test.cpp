@@ -63,7 +63,7 @@ TEST(Mac, ImmediateAccessAfterIdleAifs) {
   auto& tx = rig.add_radio({0, 0});
   rig.add_radio({5, 0});
   // Idle since t=0; enqueue at t=1ms (idle >> AIFS) -> immediate tx.
-  rig.sched.schedule_at(1_ms, [&] { tx.send(make_frame()); });
+  rig.sched.post_at(1_ms, [&] { tx.send(make_frame()); });
   rig.sched.run();
   ASSERT_EQ(rig.received[1].size(), 1u);
   const auto airtime = frame_airtime(100 + kMacOverheadBytes, Mcs::Qpsk12);
@@ -108,7 +108,7 @@ TEST(Mac, HalfDuplexDropsConcurrentTransmitters) {
   ASSERT_GT(p, weak.rx_sensitivity_dbm);
 
   a.send(make_frame());
-  rig.sched.schedule_at(100_us, [&] { b.send(make_frame()); });  // during a's airtime
+  rig.sched.post_at(100_us, [&] { b.send(make_frame()); });  // during a's airtime
   rig.sched.run();
   // Each radio was transmitting during the other's frame: half-duplex loss.
   EXPECT_TRUE(rig.received[0].empty());
@@ -123,7 +123,7 @@ TEST(Mac, CarrierSenseDefersSecondTransmitter) {
   rig.add_radio({2.5, 5});
   a.send(make_frame(400));
   // b's frame arrives while a is on air: b must defer, both frames get through.
-  rig.sched.schedule_at(100_us, [&] { b.send(make_frame(400)); });
+  rig.sched.post_at(100_us, [&] { b.send(make_frame(400)); });
   rig.sched.run();
   ASSERT_EQ(rig.received[2].size(), 2u);
   // No collision drops.
@@ -150,8 +150,8 @@ TEST(Mac, HiddenTerminalsCollideAtTheMiddleReceiver) {
 
   int delivered_to_b = 0;
   for (int i = 0; i < 50; ++i) {
-    rig.sched.schedule_at(10_ms * i, [&] { a.send(make_frame(400)); });
-    rig.sched.schedule_at(10_ms * i + 50_us, [&] { c.send(make_frame(400)); });
+    rig.sched.post_at(10_ms * i, [&] { a.send(make_frame(400)); });
+    rig.sched.post_at(10_ms * i + 50_us, [&] { c.send(make_frame(400)); });
   }
   rig.sched.run();
   delivered_to_b = static_cast<int>(rig.received[1].size());
@@ -199,7 +199,7 @@ TEST(Mac, ShadowingIntroducesLossAtMarginalRange) {
   auto& tx = rig.add_radio({0, 0});
   rig.add_radio({380, 0});  // marginal link under n=2.8
   for (int i = 0; i < 100; ++i) {
-    rig.sched.schedule_at(5_ms * i, [&] { tx.send(make_frame()); });
+    rig.sched.post_at(5_ms * i, [&] { tx.send(make_frame()); });
   }
   rig.sched.run();
   // Some but not all frames arrive: the shadowing draw matters.
@@ -221,7 +221,7 @@ TEST(Mac, NakagamiFadingCausesLossOnMarginalLink) {
     auto& tx = rig.add_radio({0, 0});
     rig.add_radio({330, 0});
     for (int i = 0; i < 200; ++i) {
-      rig.sched.schedule_at(5_ms * i, [&] { tx.send(make_frame()); });
+      rig.sched.post_at(5_ms * i, [&] { tx.send(make_frame()); });
     }
     rig.sched.run();
     return rig.received[1].size();

@@ -103,9 +103,9 @@ TEST(CaService, MovingStationTriggersOnPositionDelta) {
   // Move the station continuously.
   std::function<void()> move = [&] {
     a.data.position.y += 1.0;  // 10 m/s sampled at 100 ms
-    rig.sched.schedule_in(100_ms, move);
+    rig.sched.post_in(100_ms, move);
   };
-  rig.sched.schedule_in(100_ms, move);
+  rig.sched.post_in(100_ms, move);
   rig.sched.run_until(5_s);
   // Far more CAMs than 1 Hz, and dynamics triggers occurred.
   EXPECT_GT(a.ca->stats().cams_sent, 8u);
@@ -168,9 +168,9 @@ TEST(CaService, LowFrequencyContainerAttachedAtMostEvery500ms) {
   a.ca->start();
   std::function<void()> move = [&] {
     a.data.position.y += 1.0;
-    rig.sched.schedule_in(100_ms, move);
+    rig.sched.post_in(100_ms, move);
   };
-  rig.sched.schedule_in(100_ms, move);
+  rig.sched.post_in(100_ms, move);
   rig.sched.run_until(5_s);
 
   ASSERT_GE(cams.size(), 9u);  // dynamics-triggered, well above 1 Hz
@@ -199,9 +199,9 @@ TEST(CaService, PathHistoryTracksTheTrajectory) {
   a.ca->start();
   std::function<void()> move = [&] {
     a.data.position.y += 1.0;  // northbound, 10 m/s
-    rig.sched.schedule_in(100_ms, move);
+    rig.sched.post_in(100_ms, move);
   };
-  rig.sched.schedule_in(100_ms, move);
+  rig.sched.post_in(100_ms, move);
   rig.sched.run_until(6_s);
 
   ASSERT_TRUE(last_lf_cam.has_value());
@@ -429,6 +429,38 @@ TEST(DenService, KeepAliveForwardingKeepsEventOnAir) {
 
   EXPECT_GE(b.den->stats().kaf_retransmissions, 3u);
   EXPECT_GE(c_received, 1);
+}
+
+/// True when a copy of `State` carries the keep-alive event, so that a
+/// caller could cancel it through the copy or through the scheduler.
+template <typename State, typename Sched = sim::Scheduler>
+constexpr bool kCopyCanCancelKaf =
+    requires(State s) { s.kaf_timer.cancel(); } ||
+    requires(State s, Sched& sched) { sched.cancel(s.kaf_timer); };
+
+TEST(DenService, ReceivedStateCopyCannotCancelTheKeepAlive) {
+  // received_state() hands out a copy; the keep-alive forwarding event
+  // stays private to the service.
+  EXPECT_FALSE(kCopyCanCancelKaf<ReceivedDenmState>);
+
+  Rig rig;
+  auto& originator = rig.add_station(900, {0, 0});
+  auto& b = rig.add_station(42, {20, 0});
+  DenConfig kaf_config;
+  kaf_config.enable_kaf = true;
+  kaf_config.kaf_default_interval = 300_ms;
+  b.den = std::make_unique<DenBasicService>(rig.sched, *b.router, 42, nullptr, b.ldm.get(),
+                                            kaf_config);
+  DenmRequest r = basic_request({10, 0});
+  r.validity = 30_s;
+  const ActionId id = originator.den->trigger(r);
+  rig.sched.run_until(500_ms);
+  const auto copy = b.den->received_state(id);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_TRUE(copy->area.has_value());
+  EXPECT_EQ(copy->last_denm.management.action_id, id);
+  rig.sched.run_until(3_s);
+  EXPECT_GE(b.den->stats().kaf_retransmissions, 3u);
 }
 
 TEST(DenService, KafStopsAfterTermination) {

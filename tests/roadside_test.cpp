@@ -201,9 +201,9 @@ TEST(ObjectDetection, RangeRateTracksApproach) {
   // Approach the camera at 1 m/s.
   std::function<void()> move = [&] {
     pos.y += 0.05;
-    rig.sched.schedule_in(50_ms, move);
+    rig.sched.post_in(50_ms, move);
   };
-  rig.sched.schedule_in(50_ms, move);
+  rig.sched.post_in(50_ms, move);
   rig.sched.run_until(4_s);
   ASSERT_GT(range_rates.size(), 5u);
   sim::RunningStats rr;
@@ -220,9 +220,9 @@ TEST(Hazard, TriggersOnceWhenThresholdCrossed) {
   // Move toward the camera at 1 m/s.
   std::function<void()> move = [&] {
     pos.y += 0.05;
-    rig.sched.schedule_in(50_ms, move);
+    rig.sched.post_in(50_ms, move);
   };
-  rig.sched.schedule_in(50_ms, move);
+  rig.sched.post_in(50_ms, move);
   rig.sched.run_until(5500_ms);  // past the crossing, before LDM-object expiry
   EXPECT_EQ(rig.hazard.stats().denms_triggered, 1u);
   ASSERT_EQ(rig.rsu.triggers.size(), 1u);
@@ -328,9 +328,9 @@ TEST(HazardCpa, PredictsCrossingCollisionFromLdmAndCamera) {
   rig.camera.add_object({1, [&] { return user; }, Presentation::StopSign, "car"});
   std::function<void()> move = [&] {
     user.x -= 0.06;  // 1.2 m/s sampled at 50 ms
-    rig.sched.schedule_in(50_ms, move);
+    rig.sched.post_in(50_ms, move);
   };
-  rig.sched.schedule_in(50_ms, move);
+  rig.sched.post_in(50_ms, move);
   rig.detection.start();
   rig.hazard.start();
   rig.sched.run_until(4_s);
@@ -346,9 +346,9 @@ TEST(HazardCpa, NoTriggerWhenUserTurnsAway) {
   rig.camera.add_object({1, [&] { return user; }, Presentation::StopSign, "car"});
   std::function<void()> move = [&] {
     user.x += 0.06;  // eastbound, diverging
-    rig.sched.schedule_in(50_ms, move);
+    rig.sched.post_in(50_ms, move);
   };
-  rig.sched.schedule_in(50_ms, move);
+  rig.sched.post_in(50_ms, move);
   rig.detection.start();
   rig.hazard.start();
   rig.sched.run_until(4_s);
@@ -361,9 +361,9 @@ TEST(HazardCpa, NoTriggerWithoutLdmVehicle) {
   rig.camera.add_object({1, [&] { return user; }, Presentation::StopSign, "car"});
   std::function<void()> move = [&] {
     user.x -= 0.06;
-    rig.sched.schedule_in(50_ms, move);
+    rig.sched.post_in(50_ms, move);
   };
-  rig.sched.schedule_in(50_ms, move);
+  rig.sched.post_in(50_ms, move);
   rig.detection.start();
   rig.hazard.start();
   rig.sched.run_until(4_s);
@@ -385,9 +385,9 @@ TEST(MultiCamera, TwoCamerasFeedOneHazardService) {
   rig.hazard.start();
   std::function<void()> move = [&] {
     pos.x += 0.05;  // towards camera #2 at 1 m/s
-    rig.sched.schedule_in(50_ms, move);
+    rig.sched.post_in(50_ms, move);
   };
-  rig.sched.schedule_in(50_ms, move);
+  rig.sched.post_in(50_ms, move);
   rig.sched.run_until(4_s);
   EXPECT_EQ(rig.hazard.stats().denms_triggered, 1u);
   ASSERT_EQ(rig.rsu.triggers.size(), 1u);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -21,9 +22,9 @@ using namespace rst::sim::literals;
 TEST(Scheduler, ExecutesInTimeOrder) {
   Scheduler sched;
   std::vector<int> order;
-  sched.schedule_at(30_ms, [&] { order.push_back(3); });
-  sched.schedule_at(10_ms, [&] { order.push_back(1); });
-  sched.schedule_at(20_ms, [&] { order.push_back(2); });
+  sched.post_at(30_ms, [&] { order.push_back(3); });
+  sched.post_at(10_ms, [&] { order.push_back(1); });
+  sched.post_at(20_ms, [&] { order.push_back(2); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sched.now(), 30_ms);
@@ -33,7 +34,7 @@ TEST(Scheduler, EqualTimestampsFireInSchedulingOrder) {
   Scheduler sched;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sched.schedule_at(5_ms, [&order, i] { order.push_back(i); });
+    sched.post_at(5_ms, [&order, i] { order.push_back(i); });
   }
   sched.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -42,8 +43,8 @@ TEST(Scheduler, EqualTimestampsFireInSchedulingOrder) {
 TEST(Scheduler, ScheduleInIsRelative) {
   Scheduler sched;
   SimTime fired_at;
-  sched.schedule_at(10_ms, [&] {
-    sched.schedule_in(5_ms, [&] { fired_at = sched.now(); });
+  sched.post_at(10_ms, [&] {
+    sched.post_in(5_ms, [&] { fired_at = sched.now(); });
   });
   sched.run();
   EXPECT_EQ(fired_at, 15_ms);
@@ -51,29 +52,78 @@ TEST(Scheduler, ScheduleInIsRelative) {
 
 TEST(Scheduler, RejectsPastScheduling) {
   Scheduler sched;
-  sched.schedule_at(10_ms, [] {});
+  sched.post_at(10_ms, [] {});
   sched.run();
-  EXPECT_THROW(sched.schedule_at(5_ms, [] {}), std::invalid_argument);
+  EXPECT_THROW(sched.post_at(5_ms, [] {}), std::invalid_argument);
 }
 
 TEST(Scheduler, CancelPreventsExecution) {
   Scheduler sched;
   bool fired = false;
-  EventHandle h = sched.schedule_at(10_ms, [&] { fired = true; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
+  const Scheduler::Ticket t = sched.post_at(10_ms, [&] { fired = true; });
+  EXPECT_TRUE(sched.pending(t));
+  sched.cancel(t);
+  EXPECT_FALSE(sched.pending(t));
   sched.run();
   EXPECT_FALSE(fired);
 }
 
 TEST(Scheduler, CancelIsIdempotentAndSafeAfterFire) {
   Scheduler sched;
-  EventHandle h = sched.schedule_at(1_ms, [] {});
+  const Scheduler::Ticket t = sched.post_at(1_ms, [] {});
   sched.run();
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // no-op
-  h.cancel();
+  EXPECT_FALSE(sched.pending(t));
+  sched.cancel(t);  // no-op
+  sched.cancel(t);
+  // The next post reuses the fired event's slot; the stale ticket must
+  // neither see nor cancel the newer event.
+  bool fired = false;
+  const Scheduler::Ticket next = sched.post_at(2_ms, [&] { fired = true; });
+  ASSERT_EQ(next.slot, t.slot);
+  EXPECT_FALSE(sched.pending(t));
+  sched.cancel(t);
+  EXPECT_TRUE(sched.pending(next));
+  sched.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sched.purged_events(), 0u);
+  // A default ticket names nothing.
+  EXPECT_FALSE(sched.pending(Scheduler::Ticket{}));
+  sched.cancel(Scheduler::Ticket{});
+}
+
+TEST(Scheduler, TicketIsStaleInsideItsOwnCallback) {
+  // The slot is released before the callback runs, so a post from the
+  // callback takes it at once; cancelling the running event's ticket
+  // leaves that post alone.
+  Scheduler sched;
+  Scheduler::Ticket first;
+  Scheduler::Ticket second;
+  bool pending_inside = true;
+  int fired = 0;
+  first = sched.post_at(1_ms, [&] {
+    pending_inside = sched.pending(first);
+    second = sched.post_in(1_ms, [&] { ++fired; });
+    sched.cancel(first);
+  });
+  sched.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(second.slot, first.slot);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sched.executed_events(), 2u);
+  EXPECT_EQ(sched.purged_events(), 0u);
+}
+
+TEST(Scheduler, TicketIsTriviallyCopyable) {
+  static_assert(std::is_trivially_copyable_v<Scheduler::Ticket>);
+  Scheduler sched;
+  int fired = 0;
+  const Scheduler::Ticket t = sched.post_in(1_ms, [&] { ++fired; });
+  const Scheduler::Ticket copy = t;
+  sched.cancel(copy);  // any copy cancels the one event
+  EXPECT_FALSE(sched.pending(t));
+  sched.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sched.purged_events(), 1u);
 }
 
 TEST(Timer, RearmingFromTheCallbackKeepsAFixedCadence) {
@@ -173,8 +223,8 @@ TEST(Timer, FiresInArmOrderAmongEqualTimestamps) {
 TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
   Scheduler sched;
   int fired = 0;
-  sched.schedule_at(10_ms, [&] { ++fired; });
-  sched.schedule_at(50_ms, [&] { ++fired; });
+  sched.post_at(10_ms, [&] { ++fired; });
+  sched.post_at(50_ms, [&] { ++fired; });
   const auto n = sched.run_until(20_ms);
   EXPECT_EQ(n, 1u);
   EXPECT_EQ(fired, 1);
@@ -185,7 +235,7 @@ TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
 TEST(Scheduler, RunUntilExecutesEventAtExactDeadline) {
   Scheduler sched;
   bool fired = false;
-  sched.schedule_at(20_ms, [&] { fired = true; });
+  sched.post_at(20_ms, [&] { fired = true; });
   sched.run_until(20_ms);
   EXPECT_TRUE(fired);
 }
@@ -194,7 +244,7 @@ TEST(Scheduler, RunWithLimitStopsEarly) {
   Scheduler sched;
   int fired = 0;
   for (int i = 1; i <= 5; ++i) {
-    sched.schedule_at(SimTime::milliseconds(i), [&] { ++fired; });
+    sched.post_at(SimTime::milliseconds(i), [&] { ++fired; });
   }
   EXPECT_EQ(sched.run(2), 2u);
   EXPECT_EQ(fired, 2);
@@ -204,8 +254,8 @@ TEST(Scheduler, RunWithLimitStopsEarly) {
 TEST(Scheduler, StepExecutesExactlyOne) {
   Scheduler sched;
   int fired = 0;
-  sched.schedule_at(1_ms, [&] { ++fired; });
-  sched.schedule_at(2_ms, [&] { ++fired; });
+  sched.post_at(1_ms, [&] { ++fired; });
+  sched.post_at(2_ms, [&] { ++fired; });
   EXPECT_TRUE(sched.step());
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sched.step());
@@ -216,9 +266,9 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   Scheduler sched;
   int chain = 0;
   std::function<void()> next = [&] {
-    if (++chain < 100) sched.schedule_in(1_ms, next);
+    if (++chain < 100) sched.post_in(1_ms, next);
   };
-  sched.schedule_in(1_ms, next);
+  sched.post_in(1_ms, next);
   sched.run();
   EXPECT_EQ(chain, 100);
   EXPECT_EQ(sched.now(), 100_ms);
@@ -227,8 +277,7 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
 
 TEST(Scheduler, CancelledEventsDoNotAdvanceClockInRunUntil) {
   Scheduler sched;
-  EventHandle h = sched.schedule_at(5_ms, [] {});
-  h.cancel();
+  sched.cancel(sched.post_at(5_ms, [] {}));
   sched.run_until(3_ms);
   EXPECT_EQ(sched.now(), 3_ms);
   EXPECT_EQ(sched.pending_events(), 0u);
@@ -236,16 +285,17 @@ TEST(Scheduler, CancelledEventsDoNotAdvanceClockInRunUntil) {
 
 TEST(Scheduler, SameTimestampOrderSpansPostAndScheduleInterleavings) {
   // The FIFO-within-timestamp guarantee is per insertion, not per entry
-  // point: tracked schedule_at, fire-and-forget post_at and relative
-  // schedule_in/post_in all share one sequence counter.
+  // point: absolute post_at, relative post_in and Timer arms, kept or
+  // dropped tickets, all share one sequence counter.
   Scheduler sched;
   std::vector<int> order;
+  Timer timer{sched, [&] { order.push_back(2); }};
   sched.post_at(5_ms, [&] { order.push_back(0); });
-  sched.schedule_at(5_ms, [&] { order.push_back(1); });
-  sched.post_in(5_ms, [&] { order.push_back(2); });
-  EventHandle tracked = sched.schedule_in(5_ms, [&] { order.push_back(3); });
+  const Scheduler::Ticket kept = sched.post_at(5_ms, [&] { order.push_back(1); });
+  timer.arm_in(5_ms);
+  sched.post_in(5_ms, [&] { order.push_back(3); });
   sched.post_at(5_ms, [&] { order.push_back(4); });
-  (void)tracked;
+  EXPECT_TRUE(sched.pending(kept));
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -253,12 +303,12 @@ TEST(Scheduler, SameTimestampOrderSpansPostAndScheduleInterleavings) {
 TEST(Scheduler, CancellingMiddleOfSameTimestampBatchPreservesTheRest) {
   Scheduler sched;
   std::vector<int> order;
-  std::vector<EventHandle> handles;
+  std::vector<Scheduler::Ticket> tickets;
   for (int i = 0; i < 6; ++i) {
-    handles.push_back(sched.schedule_at(5_ms, [&order, i] { order.push_back(i); }));
+    tickets.push_back(sched.post_at(5_ms, [&order, i] { order.push_back(i); }));
   }
-  handles[1].cancel();
-  handles[4].cancel();
+  sched.cancel(tickets[1]);
+  sched.cancel(tickets[4]);
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5}));
   EXPECT_EQ(sched.executed_events(), 4u);
@@ -269,10 +319,10 @@ TEST(Scheduler, CancelFromWithinSameTimestampBatch) {
   // callback must not fire even though it was already due.
   Scheduler sched;
   std::vector<int> order;
-  EventHandle victim = sched.schedule_at(5_ms, [&] { order.push_back(99); });
+  const Scheduler::Ticket victim = sched.post_at(5_ms, [&] { order.push_back(99); });
   sched.post_at(5_ms, [&] {
     order.push_back(0);
-    victim.cancel();
+    sched.cancel(victim);
   });
   // Scheduled after the canceller but before the victim fires — still runs.
   sched.post_at(5_ms, [&] { order.push_back(1); });
@@ -284,12 +334,12 @@ TEST(Scheduler, CancelFromWithinSameTimestampBatch) {
   // Now the canceller is scheduled first and the victim second.
   Scheduler sched2;
   order.clear();
-  EventHandle victim2;
+  Scheduler::Ticket victim2;
   sched2.post_at(5_ms, [&] {
     order.push_back(0);
-    victim2.cancel();
+    sched2.cancel(victim2);
   });
-  victim2 = sched2.schedule_at(5_ms, [&] { order.push_back(99); });
+  victim2 = sched2.post_at(5_ms, [&] { order.push_back(99); });
   sched2.run();
   EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(sched2.executed_events(), 1u);
@@ -388,16 +438,16 @@ TEST(Scheduler, StopsLeaveExecutionAndPurgingUnchanged) {
   // at every millisecond executes and purges exactly the same entries.
   const auto run = [](bool stops) {
     Scheduler sched;
-    std::vector<EventHandle> handles;
+    std::vector<Scheduler::Ticket> tickets;
     std::vector<int> order;
     for (int i = 0; i < 200; ++i) {
       const SimTime at = SimTime::microseconds(137 * i % 20'000);
-      handles.push_back(sched.schedule_at(at, [&order, i] { order.push_back(i); }));
+      tickets.push_back(sched.post_at(at, [&order, i] { order.push_back(i); }));
     }
-    for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
+    for (std::size_t i = 0; i < tickets.size(); i += 3) sched.cancel(tickets[i]);
     // Events that cancel later ones while the run is under way.
     sched.post_at(7_ms, [&] {
-      for (std::size_t i = 1; i < handles.size(); i += 7) handles[i].cancel();
+      for (std::size_t i = 1; i < tickets.size(); i += 7) sched.cancel(tickets[i]);
     });
     if (stops) {
       for (SimTime stop = 1_ms; stop <= 25_ms; stop += 1_ms) {
@@ -437,6 +487,10 @@ class ReferenceModel {
     return std::any_of(entries_.begin(), entries_.end(),
                        [id](const Entry& e) { return e.id == id && !e.dead; });
   }
+  /// True while `id` holds a queue entry, cancelled or not.
+  [[nodiscard]] bool queued(int id) const {
+    return std::any_of(entries_.begin(), entries_.end(), [id](const Entry& e) { return e.id == id; });
+  }
   /// Pops the next live entry and returns its id, or -1 when none is left.
   int step() {
     purge();
@@ -469,9 +523,11 @@ class ReferenceModel {
 };
 
 /// Drives a Scheduler and the model with the same random operations, at the
-/// top level and from inside callbacks: post_at, schedule_at and
-/// EventHandle::cancel, and Timer arm, re-arm, cancel and destruction, at
-/// times drawn from now() + {0..3} ms so timestamps collide.
+/// top level and from inside callbacks: post_at with the ticket dropped or
+/// kept, Scheduler::cancel, and Timer arm, re-arm, cancel and destruction,
+/// at times drawn from now() + {0..3} ms so timestamps collide. Kept
+/// tickets outlive their events, so cancel and pending meet stale tickets
+/// whose slots already hold newer events.
 class ReferenceHarness {
  public:
   static constexpr int kTimers = 4;
@@ -486,22 +542,24 @@ class ReferenceHarness {
         case 0: {
           const int id = fresh_id(-1);
           const SimTime when = later();
-          sched.post_at(when, [this, id] { fired_ = id; act(); });
+          slot_event_[sched.post_at(when, [this, id] { fired_ = id; act(); }).slot] = id;
           model_.push(when, id);
           break;
         }
         case 1: {
           const int id = fresh_id(-1);
           const SimTime when = later();
-          handles_.emplace_back(sched.schedule_at(when, [this, id] { fired_ = id; act(); }), id);
+          tickets_.emplace_back(sched.post_at(when, [this, id] { fired_ = id; act(); }), id);
+          slot_event_[tickets_.back().first.slot] = id;
           model_.push(when, id);
-          if (handles_.size() > 16) handles_.erase(handles_.begin());
+          if (tickets_.size() > 16) tickets_.erase(tickets_.begin());
           break;
         }
         case 2:
-          if (!handles_.empty()) {
-            auto& [handle, id] = handles_[pick(static_cast<unsigned>(handles_.size()))];
-            handle.cancel();
+          if (!tickets_.empty()) {
+            const auto [ticket, id] = tickets_[pick(static_cast<unsigned>(tickets_.size()))];
+            note_stale(ticket, id);
+            sched.cancel(ticket);
             model_.cancel(id);
           }
           break;
@@ -549,19 +607,30 @@ class ReferenceHarness {
     for (int k = 0; k < kTimers; ++k) {
       ASSERT_EQ(timers_[k]->armed(), timer_pending_[k] >= 0) << "step " << i << " timer " << k;
     }
-    for (const auto& [handle, id] : handles_) {
-      ASSERT_EQ(handle.pending(), model_.live(id)) << "step " << i << " event " << id;
+    for (const auto& [ticket, id] : tickets_) {
+      note_stale(ticket, id);
+      ASSERT_EQ(sched.pending(ticket), model_.live(id)) << "step " << i << " event " << id;
     }
   }
 
   [[nodiscard]] std::uint64_t purged() const { return model_.purged; }
   [[nodiscard]] std::uint64_t timer_firings() const { return timer_firings_; }
+  [[nodiscard]] std::uint64_t stale_hits() const { return stale_hits_; }
 
   Scheduler sched;  // declared before the timers, which must die first
 
  private:
   unsigned pick(unsigned n) { return static_cast<unsigned>(gen_() % n); }
   SimTime later() { return sched.now() + SimTime::milliseconds(pick(4)); }
+  /// Counts a cancel or pending call with a stale ticket (its event ran or
+  /// was discarded) whose slot holds a newer queued event.
+  void note_stale(const Scheduler::Ticket& ticket, int id) {
+    const auto it = slot_event_.find(ticket.slot);
+    if (!model_.queued(id) && it != slot_event_.end() && it->second != id &&
+        model_.queued(it->second)) {
+      ++stale_hits_;
+    }
+  }
   int fresh_id(int timer) {
     owner_.push_back(timer);
     return static_cast<int>(owner_.size()) - 1;
@@ -580,13 +649,15 @@ class ReferenceHarness {
   std::mt19937 gen_;
   ReferenceModel model_;
   std::vector<int> owner_;  // per id: the timer it arms, or -1
-  std::vector<std::pair<EventHandle, int>> handles_;
+  std::vector<std::pair<Scheduler::Ticket, int>> tickets_;
+  std::map<const void*, int> slot_event_;  // per slot: the event last posted into it
   std::array<std::unique_ptr<Timer>, kTimers> timers_;
   std::array<int, kTimers> timer_pending_{-1, -1, -1, -1};  // the model's queued firing
   std::array<int, kTimers> armed_id_{-1, -1, -1, -1};  // the latest arming, which is what fires
   int running_timer_{-1};
   int fired_{-1};
   std::uint64_t timer_firings_{0};
+  std::uint64_t stale_hits_{0};
 };
 
 TEST(SchedulerReference, RandomOperationsMatchASortedListModel) {
@@ -602,6 +673,7 @@ TEST(SchedulerReference, RandomOperationsMatchASortedListModel) {
     EXPECT_GT(h.purged(), 100u);
     EXPECT_GT(h.timer_firings(), 100u);
     EXPECT_GT(h.sched.executed_events(), 2000u);
+    EXPECT_GT(h.stale_hits(), 1000u);
   }
 }
 
@@ -703,8 +775,7 @@ TEST(SmallFunction, SchedulerRunsAndReleasesNonTrivialCaptures) {
     for (int i = 0; i < 300; ++i) {  // past one slot slab
       sched.post_at(SimTime::microseconds(300 - i), Probe{token, &destroyed});
     }
-    EventHandle cancelled = sched.schedule_at(1_ms, Probe{token, &destroyed});
-    cancelled.cancel();
+    sched.cancel(sched.post_at(1_ms, Probe{token, &destroyed}));
     sched.post_at(2_ms, Probe{token, &destroyed});  // still queued when the scheduler dies
     sched.run_until(1_ms);
     EXPECT_EQ(*token, 300);

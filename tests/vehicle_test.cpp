@@ -233,9 +233,9 @@ TEST(Pipeline, FollowsAClosedCircuitLap) {
   double worst_offset = 0;
   std::function<void()> probe = [&] {
     worst_offset = std::max(worst_offset, std::abs(track.project(dyn.position()).lateral_offset));
-    sched.schedule_in(sim::SimTime::milliseconds(100), probe);
+    sched.post_in(sim::SimTime::milliseconds(100), probe);
   };
-  sched.schedule_in(sim::SimTime::milliseconds(100), probe);
+  sched.post_in(sim::SimTime::milliseconds(100), probe);
   sched.run_until(sim::SimTime::seconds(45));
 
   // Finished at least a full lap without ever leaving the line's
