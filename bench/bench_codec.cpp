@@ -114,8 +114,8 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   // Events per second of the discrete-event core: chained self-scheduling
   // of never-cancelled events, the dominant pattern in the testbed. The
   // callback captures 32 bytes (a `this` pointer plus a few scalars, like
-  // the radio/medium/service timers do). Uses the fire-and-forget path,
-  // which is the idiomatic API for events that are never cancelled.
+  // the radio/medium/service timers do). Drops the ticket post_in
+  // returns, as callers that never cancel do.
   struct Tick {
     rst::sim::Scheduler* sched;
     int* remaining;

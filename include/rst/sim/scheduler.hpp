@@ -126,6 +126,9 @@ class Scheduler {
   void release_slot(Slot* s) noexcept;
   /// Queues a filled slot at `when`; the slot is live, so it stays queued.
   void push(SimTime when, Slot* slot);
+  /// The body of post_at and post_in. Taking `cb` by reference keeps
+  /// post_in from moving the callback once more on its way to the slot.
+  Ticket enqueue(SimTime when, Callback& cb);
   /// Marks a queued, live slot cancelled; the purge discards it later.
   void mark_dead(Slot* s) {
     s->cancelled = true;

@@ -59,7 +59,7 @@ void Scheduler::purge_dead_front() {
   }
 }
 
-Scheduler::Ticket Scheduler::post_at(SimTime when, Callback cb) {
+Scheduler::Ticket Scheduler::enqueue(SimTime when, Callback& cb) {
   check_not_past(when);
   Slot* s = acquire_slot();
   s->cb = std::move(cb);
@@ -67,8 +67,10 @@ Scheduler::Ticket Scheduler::post_at(SimTime when, Callback cb) {
   return Ticket{s, s->generation};
 }
 
+Scheduler::Ticket Scheduler::post_at(SimTime when, Callback cb) { return enqueue(when, cb); }
+
 Scheduler::Ticket Scheduler::post_in(SimTime delay, Callback cb) {
-  return post_at(now_ + delay, std::move(cb));
+  return enqueue(now_ + delay, cb);
 }
 
 bool Scheduler::step() {

@@ -16,7 +16,6 @@ struct CaccRig {
   VehicleDynamics follower{sched, {}, rng.child("follow")};
   CaccController cacc{sched, follower};
   sim::Scheduler::Ticket feed_timer;
-  sim::Scheduler::Ticket lead_timer;
 
   CaccRig() {
     leader.reset({0, 5.0}, 0.0, 1.2);
@@ -25,7 +24,7 @@ struct CaccRig {
 
   void drive_leader_constant(double throttle) {
     leader.set_throttle(throttle);
-    lead_timer = sched.post_in(50_ms, [this, throttle] { drive_leader_constant(throttle); });
+    sched.post_in(50_ms, [this, throttle] { drive_leader_constant(throttle); });
   }
 
   void feed_cams(sim::SimTime period = 100_ms) {
