@@ -102,16 +102,9 @@ struct TestbedConfig {
   /// wall scan. Results are bit-identical either way.
   bool obstacle_index{true};
 
-  // --- Medium scaling (dense fleets; see README "Scaling the medium") ---
-  /// Spatial-grid receiver culling. Outcomes are identical without the
-  /// grid — culling only skips links whose deterministic budget is already
-  /// below `medium_power_floor_dbm`.
-  bool medium_spatial_index{false};
+  // --- Medium range (see README "Scaling the medium") ---
   /// Link budget (dBm) below which a link is out of range.
   double medium_power_floor_dbm{-110.0};
-  /// Culling grid cell size in metres; 0 derives one hearing radius from
-  /// the power floor.
-  double medium_grid_cell_m{0.0};
 
   // --- Wired middleware ---
   middleware::HttpLan::Config lan{};

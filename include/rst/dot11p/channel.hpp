@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "rst/geo/vec2.hpp"
-#include "rst/sim/random.hpp"
 
 namespace rst::geo {
 class CrossingIds;
@@ -52,11 +51,14 @@ class PathLossModel {
   }
 
   /// Lower bound on the loss between any two positions `distance_m` apart.
-  /// The spatial index inverts this to derive a conservative culling radius:
-  /// over-estimating loss here would cull radios that can still hear, so
-  /// models whose loss is not a pure function of distance must override it
-  /// with a true lower bound. The default evaluates the model along an
-  /// arbitrary axis, which is exact for the distance-radial models above.
+  /// The medium inverts this at the power floor to derive each
+  /// transmitter's cull radius: over-estimating loss here would cull radios
+  /// that can still hear, so models whose loss is not a pure function of
+  /// distance must override it with a true lower bound. The default
+  /// evaluates the model along an arbitrary axis, which is exact for the
+  /// distance-radial models below. A model with no range bound returns a
+  /// bound that never reaches the budget, and the medium then culls nothing
+  /// by distance.
   [[nodiscard]] virtual double min_loss_db(double distance_m) const {
     return loss_db({0.0, 0.0}, {distance_m, 0.0});
   }
@@ -233,13 +235,8 @@ struct ChannelModel {
   /// Nakagami shape parameter (ignored unless fading == Nakagami).
   double nakagami_m{3.0};
 
-  // --- Dense-fleet scaling (README "Scaling the medium") ---
+  // --- Range culling (README "Scaling the medium") ---
 
-  /// Cull receivers through a uniform spatial hash grid instead of the full
-  /// radio fan-out. A pure performance switch: it must not change any
-  /// delivery outcome, because the grid radius is derived by inverting
-  /// PathLossModel::min_loss_db at power_floor_dbm.
-  bool spatial_index{false};
   /// Links below this deterministic receive power (dBm, path loss and
   /// antenna gains only) are out of range: no draw, no interference, counted
   /// as dropped_below_sensitivity. Keep a healthy margin below
@@ -247,14 +244,9 @@ struct ChannelModel {
   /// default is 15 dB under the default -95 dBm sensitivity (> 5 sigma of
   /// typical shadowing).
   double power_floor_dbm{-110.0};
-  /// Grid cell edge; 0 derives it from the inverted power floor range.
-  double cell_size_m{0.0};
-  /// How often the grid re-reads every radio's position (amortised into
-  /// begin_transmission, no standing event). Zero means the 100 ms default.
-  sim::SimTime reindex_period{};
-  /// Upper bound on station speed, used to pad the query radius against
-  /// positions that are up to one reindex period stale. Stations moving
-  /// faster than this can be culled while audible.
+  /// Upper bound on station speed, used to pad the cull radius against
+  /// recorded positions that are up to one position sweep (100 ms) stale.
+  /// Stations moving faster than this can be culled while audible.
   double max_station_speed_mps{50.0};
 };
 

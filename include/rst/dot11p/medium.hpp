@@ -7,7 +7,7 @@
 
 #include "rst/dot11p/channel.hpp"
 #include "rst/dot11p/frame.hpp"
-#include "rst/geo/spatial_grid.hpp"
+#include "rst/geo/vec2.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
 
@@ -38,10 +38,16 @@ class Radio;
 /// interference is a per-receiver running accumulator (O(1) per SINR
 /// evaluation), and deterministic link budgets are cached per (tx, rx) slot
 /// pair under position epochs, next to the path-loss model's `CullHint` for
-/// the pair. `ChannelModel::spatial_index` additionally culls receivers
-/// through a uniform spatial hash grid and then by distance from their
-/// recorded positions, which cannot change any outcome — it only skips
-/// links already below the power floor.
+/// the pair.
+///
+/// A transmission visits the attached radios in ascending slot id. One
+/// whose recorded position lies beyond the transmitter's cull radius (the
+/// inverse of `PathLossModel::min_loss_db` at the power floor, padded by
+/// the distance a station at `max_station_speed_mps` covers between two
+/// position sweeps) is culled without re-reading its position; that cannot
+/// change any outcome, since it only skips links already below the floor.
+/// A model with no range bound gives an infinite radius, and then every
+/// radio is evaluated.
 class Medium {
  public:
   Medium(sim::Scheduler& sched, sim::RandomStream rng, ChannelModel channel);
@@ -72,7 +78,7 @@ class Medium {
     std::uint64_t dropped_error{0};
     /// Of dropped_below_sensitivity, how many links were never evaluated
     /// because their deterministic budget sat below the power floor
-    /// (bulk-culled by the grid or floor-checked individually).
+    /// (culled by recorded distance or floor-checked individually).
     std::uint64_t culled_below_floor{0};
     /// Link-budget cache performance.
     std::uint64_t budget_cache_hits{0};
@@ -158,13 +164,13 @@ class Medium {
 
   void finish_transmission(const std::shared_ptr<Transmission>& t);
 
-  /// Re-reads a radio's position; bumps its epoch (and moves its grid bin)
-  /// when it changed, and records that the current transmission moved it.
+  /// Re-reads a radio's position; bumps its epoch when it changed, and
+  /// records that the current transmission moved it.
   /// Returns the slot's recorded position.
   geo::Vec2 refresh_slot(std::uint32_t slot_id);
   /// Amortised full reposition sweep: runs at most once per reindex period,
   /// from begin_transmission, so recorded positions are never staler than
-  /// one period (covered by the speed-bound query padding).
+  /// one period (covered by the speed-bound padding of the cull radius).
   void maybe_reindex();
   /// Deterministic link budget via the epoch-validated (tx, rx) cache. A
   /// pair with an endpoint that moved during this transmission's setup
@@ -183,7 +189,6 @@ class Medium {
   void remove_active(Slot& slot, const Transmission* t, std::uint32_t index);
   [[nodiscard]] std::shared_ptr<Transmission> acquire_transmission();
   void release_transmission(const std::shared_ptr<Transmission>& t);
-  void ensure_grid(const RadioConfig& first_cfg);
   [[nodiscard]] double invert_range_m(double budget_db) const;
   [[nodiscard]] double slot_cull_radius_m(Slot& slot);
 
@@ -192,14 +197,10 @@ class Medium {
   ChannelModel channel_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t attached_count_{0};
   std::vector<std::shared_ptr<Transmission>> pool_;  // finished transmissions for reuse
   std::unordered_map<std::uint64_t, CachedBudget> budget_cache_;
   std::uint64_t tx_serial_{0};  // transmissions begun; Slot::moved_in refers to it
-  std::unique_ptr<geo::SpatialGrid> grid_;
-  std::vector<std::uint32_t> scratch_candidates_;
   sim::SimTime last_reindex_{};
-  sim::SimTime reindex_period_{};
   double max_antenna_gain_dbi_{0.0};
   sim::FaultInjector* faults_{nullptr};
   /// Fault attenuation (dB) snapshotted once per transmission start.

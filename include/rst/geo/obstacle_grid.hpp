@@ -68,12 +68,12 @@ class CrossingIds {
 };
 
 /// Static-obstacle ray-acceleration structure: segments bucketed into a
-/// uniform cell grid (same floor/key conventions as `SpatialGrid`), queried
-/// by a supercover walk that visits only the cells a tx->rx ray passes
-/// through, at O(cells-along-ray) instead of O(segments). A caller applies
-/// the exact `segments_intersect` test to each candidate and collects the
-/// crossings in a `CrossingIds`; summing over them in ascending id order
-/// reproduces a brute-force scan in index order bit for bit.
+/// uniform grid of square cells, queried by a supercover walk that visits
+/// only the cells a tx->rx ray passes through, at O(cells-along-ray)
+/// instead of O(segments). A caller applies the exact `segments_intersect`
+/// test to each candidate and collects the crossings in a `CrossingIds`;
+/// summing over them in ascending id order reproduces a brute-force scan
+/// in index order bit for bit.
 ///
 /// The structure is immutable after construction and a query keeps its
 /// state on the caller's stack, so concurrent readers (scenarios on
@@ -82,11 +82,11 @@ class CrossingIds {
 /// inline (obstacle_alloc_test).
 class ObstacleGrid {
  public:
-  /// `cell_size_m == 0` derives a size from the segment geometry
+  /// `cell_m == 0` derives a size from the segment geometry
   /// (`derive_cell_size`).
-  explicit ObstacleGrid(std::vector<Segment> segments, double cell_size_m = 0.0);
+  explicit ObstacleGrid(std::vector<Segment> segments, double cell_m = 0.0);
 
-  [[nodiscard]] double cell_size_m() const { return cell_size_m_; }
+  [[nodiscard]] double cell_m() const { return cell_m_; }
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
   [[nodiscard]] std::size_t occupied_cells() const { return cells_.size(); }
   [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
@@ -150,7 +150,7 @@ class ObstacleGrid {
     const double y_min = a.y < b.y ? a.y : b.y;
     const double y_max = a.y < b.y ? b.y : a.y;
     const double eps =
-        1e-9 * (std::abs(a.x) + std::abs(a.y) + std::abs(b.x) + std::abs(b.y) + cell_size_m_ + 1.0);
+        1e-9 * (std::abs(a.x) + std::abs(a.y) + std::abs(b.x) + std::abs(b.y) + cell_m_ + 1.0);
     const std::int32_t cx0 = cell_coord(a.x);
     const std::int32_t cx1 = cell_coord(b.x);
     for (std::int32_t cx = cx0; cx <= cx1; ++cx) {
@@ -160,8 +160,8 @@ class ObstacleGrid {
         // The segment's y-band over this column's x-interval; endpoints of a
         // linear function sit at the clipped interval ends. Clamping keeps
         // the interpolation inside the segment's overall band.
-        const double x_lo = std::max(a.x, cx * cell_size_m_);
-        const double x_hi = std::min(b.x, (cx + 1) * cell_size_m_);
+        const double x_lo = std::max(a.x, cx * cell_m_);
+        const double x_hi = std::min(b.x, (cx + 1) * cell_m_);
         const double slope = (b.y - a.y) / dx;
         const double y0 = std::clamp(a.y + (x_lo - a.x) * slope, y_min, y_max);
         const double y1 = std::clamp(a.y + (x_hi - a.x) * slope, y_min, y_max);
@@ -177,7 +177,7 @@ class ObstacleGrid {
     return true;
   }
 
-  double cell_size_m_{0.0};
+  double cell_m_{0.0};
   std::vector<Segment> segments_;
   /// CSR bins: cell key -> contiguous id range in `ids_`. Built once;
   /// queries only `find`.

@@ -77,17 +77,11 @@ struct CitySpec {
   double path_loss_exponent{3.2};
   double shadowing_sigma_db{0.0};
   double tx_power_dbm{23.0};
-  /// Spatial-grid receiver culling in the medium; a pure performance
-  /// switch, outcomes are identical either way.
-  bool spatial_index{true};
   /// Ray-index the building walls (geo::ObstacleGrid); off falls back to
   /// the brute-force wall scan. Bit-identical either way — the knob exists
   /// for equivalence testing and tiny maps.
   bool obstacle_index{true};
   double power_floor_dbm{-110.0};
-  /// Culling grid cell size in metres; 0 derives one hearing radius from
-  /// the power floor.
-  double grid_cell_m{0.0};
 
   geo::GeoPosition origin{41.1780, -8.6080};
 
@@ -140,7 +134,7 @@ struct RoadNetwork {
 /// Deterministic topology generation from (seed, spec).
 [[nodiscard]] RoadNetwork generate_road_network(const CitySpec& spec);
 
-/// The assembled city: one shared medium (spatial-indexed), buildings wired
+/// The assembled city: one shared medium (range-culled), buildings wired
 /// into the channel model, an ITS station per RSU and per vehicle — all of
 /// them running the full CAM/DENM/BTP/GN stack of `core::ItsStation`.
 class CityScenario {

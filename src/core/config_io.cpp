@@ -264,14 +264,10 @@ constexpr Field<C> kConfigFields[] = {
      {}, "LDM perceived-object lifetime under CPM"},
     {"cpm_redundancy_window_ms", K::Ms, [](C& c) { return &c.cpm_redundancy_window; },
      {}, "skip objects a peer announced within this window"},
-    {"medium_spatial_index", K::Bool, [](C& c) { return &c.medium_spatial_index; },
-     {}, "spatial-grid receiver culling (outcomes unchanged)"},
     {"obstacle_index", K::Bool, [](C& c) { return &c.obstacle_index; },
      {}, "ray-index the obstacle walls (off = brute-force scan)"},
     {"medium_power_floor_dbm", K::Double, [](C& c) { return &c.medium_power_floor_dbm; },
      {.hi = 0}, "out-of-range link-budget floor (dBm)"},
-    {"medium_grid_cell_m", K::Double, [](C& c) { return &c.medium_grid_cell_m; },
-     at_least(0), "culling grid cell size (0 = derive from power floor)"},
     {"warning_bearer", K::Token, [](C& c) { return &c.warning_path; },
      {}, "its-g5 | embb | urllc", kBearers},
     {"use_gnss", K::Bool, [](C& c) { return &c.use_gnss; },
@@ -287,11 +283,11 @@ constexpr Field<C> kConfigFields[] = {
     {"watchdog", K::Bool, [](C& c) { return &c.message_handler.watchdog; },
      {}, "DENM/CAM-liveness watchdog (failsafe degradation)"},
     {"watchdog_timeout_ms", K::Ms, [](C& c) { return &c.message_handler.watchdog_timeout; },
-     {}, "silence before the watchdog degrades"},
+     at_least(0), "silence before the watchdog degrades"},
     {"failsafe_speed_mps", K::Double, [](C& c) { return &c.planner.failsafe_speed_mps; },
-     {}, "speed cap while degraded"},
+     at_least(0), "speed cap while degraded"},
     {"hazard_min_confidence", K::Double, [](C& c) { return &c.hazard.min_confidence; },
-     {}, "minimum detection confidence the hazard service reacts to"},
+     {0, 1}, "minimum detection confidence the hazard service reacts to"},
     {"hazard_require_known_road_user", K::Bool,
      [](C& c) { return &c.hazard.require_known_road_user; },
      {}, "ignore detections whose label is not a road user"},

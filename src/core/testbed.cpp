@@ -62,9 +62,7 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   dot11p::ChannelModel channel;
   channel.path_loss = std::shared_ptr<const dot11p::PathLossModel>{make_path_loss(config_)};
   channel.shadowing_sigma_db = config_.shadowing_sigma_db;
-  channel.spatial_index = config_.medium_spatial_index;
   channel.power_floor_dbm = config_.medium_power_floor_dbm;
-  channel.cell_size_m = config_.medium_grid_cell_m;
   medium_ = std::make_unique<dot11p::Medium>(sched_, rng_.child("medium"), std::move(channel));
   medium_->set_fault_injector(faults_.get());
   lan_ = std::make_unique<middleware::HttpLan>(sched_, rng_.child("lan"), config_.lan);

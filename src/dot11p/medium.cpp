@@ -1,7 +1,6 @@
 #include "rst/dot11p/medium.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "rst/dot11p/radio.hpp"
@@ -11,7 +10,10 @@ namespace rst::dot11p {
 
 namespace {
 
-constexpr sim::SimTime kDefaultReindexPeriod = sim::SimTime::milliseconds(100);
+/// How often `maybe_reindex` re-reads every radio's position; the cull
+/// radius is padded by the distance a station at the speed bound covers in
+/// one period.
+constexpr sim::SimTime kReindexPeriod = sim::SimTime::milliseconds(100);
 
 /// Salt separating the PER draw stream from the shadowing/fading stream of
 /// the same (tx, rx, seq) link.
@@ -28,27 +30,9 @@ Medium::Medium(sim::Scheduler& sched, sim::RandomStream rng, ChannelModel channe
     : sched_{sched},
       link_rng_{rng.child("link")},
       channel_{std::move(channel)},
-      last_reindex_{sched.now()},
-      reindex_period_{channel_.reindex_period > sim::SimTime::zero() ? channel_.reindex_period
-                                                                     : kDefaultReindexPeriod} {}
+      last_reindex_{sched.now()} {}
 
 Medium::~Medium() = default;
-
-void Medium::ensure_grid(const RadioConfig& first_cfg) {
-  if (grid_ || !channel_.spatial_index) return;
-  double cell = channel_.cell_size_m;
-  if (cell <= 0.0) {
-    // Derive from the power floor: one cell spans roughly one hearing
-    // radius, so a query visits a 3x3-ish neighbourhood. Radios attached
-    // later with bigger budgets just query more cells; correctness never
-    // depends on the cell size.
-    const double budget = first_cfg.tx_power_dbm + 2.0 * first_cfg.antenna_gain_dbi -
-                          channel_.power_floor_dbm;
-    const double r = invert_range_m(budget);
-    cell = std::isfinite(r) ? std::clamp(r, 1.0, 10000.0) : 250.0;
-  }
-  grid_ = std::make_unique<geo::SpatialGrid>(cell);
-}
 
 void Medium::attach(Radio* radio) {
   std::uint32_t slot_id;
@@ -72,16 +56,11 @@ void Medium::attach(Radio* radio) {
   slot.active.clear();
   slot.own.clear();
   radio->set_medium_slot(slot_id);
-  ++attached_count_;
 
   if (radio->config().antenna_gain_dbi > max_antenna_gain_dbi_) {
     max_antenna_gain_dbi_ = radio->config().antenna_gain_dbi;
     // A bigger peak receive gain widens every transmitter's hearing range.
     for (Slot& s : slots_) s.cull_radius_m = -1.0;
-  }
-  if (channel_.spatial_index) {
-    ensure_grid(radio->config());
-    grid_->insert(slot_id, slot.pos);
   }
 }
 
@@ -103,13 +82,11 @@ void Medium::detach(Radio* radio) {
   // completion callback may touch the dead radio.
   for (Transmission* t : slot.own) t->tx = nullptr;
 
-  if (grid_) grid_->remove(slot_id, slot.pos);
   slot.radio = nullptr;
   slot.active.clear();
   slot.own.clear();
   slot.interference_mw = 0.0;
   free_slots_.push_back(slot_id);
-  --attached_count_;
 }
 
 double Medium::mean_rx_power_dbm(const Radio& tx, const Radio& rx) const {
@@ -151,7 +128,6 @@ geo::Vec2 Medium::refresh_slot(std::uint32_t slot_id) {
   Slot& slot = slots_[slot_id];
   const geo::Vec2 now_pos = slot.radio->position();
   if (!(now_pos == slot.pos)) {
-    if (grid_) grid_->move(slot_id, slot.pos, now_pos);
     slot.pos = now_pos;
     ++slot.epoch;  // any movement invalidates this endpoint's cached budgets
     slot.moved_in = tx_serial_;
@@ -161,7 +137,7 @@ geo::Vec2 Medium::refresh_slot(std::uint32_t slot_id) {
 }
 
 void Medium::maybe_reindex() {
-  if (!grid_ || sched_.now() - last_reindex_ < reindex_period_) return;
+  if (sched_.now() - last_reindex_ < kReindexPeriod) return;
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
     if (slots_[id].radio != nullptr) refresh_slot(id);
   }
@@ -263,38 +239,25 @@ void Medium::begin_transmission(Radio* tx, Frame frame, std::size_t psdu_bytes) 
 
   maybe_reindex();
   const geo::Vec2 tx_pos = refresh_slot(t->tx_slot);
-  const double radius =
-      grid_ ? slot_cull_radius_m(slots_[t->tx_slot]) : std::numeric_limits<double>::infinity();
-  if (std::isfinite(radius)) {
-    // Recorded positions can be up to one reindex period stale; pad the
-    // query so a station moving at the speed bound cannot slip out of the
-    // visited cells while still being audible.
-    const double pad = channel_.max_station_speed_mps * reindex_period_.to_seconds();
-    const double reach = radius + pad;
-    scratch_candidates_.clear();
-    grid_->for_each_in_disc(tx_pos, reach, [&](std::uint32_t id) {
-      // The cells' own test at disc resolution: a radio recorded farther
-      // than the padded radius is out of range without a refresh.
-      if (id != t->tx_slot && (slots_[id].pos - tx_pos).norm2() <= reach * reach) {
-        scratch_candidates_.push_back(id);
-      }
-    });
-    // Canonical order: ascending slot id, matching the full fan-out path,
-    // so culling cannot reorder deliveries within one finish event.
-    std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-    for (const std::uint32_t rx_slot : scratch_candidates_) admit_receiver(t, rx_slot);
-    // Radios outside the padded disc are below the power floor by
-    // construction; fold them into the below-sensitivity drop count in one
-    // step so MediumStats stay identical to the unculled path.
-    const auto culled = static_cast<std::uint64_t>(attached_count_ - 1 -
-                                                   scratch_candidates_.size());
-    stats_.dropped_below_sensitivity += culled;
-    stats_.culled_below_floor += culled;
-  } else {
-    for (std::uint32_t rx_slot = 0; rx_slot < slots_.size(); ++rx_slot) {
-      if (slots_[rx_slot].radio == nullptr || rx_slot == t->tx_slot) continue;
-      admit_receiver(t, rx_slot);
+  // Recorded positions can be up to one reindex period stale; pad the cull
+  // radius so a station moving at the speed bound cannot be culled while
+  // still audible. A model with no range bound gives an infinite radius.
+  const double reach = slot_cull_radius_m(slots_[t->tx_slot]) +
+                       channel_.max_station_speed_mps * kReindexPeriod.to_seconds();
+  const double reach2 = reach * reach;
+  // Ascending slot id: the order receivers are admitted in, and so the
+  // order deliveries run in within one finish event.
+  for (std::uint32_t rx_slot = 0; rx_slot < slots_.size(); ++rx_slot) {
+    const Slot& rx = slots_[rx_slot];
+    if (rx.radio == nullptr || rx_slot == t->tx_slot) continue;
+    if ((rx.pos - tx_pos).norm2() > reach2) {
+      // Recorded beyond the padded radius: below the power floor by
+      // construction, so it is culled without re-reading its position.
+      ++stats_.dropped_below_sensitivity;
+      ++stats_.culled_below_floor;
+      continue;
     }
+    admit_receiver(t, rx_slot);
   }
   slots_[t->tx_slot].own.push_back(t.get());
 

@@ -32,8 +32,8 @@ double ObstacleGrid::derive_cell_size(const std::vector<Segment>& segments) {
   return std::clamp(sum / static_cast<double>(segments.size()), 4.0, 1024.0);
 }
 
-ObstacleGrid::ObstacleGrid(std::vector<Segment> segments, double cell_size_m)
-    : cell_size_m_{cell_size_m > 0.0 ? cell_size_m : derive_cell_size(segments)},
+ObstacleGrid::ObstacleGrid(std::vector<Segment> segments, double cell_m)
+    : cell_m_{cell_m > 0.0 ? cell_m : derive_cell_size(segments)},
       segments_{std::move(segments)} {
   // Two passes over the per-segment cell ranges build the CSR layout
   // without intermediate per-cell vectors: count, prefix-sum, fill.
@@ -66,7 +66,7 @@ ObstacleGrid::ObstacleGrid(std::vector<Segment> segments, double cell_size_m)
 }
 
 std::int32_t ObstacleGrid::cell_coord(double v) const {
-  return static_cast<std::int32_t>(std::floor(v / cell_size_m_));
+  return static_cast<std::int32_t>(std::floor(v / cell_m_));
 }
 
 std::size_t ObstacleGrid::crossings(Vec2 a, Vec2 b) const {

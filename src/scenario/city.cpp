@@ -46,10 +46,8 @@ constexpr core::Field<S> kCityFields[] = {
     {"path_loss_exponent", K::Double, [](S& s) { return &s.path_loss_exponent; }, at_least(1)},
     {"shadowing_sigma_db", K::Double, [](S& s) { return &s.shadowing_sigma_db; }, at_least(0)},
     {"tx_power_dbm", K::Double, [](S& s) { return &s.tx_power_dbm; }},
-    {"spatial_index", K::Bool, [](S& s) { return &s.spatial_index; }},
     {"obstacle_index", K::Bool, [](S& s) { return &s.obstacle_index; }},
     {"power_floor_dbm", K::Double, [](S& s) { return &s.power_floor_dbm; }, {.hi = 0}},
-    {"grid_cell_m", K::Double, [](S& s) { return &s.grid_cell_m; }, at_least(0)},
 };
 
 constexpr core::FieldTable<S> kCityTable{"CitySpec", kCityFields};
@@ -301,9 +299,7 @@ CityScenario::CityScenario(CitySpec spec)
     channel.path_loss = std::move(obstacles);
   }
   channel.shadowing_sigma_db = spec_.shadowing_sigma_db;
-  channel.spatial_index = spec_.spatial_index;
   channel.power_floor_dbm = spec_.power_floor_dbm;
-  channel.cell_size_m = spec_.grid_cell_m;
   channel.max_station_speed_mps =
       std::max(50.0, 2.0 * (spec_.vehicle_speed_mps + spec_.vehicle_speed_jitter_mps));
   medium_ = std::make_unique<dot11p::Medium>(sched_, rng_.child("medium"), std::move(channel));

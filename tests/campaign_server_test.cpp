@@ -397,7 +397,7 @@ TEST(CampaignEngine, RecordsStoredUnderAnOlderCodeVersionAreNotServed) {
 const std::pair<const char*, const char*> kBadSpecs[] = {
     {"no_such_knob = 1\n", "no_such_knob"},
     {"poll_period_ms = 0\n", "poll_period_ms"},
-    {"medium_grid_cell_m = -1\n", "medium_grid_cell_m"},
+    {"medium_power_floor_dbm = 1\n", "medium_power_floor_dbm"},
     {"cpm_enable = true\ncpm_interval_ms = 0\n", "cpm_interval"},
 };
 

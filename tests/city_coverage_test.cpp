@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -148,7 +149,6 @@ TEST(CityCoverage, CitySpecFormatParseRoundTrips) {
   spec.blocks_y = 2;
   spec.block_m = 120.0;
   spec.path_loss_exponent = 3.5;
-  spec.grid_cell_m = 42.5;
   spec.seed = 0xDEADBEEFCAFEull;
   spec.shadowing_sigma_db = 3.25;
   spec.rsu_cam_interval = sim::SimTime::milliseconds(80);
@@ -158,7 +158,6 @@ TEST(CityCoverage, CitySpecFormatParseRoundTrips) {
   EXPECT_EQ(back.seed, spec.seed);
   EXPECT_EQ(back.blocks_x, spec.blocks_x);
   EXPECT_EQ(back.block_m, spec.block_m);
-  EXPECT_EQ(back.grid_cell_m, spec.grid_cell_m);
   EXPECT_EQ(back.shadowing_sigma_db, spec.shadowing_sigma_db);
   EXPECT_EQ(back.rsu_cam_interval, spec.rsu_cam_interval);
   EXPECT_EQ(back.enable_kaf, spec.enable_kaf);
@@ -169,6 +168,19 @@ TEST(CityCoverage, CitySpecFormatParseRoundTrips) {
   // The medium has one serial path: a spec still carrying the retired
   // partition key must fail loudly instead of running silently.
   EXPECT_THROW((void)scenario::parse_city_spec("partitions = 4\n"), std::invalid_argument);
+}
+
+TEST(CityCoverage, RetiredCullingKeysFailNamingTheKey) {
+  // The medium culls by recorded distance, with no switch and no cell
+  // size: a spec still carrying either retired key must fail loudly.
+  for (const std::string key : {"spatial_index", "grid_cell_m"}) {
+    try {
+      (void)scenario::parse_city_spec(key + " = 1\n");
+      ADD_FAILURE() << "retired key " << key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  }
 }
 
 // The loop walk as it read before each vehicle measured its loop once:

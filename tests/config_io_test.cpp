@@ -81,35 +81,30 @@ TEST(ConfigIo, UnknownKeyAndBadValuesThrow) {
 
 TEST(ConfigIo, MediumGeometryAndPartitionKnobsApplyAndValidate) {
   TestbedConfig config;
-  const auto n = apply_config_overrides(config,
-                                        "medium_spatial_index = true\n"
-                                        "medium_grid_cell_m = 75.5\n");
-  EXPECT_EQ(n, 2u);
-  EXPECT_TRUE(config.medium_spatial_index);
-  EXPECT_DOUBLE_EQ(config.medium_grid_cell_m, 75.5);
+  const auto n = apply_config_overrides(config, "medium_power_floor_dbm = -95.5\n");
+  EXPECT_EQ(n, 1u);
+  EXPECT_DOUBLE_EQ(config.medium_power_floor_dbm, -95.5);
   EXPECT_NO_THROW(config.validate());
 
-  // 0 is the "derive from the power floor" sentinel and must stay valid.
-  (void)apply_config_overrides(config, "medium_grid_cell_m = 0\n");
-  EXPECT_NO_THROW(config.validate());
-
-  EXPECT_THROW((void)apply_config_overrides(config, "medium_grid_cell_m = nope\n"),
+  EXPECT_THROW((void)apply_config_overrides(config, "medium_power_floor_dbm = nope\n"),
                std::invalid_argument);
-  // A negative cell size breaks the row's bound: parsing rejects it, naming
-  // the key, and validate() rejects the same value set in code.
+  // A positive floor breaks the row's bound: parsing rejects it, naming the
+  // key, and validate() rejects the same value set in code.
   try {
-    (void)apply_config_overrides(config, "medium_grid_cell_m = -1\n");
-    ADD_FAILURE() << "medium_grid_cell_m = -1 accepted";
+    (void)apply_config_overrides(config, "medium_power_floor_dbm = 1\n");
+    ADD_FAILURE() << "medium_power_floor_dbm = 1 accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("'medium_grid_cell_m'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string{e.what()}.find("'medium_power_floor_dbm'"), std::string::npos)
+        << e.what();
   }
-  config.medium_grid_cell_m = -1;
+  config.medium_power_floor_dbm = 1;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 
-  // The medium runs one serial path with one channel model: a stale
-  // partition or per-link key must fail loudly, naming the key, instead of
-  // being ignored.
-  for (const std::string stale_key : {"medium_partitions", "medium_per_link_streams"}) {
+  // The medium runs one serial path with one channel model and one
+  // receiver scan: a stale partition, per-link or culling key must fail
+  // loudly, naming the key, instead of being ignored.
+  for (const std::string stale_key : {"medium_partitions", "medium_per_link_streams",
+                                      "medium_spatial_index", "medium_grid_cell_m"}) {
     try {
       (void)apply_config_overrides(config, stale_key + " = 4\n");
       ADD_FAILURE() << "stale key " << stale_key << " accepted";

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rst/core/config_io.hpp"
@@ -64,6 +65,19 @@ TEST(FieldTable, RowBoundsHoldAtParseAndInValidate) {
             std::string::npos);
   EXPECT_THROW((void)core::apply_config_overrides(config, "target_speed_mps = inf\n"),
                std::invalid_argument);
+  // A confidence above 1 would gate out every detection, and a negative
+  // speed cap or watchdog timeout has no meaning.
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"hazard_min_confidence = 7\n", "'hazard_min_confidence'"},
+      {"failsafe_speed_mps = -5\n", "'failsafe_speed_mps'"},
+      {"watchdog_timeout_ms = -10\n", "'watchdog_timeout_ms'"},
+  };
+  for (const auto& bad : out_of_range) {
+    EXPECT_NE(error_of([&] { (void)core::apply_config_overrides(config, bad.first); })
+                  .find(bad.second),
+              std::string::npos)
+        << bad.first;
+  }
   EXPECT_THROW((void)scenario::parse_city_spec("vehicles = 800\n"), std::invalid_argument);
   EXPECT_NO_THROW((void)scenario::parse_city_spec("vehicles = 799\n"));
   // The same rows check configs built in code.
@@ -241,10 +255,8 @@ TEST(FieldTableProperty, CitySpecRoundTrips) {
     spec.path_loss_exponent = real_in(rng, 1.0, 6.0);
     spec.shadowing_sigma_db = real_in(rng, 0.0, 20.0);
     spec.tx_power_dbm = real_in(rng, -10.0, 40.0);
-    spec.spatial_index = coin();
     spec.obstacle_index = coin();
     spec.power_floor_dbm = real_in(rng, -200.0, 0.0);
-    spec.grid_cell_m = real_in(rng, 0.0, 1000.0);
     // Every field prints at full precision, so equal text is equal fields.
     const std::string text = scenario::format_city_spec(spec);
     const scenario::CitySpec back = scenario::parse_city_spec(text);

@@ -1,7 +1,7 @@
-// Counts heap allocations to prove the spatial medium's steady-state
-// transmit path — grid query, cached link budget, pooled transmission
-// record, per-receiver interference accumulators — is allocation-free
-// once the pools and bins have reached their high-water capacity.
+// Counts heap allocations to prove the medium's steady-state transmit
+// path — distance cull, cached link budget, pooled transmission record,
+// per-receiver interference accumulators — is allocation-free once the
+// pools have reached their high-water capacity.
 //
 // Like scheduler_alloc_test, this overrides the global operator
 // new/delete and therefore lives in its own binary.
@@ -66,12 +66,11 @@ TEST(MediumAlloc, SpatialTransmitPathIsAllocationFreeInSteadyState) {
   ChannelModel channel;
   channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.8));
   channel.shadowing_sigma_db = 3.0;
-  channel.spatial_index = true;
   channel.power_floor_dbm = -95.0;
   Medium medium{sched, rng.child("medium"), channel};
 
   // A 6x6 lattice at 150 m pitch: each station hears a neighbourhood, not
-  // the whole fleet, so the grid query and the floor cull both exercise.
+  // the whole fleet, so the distance cull and the floor cull both exercise.
   std::vector<std::unique_ptr<Radio>> radios;
   for (int gy = 0; gy < 6; ++gy) {
     for (int gx = 0; gx < 6; ++gx) {
@@ -98,7 +97,7 @@ TEST(MediumAlloc, SpatialTransmitPathIsAllocationFreeInSteadyState) {
     sched.run();
   };
 
-  // Warm-up: pools, grid bins, budget cache, per-slot active lists and the
+  // Warm-up: pools, budget cache, per-slot active lists and the
   // scheduler's event heap all reach their working-set capacity.
   for (int round = 0; round < 4; ++round) beacon_round();
   ASSERT_GT(medium.stats().budget_cache_hits, 0u);
@@ -108,7 +107,7 @@ TEST(MediumAlloc, SpatialTransmitPathIsAllocationFreeInSteadyState) {
     CountScope scope;
     for (int round = 0; round < 8; ++round) beacon_round();
     EXPECT_EQ(scope.count(), 0u)
-        << "spatial transmit path allocated in steady state";
+        << "transmit path allocated in steady state";
   }
   EXPECT_GT(medium.stats().deliveries, 0u);
 }
@@ -117,13 +116,12 @@ TEST(MediumAlloc, MovingFleetMeetsNewPairsWithoutAllocating) {
   // Two counter-rotating rings: every station moves, so each budget lookup
   // follows a move, and the rings keep bringing stations into range that
   // have never been paired before. Local density repeats every station
-  // spacing, so the grid bins and transmission records warm up while new
-  // pairs keep arriving. New pairs must not grow the budget cache.
+  // spacing, so the transmission records warm up while new pairs keep
+  // arriving. New pairs must not grow the budget cache.
   sim::Scheduler sched;
   sim::RandomStream rng{2025, "medium_alloc_moving"};
   ChannelModel channel;
   channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.8));
-  channel.spatial_index = true;
   channel.power_floor_dbm = -95.0;
   Medium medium{sched, rng.child("medium"), channel};
 

@@ -1,9 +1,9 @@
-// Property: enabling the spatial index must not change any observable
-// outcome. The grid may only skip links whose
-// deterministic budget is already below the power floor — links the
-// full fan-out drops anyway — so delivery logs (including the exact RSSI
-// and SINR bits) and medium statistics must match between the two modes
-// on any topology, static or moving. The same holds for a path-loss model
+// Property: culling receivers by recorded distance must not change any
+// observable outcome. The medium may only skip links whose deterministic
+// budget is already below the power floor — links the full fan-out drops
+// anyway — so delivery logs (including the exact RSSI and SINR bits) and
+// medium statistics must match the same model without a range bound, on
+// any topology, static or moving. The same holds for a path-loss model
 // that gives up on links past the floor (loss_db_capped) against the same
 // model evaluated in full.
 
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,7 +63,7 @@ struct Topology {
 
 /// Topology draws happen outside the scenario so both runs consume
 /// identical randomness. Roughly half the area spans well beyond the cull
-/// radius implied by the floor, so the grid genuinely skips links.
+/// radius implied by the floor, so the medium genuinely skips links.
 Topology make_topology(std::uint64_t seed) {
   sim::RandomStream rng{seed, "equiv_topo"};
   Topology topo;
@@ -92,22 +93,49 @@ struct RunResult {
   Medium::Stats stats;
 };
 
-/// `path_loss` null means plain log-distance at the topology's exponent;
-/// `cell_size_m` 0 derives the grid cell from the floor.
-RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial,
-                       std::shared_ptr<const PathLossModel> path_loss = nullptr,
-                       double cell_size_m = 0.0) {
+std::shared_ptr<const PathLossModel> log_distance(const Topology& topo) {
+  return std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent));
+}
+
+/// Forwards `loss_db` and `loss_db_capped` but claims no range bound: its
+/// `min_loss_db` never reaches a budget, so the medium's cull radius is
+/// infinite and every attached radio is evaluated. The unculled fan-out
+/// reference for the same model.
+class Unbounded final : public PathLossModel {
+ public:
+  explicit Unbounded(std::shared_ptr<const PathLossModel> inner) : inner_{std::move(inner)} {}
+  [[nodiscard]] double loss_db(geo::Vec2 tx, geo::Vec2 rx) const override {
+    return inner_->loss_db(tx, rx);
+  }
+  [[nodiscard]] double loss_db_capped(geo::Vec2 tx, geo::Vec2 rx, double cap_db,
+                                      CullHint* hint) const override {
+    return inner_->loss_db_capped(tx, rx, cap_db, hint);
+  }
+  [[nodiscard]] double min_loss_db(double) const override {
+    return -std::numeric_limits<double>::infinity();
+  }
+
+ private:
+  std::shared_ptr<const PathLossModel> inner_;
+};
+
+/// `model` as is when `bounded` (culled by recorded distance), else behind
+/// `Unbounded` (full fan-out).
+std::shared_ptr<const PathLossModel> lane(std::shared_ptr<const PathLossModel> model,
+                                          bool bounded) {
+  if (bounded) return model;
+  return std::make_shared<Unbounded>(std::move(model));
+}
+
+RunResult run_scenario(const Topology& topo, std::uint64_t seed,
+                       std::shared_ptr<const PathLossModel> path_loss) {
   sim::Scheduler sched;
   sim::RandomStream rng{seed, "equiv_run"};
 
   ChannelModel channel;
-  channel.path_loss =
-      path_loss ? std::move(path_loss)
-                : std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent));
+  channel.path_loss = std::move(path_loss);
   channel.shadowing_sigma_db = topo.shadowing_sigma_db;
-  channel.spatial_index = spatial;
   channel.power_floor_dbm = topo.power_floor_dbm;
-  channel.cell_size_m = cell_size_m;
   Medium medium{sched, rng.child("medium"), channel};
 
   // Moving nodes follow a fixed 10 ms kinematic tick for 100 ms; the
@@ -150,54 +178,42 @@ RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial,
   return result;
 }
 
-TEST(MediumEquivalence, SpatialIndexNeverChangesOutcomes) {
-  int topologies_with_culling = 0;
-  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
-    const Topology topo = make_topology(seed);
-    const RunResult off = run_scenario(topo, seed, /*spatial=*/false);
-    const RunResult on = run_scenario(topo, seed, /*spatial=*/true);
-
-    ASSERT_EQ(off.logs, on.logs) << "delivery logs diverged at seed " << seed;
-    EXPECT_EQ(off.stats.frames_transmitted, on.stats.frames_transmitted) << seed;
-    EXPECT_EQ(off.stats.deliveries, on.stats.deliveries) << seed;
-    EXPECT_EQ(off.stats.dropped_half_duplex, on.stats.dropped_half_duplex) << seed;
-    EXPECT_EQ(off.stats.dropped_below_sensitivity, on.stats.dropped_below_sensitivity) << seed;
-    EXPECT_EQ(off.stats.dropped_error, on.stats.dropped_error) << seed;
-    // Floor culling is a property of the link budget, not of the index:
-    // both modes must agree on how many links never cleared the floor.
-    EXPECT_EQ(off.stats.culled_below_floor, on.stats.culled_below_floor) << seed;
-    // Cache counters are deliberately excluded: the grid evaluates fewer
-    // budgets, so hit/miss totals legitimately differ between modes.
-    if (on.stats.culled_below_floor > 0) ++topologies_with_culling;
-  }
-  // The property is vacuous if no topology ever culled a link.
-  EXPECT_GT(topologies_with_culling, 50);
+/// Every outcome field of two runs' medium statistics, and their delivery
+/// logs, are equal; the budget-cache counters are left to the caller.
+void expect_same_outcomes(const RunResult& a, const RunResult& b, std::uint64_t seed) {
+  ASSERT_EQ(a.logs, b.logs) << "delivery logs diverged at seed " << seed;
+  EXPECT_EQ(a.stats.frames_transmitted, b.stats.frames_transmitted) << seed;
+  EXPECT_EQ(a.stats.deliveries, b.stats.deliveries) << seed;
+  EXPECT_EQ(a.stats.dropped_half_duplex, b.stats.dropped_half_duplex) << seed;
+  EXPECT_EQ(a.stats.dropped_below_sensitivity, b.stats.dropped_below_sensitivity) << seed;
+  EXPECT_EQ(a.stats.dropped_error, b.stats.dropped_error) << seed;
+  // Floor culling is a property of the link budget, not of how the medium
+  // found the link: both lanes must agree on how many never cleared it.
+  EXPECT_EQ(a.stats.culled_below_floor, b.stats.culled_below_floor) << seed;
 }
 
 TEST(MediumEquivalence, DistanceDropMatchesTheFanOut) {
-  // Grid cells far wider than any cull radius put every radio in one of a
-  // few cells, so the cells cull nothing: each out-of-range radio is
-  // dropped by the distance test on its recorded position instead.
+  // The reference lane runs the same model behind `Unbounded`, so it
+  // evaluates every radio; the culled lane drops each radio recorded
+  // beyond the padded cull radius without looking up its budget.
+  int topologies_with_culling = 0;
   int topologies_dropping = 0;
+  const auto lookups = [](const Medium::Stats& st) {
+    return st.budget_cache_hits + st.budget_cache_misses;
+  };
   for (std::uint64_t seed = 1; seed <= 220; ++seed) {
     const Topology topo = make_topology(seed);
-    const RunResult off = run_scenario(topo, seed, /*spatial=*/false);
-    const RunResult on = run_scenario(topo, seed, /*spatial=*/true, nullptr, 1e5);
+    const RunResult fan_out = run_scenario(topo, seed, lane(log_distance(topo), /*bounded=*/false));
+    const RunResult culled = run_scenario(topo, seed, lane(log_distance(topo), /*bounded=*/true));
 
-    ASSERT_EQ(off.logs, on.logs) << "delivery logs diverged at seed " << seed;
-    EXPECT_EQ(off.stats.frames_transmitted, on.stats.frames_transmitted) << seed;
-    EXPECT_EQ(off.stats.deliveries, on.stats.deliveries) << seed;
-    EXPECT_EQ(off.stats.dropped_half_duplex, on.stats.dropped_half_duplex) << seed;
-    EXPECT_EQ(off.stats.dropped_below_sensitivity, on.stats.dropped_below_sensitivity) << seed;
-    EXPECT_EQ(off.stats.dropped_error, on.stats.dropped_error) << seed;
-    EXPECT_EQ(off.stats.culled_below_floor, on.stats.culled_below_floor) << seed;
-    // A dropped radio's budget is never looked up.
-    const auto lookups = [](const Medium::Stats& st) {
-      return st.budget_cache_hits + st.budget_cache_misses;
-    };
-    ASSERT_LE(lookups(on.stats), lookups(off.stats)) << seed;
-    if (lookups(on.stats) < lookups(off.stats)) ++topologies_dropping;
+    ASSERT_NO_FATAL_FAILURE(expect_same_outcomes(fan_out, culled, seed));
+    ASSERT_LE(lookups(culled.stats), lookups(fan_out.stats)) << seed;
+    if (culled.stats.culled_below_floor > 0) ++topologies_with_culling;
+    if (lookups(culled.stats) < lookups(fan_out.stats)) ++topologies_dropping;
   }
+  // The property is vacuous if no topology ever culled a link, or if the
+  // distance test never spared a budget lookup.
+  EXPECT_GT(topologies_with_culling, 50);
   EXPECT_GT(topologies_dropping, 50);
 }
 
@@ -240,19 +256,15 @@ TEST(MediumEquivalence, CappedWallLossNeverChangesOutcomes) {
   int topologies_capped = 0;
   for (std::uint64_t seed = 1; seed <= 220; ++seed) {
     const Topology topo = make_topology(seed);
-    const bool spatial = seed % 2 == 0;
+    // Half the seeds run both lanes without a range bound, so the medium
+    // evaluates every radio and the cap alone skips wall walks.
+    const bool bounded = seed % 2 == 0;
     const auto capped = make_walls(topo, seed);
     const auto full = make_walls(topo, seed);
-    const RunResult a = run_scenario(topo, seed, spatial, capped);
-    const RunResult b = run_scenario(topo, seed, spatial, std::make_shared<Uncapped>(full));
+    const RunResult a = run_scenario(topo, seed, lane(capped, bounded));
+    const RunResult b = run_scenario(topo, seed, lane(std::make_shared<Uncapped>(full), bounded));
 
-    ASSERT_EQ(a.logs, b.logs) << "delivery logs diverged at seed " << seed;
-    EXPECT_EQ(a.stats.frames_transmitted, b.stats.frames_transmitted) << seed;
-    EXPECT_EQ(a.stats.deliveries, b.stats.deliveries) << seed;
-    EXPECT_EQ(a.stats.dropped_half_duplex, b.stats.dropped_half_duplex) << seed;
-    EXPECT_EQ(a.stats.dropped_below_sensitivity, b.stats.dropped_below_sensitivity) << seed;
-    EXPECT_EQ(a.stats.dropped_error, b.stats.dropped_error) << seed;
-    EXPECT_EQ(a.stats.culled_below_floor, b.stats.culled_below_floor) << seed;
+    ASSERT_NO_FATAL_FAILURE(expect_same_outcomes(a, b, seed));
     EXPECT_EQ(a.stats.budget_cache_hits, b.stats.budget_cache_hits) << seed;
     EXPECT_EQ(a.stats.budget_cache_misses, b.stats.budget_cache_misses) << seed;
     // Fewer ray walks means the cap really skipped links.
@@ -271,9 +283,9 @@ TEST_P(MediumDetach, MidFlightDetachSettlesCarrierSenseAndKeepsDelivering) {
   sim::Scheduler sched;
   sim::RandomStream rng{42, "detach_test"};
   ChannelModel channel;
-  channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
+  channel.path_loss =
+      lane(std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0)), GetParam());
   channel.shadowing_sigma_db = 0.0;
-  channel.spatial_index = GetParam();
   Medium medium{sched, rng.child("medium"), channel};
 
   auto make = [&](const char* name, geo::Vec2 pos) {
@@ -311,9 +323,9 @@ TEST_P(MediumDetach, TransmitterDetachMidFlightStillPropagates) {
   sim::Scheduler sched;
   sim::RandomStream rng{43, "detach_tx_test"};
   ChannelModel channel;
-  channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
+  channel.path_loss =
+      lane(std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0)), GetParam());
   channel.shadowing_sigma_db = 0.0;
-  channel.spatial_index = GetParam();
   Medium medium{sched, rng.child("medium"), channel};
 
   auto make = [&](const char* name, geo::Vec2 pos) {
@@ -338,7 +350,9 @@ TEST_P(MediumDetach, TransmitterDetachMidFlightStillPropagates) {
   EXPECT_EQ(medium.stats().deliveries, 1u);
 }
 
-// The parameter toggles the spatial grid: full fan-out (false) and culled.
+// The parameter is `bounded`: the full fan-out (false) and the lane culled
+// by recorded distance (true). The suite keeps the name it had when a
+// spatial grid did the culling, so the test ids stay stable.
 INSTANTIATE_TEST_SUITE_P(FanOutAndGrid, MediumDetach, ::testing::Bool());
 
 }  // namespace

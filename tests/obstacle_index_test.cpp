@@ -398,7 +398,7 @@ TEST(ObstacleIndex, DerivedCellSizeAndCounters) {
   const auto indexed = make_model(walls, true);
   ASSERT_TRUE(indexed->index_enabled());
   ASSERT_NE(indexed->index(), nullptr);
-  EXPECT_DOUBLE_EQ(indexed->index()->cell_size_m(), 30.0);  // mean dominant extent
+  EXPECT_DOUBLE_EQ(indexed->index()->cell_m(), 30.0);  // mean dominant extent
   EXPECT_EQ(indexed->index()->segment_count(), 2u);
   EXPECT_EQ(indexed->index_queries(), 0u);
   (void)indexed->walls_crossed({-5, 5}, {50, 5});
@@ -644,17 +644,16 @@ TEST(ObstacleIndex, BudgetCacheHitsOnceTheMoverStops) {
             medium.mean_rx_power_dbm(*radios[2], *radios[0]));
 }
 
-/// Runs a moving 24-radio fleet on a spatially indexed medium over
-/// `model` and folds every delivery (receiver, sender, RSSI bits) and the
-/// medium's outcome counters into one hash. Each medium keeps the cull
-/// hints of its own links.
+/// Runs a moving 24-radio fleet on a medium over `model` and folds every
+/// delivery (receiver, sender, RSSI bits) and the medium's outcome
+/// counters into one hash. Each medium keeps the cull hints of its own
+/// links.
 std::uint64_t run_fleet_digest(const std::shared_ptr<const ObstacleShadowingModel>& model,
                                std::uint64_t seed) {
   sim::Scheduler sched;
   sim::RandomStream rng{seed, "shared_model"};
   dot11p::ChannelModel channel;
   channel.path_loss = model;
-  channel.spatial_index = true;
   dot11p::Medium medium{sched, rng.child("medium"), channel};
   std::mt19937_64 layout{seed};
   std::uniform_real_distribution<double> pos{-300.0, 300.0};
