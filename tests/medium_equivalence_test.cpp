@@ -3,7 +3,8 @@
 // budget is already below the power floor — links the full fan-out drops
 // anyway — so delivery logs (including the exact RSSI and SINR bits) and
 // medium statistics must match the same model without a range bound, on
-// any topology, static or moving. The same holds for a path-loss model
+// any topology, static or moving, also while recorded positions lag the
+// radios between position sweeps. The same holds for a path-loss model
 // that gives up on links past the floor (loss_db_capped) against the same
 // model evaluated in full.
 
@@ -56,17 +57,30 @@ struct Topology {
     std::size_t payload;
   };
   std::vector<Send> sends;
+  int motion_ticks;  // 10 ms kinematic ticks the movers take
   double power_floor_dbm;
   double path_loss_exponent;
   double shadowing_sigma_db;
 };
 
+/// How long a topology runs. `Short` sends every frame within the first
+/// reindex period. `Long` spreads the frames and the motion over ten, with
+/// movers just under the medium's speed bound, so recorded positions go
+/// stale between sweeps and radios drift across cull radii.
+enum class Horizon { Short, Long };
+
 /// Topology draws happen outside the scenario so both runs consume
 /// identical randomness. Roughly half the area spans well beyond the cull
 /// radius implied by the floor, so the medium genuinely skips links.
-Topology make_topology(std::uint64_t seed) {
+Topology make_topology(std::uint64_t seed, Horizon horizon = Horizon::Short) {
+  const bool long_run = horizon == Horizon::Long;
+  // Per axis, so a diagonal mover stays within the bound.
+  const double axis_speed =
+      long_run ? 0.99 * ChannelModel{}.max_station_speed_mps / std::sqrt(2.0) : 30.0;
+  const std::int64_t last_send_us = long_run ? 980000 : 80000;
   sim::RandomStream rng{seed, "equiv_topo"};
   Topology topo;
+  topo.motion_ticks = long_run ? 100 : 10;
   topo.power_floor_dbm = rng.bernoulli(0.5) ? -80.0 : -95.0;
   topo.path_loss_exponent = rng.uniform(2.0, 3.2);
   topo.shadowing_sigma_db = rng.uniform(0.0, 4.0);
@@ -76,12 +90,12 @@ Topology make_topology(std::uint64_t seed) {
     Topology::Node node;
     node.start = {rng.uniform(-extent, extent), rng.uniform(-extent, extent)};
     if (rng.bernoulli(0.4)) {
-      node.velocity = {rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)};
+      node.velocity = {rng.uniform(-axis_speed, axis_speed), rng.uniform(-axis_speed, axis_speed)};
     }
     topo.nodes.push_back(node);
     const auto frames = static_cast<std::size_t>(rng.uniform_int(1, 4));
     for (std::size_t f = 0; f < frames; ++f) {
-      topo.sends.push_back({i, sim::SimTime::microseconds(rng.uniform_int(0, 80000)),
+      topo.sends.push_back({i, sim::SimTime::microseconds(rng.uniform_int(0, last_send_us)),
                             static_cast<std::size_t>(rng.uniform_int(40, 400))});
     }
   }
@@ -138,11 +152,11 @@ RunResult run_scenario(const Topology& topo, std::uint64_t seed,
   channel.power_floor_dbm = topo.power_floor_dbm;
   Medium medium{sched, rng.child("medium"), channel};
 
-  // Moving nodes follow a fixed 10 ms kinematic tick for 100 ms; the
-  // positions vector is shared with the radios' position providers.
+  // Moving nodes follow a fixed 10 ms kinematic tick; the positions
+  // vector is shared with the radios' position providers.
   auto positions = std::make_shared<std::vector<geo::Vec2>>();
   for (const auto& node : topo.nodes) positions->push_back(node.start);
-  for (int tick = 1; tick <= 10; ++tick) {
+  for (int tick = 1; tick <= topo.motion_ticks; ++tick) {
     sched.post_at(sim::SimTime::milliseconds(10) * tick, [&topo, positions] {
       for (std::size_t i = 0; i < topo.nodes.size(); ++i) {
         (*positions)[i] += topo.nodes[i].velocity * 0.010;
@@ -190,6 +204,58 @@ void expect_same_outcomes(const RunResult& a, const RunResult& b, std::uint64_t 
   // Floor culling is a property of the link budget, not of how the medium
   // found the link: both lanes must agree on how many never cleared it.
   EXPECT_EQ(a.stats.culled_below_floor, b.stats.culled_below_floor) << seed;
+}
+
+/// Whether some link's deterministic budget clears the power floor at one
+/// of its sender's frames and misses it at another: a receiver that
+/// drifted across the sender's cull radius during the run.
+bool link_crosses_floor(const Topology& topo) {
+  const LogDistanceModel model = LogDistanceModel::its_g5(topo.path_loss_exponent);
+  const RadioConfig cfg;
+  const double budget_db = cfg.tx_power_dbm + 2 * cfg.antenna_gain_dbi - topo.power_floor_dbm;
+  const auto pos = [&topo](std::size_t node, sim::SimTime at) {
+    const std::int64_t ticks = std::min<std::int64_t>(
+        at.count_ns() / sim::SimTime::milliseconds(10).count_ns(), topo.motion_ticks);
+    const Topology::Node& n = topo.nodes[node];
+    return n.start + n.velocity * (0.010 * static_cast<double>(ticks));
+  };
+  for (std::size_t rx = 0; rx < topo.nodes.size(); ++rx) {
+    for (std::size_t tx = 0; tx < topo.nodes.size(); ++tx) {
+      if (tx == rx) continue;
+      bool heard = false;
+      bool missed = false;
+      for (const auto& send : topo.sends) {
+        if (send.node != tx) continue;
+        const bool clears = model.loss_db(pos(tx, send.at), pos(rx, send.at)) < budget_db;
+        (clears ? heard : missed) = true;
+      }
+      if (heard && missed) return true;
+    }
+  }
+  return false;
+}
+
+TEST(MediumEquivalence, SpatialIndexNeverChangesOutcomes) {
+  // The medium's spatial index is each radio's recorded position, re-read
+  // once per 100 ms sweep. Over ten sweeps, with movers just under the
+  // speed bound, a receiver's recorded position trails it by up to the
+  // staleness pad, and links come into and fall out of range. Culling on
+  // those recorded positions must still agree with the unculled fan-out.
+  int topologies_with_culling = 0;
+  int topologies_crossing = 0;
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    const Topology topo = make_topology(seed, Horizon::Long);
+    const RunResult fan_out = run_scenario(topo, seed, lane(log_distance(topo), /*bounded=*/false));
+    const RunResult culled = run_scenario(topo, seed, lane(log_distance(topo), /*bounded=*/true));
+
+    ASSERT_NO_FATAL_FAILURE(expect_same_outcomes(fan_out, culled, seed));
+    if (culled.stats.culled_below_floor > 0) ++topologies_with_culling;
+    if (link_crosses_floor(topo)) ++topologies_crossing;
+  }
+  // The property is vacuous if no topology ever culled a link, or if no
+  // receiver ever moved across a sender's range.
+  EXPECT_GT(topologies_with_culling, 50);
+  EXPECT_GT(topologies_crossing, 10);
 }
 
 TEST(MediumEquivalence, DistanceDropMatchesTheFanOut) {
